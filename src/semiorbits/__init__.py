@@ -68,12 +68,13 @@ from .orbits import (
     WordStream,
     apply_word,
     count_small_order_points,
+    evaluated_successors,
     greedy_sequence_cover,
     level_images,
     m_count,
     m_count_detail,
     orbit,
-    shift,
+    reach_table,
     stream_from_config,
     sup_m_over_sequences,
     theorem46_lhs,

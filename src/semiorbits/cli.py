@@ -21,7 +21,7 @@ from .combinatorics import b_tree_size, find_common_gap
 from .errors import SemiorbitsError
 from .ff import make_extension_field, make_prime_field, mul_order, small_order_set
 from .intpoly import cyclotomic, format_poly, is_special, parse_poly, resultant
-from .orbits import GeneratorSet, orbit, DEFAULT_ORBIT_CAP
+from .orbits import DEFAULT_ORBIT_CAP, GeneratorSet, evaluated_successors, orbit
 from .verify import EXPERIMENTS, ExperimentConfig, run_experiment
 
 OUT_DIR_ENV = "SEMIORBITS_OUT_DIR"
@@ -55,18 +55,17 @@ def cmd_orbit(args) -> int:
         return 2
     gens = [parse_poly(text) for text in args.rest[:-1]]
     ctx = _field(args.p, args.s)
-    x = ctx.from_index(int(args.rest[-1]) % ctx.q)
-    rec = orbit(GeneratorSet(gens), x, args.cap)
+    x = int(args.rest[-1]) % ctx.q
+    rec = orbit(evaluated_successors(GeneratorSet(gens), ctx), x, args.cap)
     if args.json:
         print(
             json.dumps(
                 {
-                    "start": x.index,
+                    "start": x,
                     "T": rec.T,
                     "truncated": rec.truncated,
                     "levels": [
-                        {"element": v.index, "level": rec.levels[v]}
-                        for v in rec.order_found
+                        {"element": v, "level": lvl} for v, lvl in rec.levels.items()
                     ],
                 },
                 sort_keys=True,
@@ -76,8 +75,8 @@ def cmd_orbit(args) -> int:
     print("T=%d" % rec.T)
     if rec.truncated:
         print("truncated")
-    for v in rec.order_found:
-        print("%d %d" % (rec.levels[v], v.index))
+    for v, lvl in rec.levels.items():
+        print("%d %d" % (lvl, v))
     return 0
 
 

@@ -25,9 +25,8 @@ from .errors import (
     TooLarge,
 )
 from .ff import FieldContext, FieldElement
-from .orbits import GeneratorSet, Word, WordStream
+from .orbits import MAX_GRAPH_SIZE, GeneratorSet, Word, WordStream
 
-MAX_GRAPH_SIZE = 1 << 20
 WITNESS_SEARCH_GUARD = 1 << 22
 
 

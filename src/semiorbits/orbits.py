@@ -7,36 +7,42 @@ are infinite words (eventually periodic, or seeded pseudorandom) supporting
 the shift map.
 
 The statistics here count iterates of small multiplicative order: m_count
-along a fixed stream, its supremum over all words of a given length (by
-dynamic programming over field values), and small-order points among the
-level sets of the whole system.
+along a fixed stream, its supremum over all words of a given length,
+small-order points among the level sets of the whole system, and orbits
+with greedy walk covers.  All but m_count read the successor table
+x -> phi_i(x) on field indices: ``combinatorics.build_graph`` for a whole
+prime field, or ``reach_table`` over the starts' reach for any field.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
-from itertools import product
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateGenerator,
     DegreeTooSmall,
     EmptySystem,
-    ExplosionGuard,
     LetterOutOfRange,
     OutOfRange,
+    TooLarge,
     Truncated,
 )
 from .ff import FieldContext, FieldElement, FieldPolynomial, mul_order
 from .intpoly import IntPolynomial, reduce_mod, system_height
 
 Word = Tuple[int, ...]
+# field index -> the indices of its k images, in generator order
+Successors = Callable[[int], Sequence[int]]
 
-EXHAUSTIVE_WORD_GUARD = 1 << 24
 DEFAULT_ORBIT_CAP = 1 << 20
+MAX_GRAPH_SIZE = 1 << 20  # rows of any successor table
 
 
 class GeneratorSet:
@@ -157,19 +163,23 @@ class WordStream:
         return out
 
 
-def shift(stream: WordStream, n: int) -> WordStream:
-    return stream.shift(n)
+_STREAM_NEEDS = {"periodic": ("period", list), "random": ("k", int)}
 
 
 def stream_from_config(desc: dict) -> WordStream:
     """Build a stream from its ``describe()`` dictionary."""
+    if not isinstance(desc, dict):
+        raise ConfigError("a stream is a JSON object, got %r" % (desc,))
     kind = desc.get("kind")
+    if kind not in _STREAM_NEEDS:
+        raise OutOfRange("unknown stream kind %r" % (kind,))
+    key, kind_of = _STREAM_NEEDS[kind]
+    if not isinstance(desc.get(key), kind_of):
+        raise ConfigError("a %s stream needs %r of type %s" % (kind, key, kind_of.__name__))
     if kind == "periodic":
         s = WordStream.periodic(desc["period"], desc.get("preperiod", ()))
-    elif kind == "random":
-        s = WordStream.random(desc["k"], desc.get("seed", 0))
     else:
-        raise OutOfRange("unknown stream kind %r" % (kind,))
+        s = WordStream.random(desc["k"], desc.get("seed", 0))
     return s.shift(desc.get("offset", 0))
 
 
@@ -184,81 +194,120 @@ def apply_word(F: GeneratorSet, word: Sequence[int], x: FieldElement) -> FieldEl
     return v
 
 
+def evaluated_successors(F: GeneratorSet, ctx: FieldContext) -> Successors:
+    """Successor source that evaluates the reduced generators, once per point."""
+    red = F.reduced(ctx)
+
+    @functools.cache
+    def succ(i: int) -> Tuple[int, ...]:
+        return tuple(g.eval_index(i) for g in red)
+
+    return succ
+
+
+def _bfs(
+    seeds: Iterable[int], succ: Successors, cap: int, depth: Optional[int] = None, stop=None
+) -> Tuple[Dict[int, Optional[int]], bool]:
+    """Breadth-first search along ``succ`` from the seeds, in FIFO order.
+
+    Returns (parent, truncated).  ``parent`` keeps discovery order and maps
+    each seed to None.  Only levels below ``depth`` are expanded (all when
+    depth is None); the search ends at the first discovered vertex with
+    ``stop(v)`` true, and is truncated when it would exceed ``cap`` vertices.
+    """
+    parent: Dict[int, Optional[int]] = dict.fromkeys(seeds)
+    frontier = list(parent)
+    level = 0
+    while frontier and level != depth:
+        level += 1
+        nxt = []
+        for v in frontier:
+            for w in succ(v):
+                if w not in parent:
+                    if len(parent) >= cap:
+                        return parent, True
+                    parent[w] = v
+                    if stop is not None and stop(w):
+                        return parent, False
+                    nxt.append(w)
+        frontier = nxt
+    return parent, False
+
+
+def _depths(parent: Dict[int, Optional[int]]) -> Dict[int, int]:
+    """BFS level of every vertex of a discovery-ordered parent map."""
+    level: Dict[int, int] = {}
+    for w, v in parent.items():
+        level[w] = 0 if v is None else level[v] + 1
+    return level
+
+
+def reach_table(
+    F: GeneratorSet, ctx: FieldContext, starts: Sequence[int], depth: Optional[int] = None
+) -> Tuple[np.ndarray, Dict[int, int]]:
+    """Compact successor table over the points within ``depth`` steps of the
+    starts; it evaluates only those points, each once.
+
+    Returns (table, row): ``row`` maps the field index of every reached point
+    to its table row, in BFS discovery order.  Rows on the depth limit are not
+    evaluated and loop to themselves; a kernel that runs at most ``depth``
+    steps never reads them.
+    """
+    succ = evaluated_successors(F, ctx)
+    parent, truncated = _bfs(starts, succ, MAX_GRAPH_SIZE, depth)
+    if truncated:
+        raise TooLarge("the starts reach more than %d points" % MAX_GRAPH_SIZE)
+    row = {i: r for r, i in enumerate(parent)}
+    level = _depths(parent)
+    table = [
+        [row[j] for j in succ(i)] if depth is None or level[i] < depth else [r] * F.k
+        for i, r in row.items()
+    ]
+    return np.array(table, dtype=np.int64).reshape(-1, F.k), row
+
+
+def _levels(table: np.ndarray, r: int, N: int):
+    """The level sets 1..N of row r (all length-n images), as row arrays."""
+    frontier = np.array([r], dtype=np.int64)
+    for _ in range(N):
+        frontier = np.unique(table[frontier].ravel())
+        yield frontier
+
+
+def level_images(F: GeneratorSet, x: FieldElement, N: int) -> List[Set[FieldElement]]:
+    """The value sets {f(x) : f a length-n composition} for n = 1..N."""
+    if N < 1:
+        raise OutOfRange("level_images requires N >= 1")
+    ctx = x.ctx
+    table, row = reach_table(F, ctx, [x.index], N)  # x is row 0
+    points = list(row)
+    return [{ctx.from_index(points[r]) for r in level} for level in _levels(table, 0, N)]
+
+
 @dataclass
 class OrbitRecord:
-    """A breadth-first orbit: elements with their first-discovery level."""
+    """A breadth-first orbit of field indices with their first-discovery
+    level; ``levels`` keeps discovery order."""
 
-    start: FieldElement
-    levels: Dict[FieldElement, int]
-    order_found: Tuple[FieldElement, ...]
+    start: int
+    levels: Dict[int, int]
     truncated: bool
 
     @property
     def T(self) -> int:
         return len(self.levels)
 
-    def elements(self) -> Set[FieldElement]:
-        return set(self.levels)
 
-
-def orbit(F: GeneratorSet, x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> OrbitRecord:
-    """BFS orbit of x under the whole system, including x at level 0.
+def orbit(succ: Successors, x: int, cap: int = DEFAULT_ORBIT_CAP) -> OrbitRecord:
+    """BFS orbit of the point with index x under the whole system, including
+    x at level 0.
 
     Stops when closed, or flags truncation once ``cap`` elements are found.
     """
     if cap < 1:
         raise OutOfRange("orbit cap must be >= 1")
-    red = F.reduced(x.ctx)
-    levels = {x: 0}
-    order_found = [x]
-    queue = deque((x,))
-    truncated = False
-    while queue and not truncated:
-        v = queue.popleft()
-        lvl = levels[v] + 1
-        for g in red:
-            w = g.eval(v)
-            if w not in levels:
-                if len(levels) >= cap:
-                    truncated = True
-                    break
-                levels[w] = lvl
-                order_found.append(w)
-                queue.append(w)
-    return OrbitRecord(x, levels, tuple(order_found), truncated)
-
-
-def level_images(
-    F: GeneratorSet, x: FieldElement, N: int, exhaustive: bool = False
-) -> List[Set[FieldElement]]:
-    """The value sets {f(x) : f a length-n composition} for n = 1..N.
-
-    The default propagates value sets level by level, which is equivalent to
-    enumerating all k^n words; the exhaustive mode does the enumeration and
-    is retained as an oracle behind a guard.
-    """
-    if N < 1:
-        raise OutOfRange("level_images requires N >= 1")
-    if exhaustive:
-        if F.k**N > EXHAUSTIVE_WORD_GUARD:
-            raise ExplosionGuard("k^N exceeds the exhaustive-word guard")
-        out = []
-        for n in range(1, N + 1):
-            out.append(
-                {apply_word(F, w, x) for w in product(range(1, F.k + 1), repeat=n)}
-            )
-        return out
-    red = F.reduced(x.ctx)
-    cur = {x}
-    out = []
-    for _ in range(N):
-        cur = {g.eval(v) for v in cur for g in red}
-        out.append(cur)
-    return out
-
-
-def _qualifies(v: FieldElement, t: int) -> bool:
-    return not v.is_zero and mul_order(v) <= t
+    parent, truncated = _bfs((x,), succ, cap)
+    return OrbitRecord(x, _depths(parent), truncated)
 
 
 @dataclass(frozen=True)
@@ -299,144 +348,76 @@ def m_count(F: GeneratorSet, stream: WordStream, x: FieldElement, t: int, N: int
 
 
 def sup_m_over_sequences(
-    F: GeneratorSet,
-    x: FieldElement,
-    t: int,
-    N: int,
-    exhaustive: bool = False,
-) -> Tuple[int, Word]:
-    """Maximum of m_count over all length-N words, with a witness word.
+    table: np.ndarray, qual: np.ndarray, rows: Sequence[int], N: int
+) -> List[Tuple[int, Word]]:
+    """Maximum of m_count over all length-N words from each start row, with
+    the lexicographically smallest maximizing word.
 
-    Dynamic programming over (field value, step) states; the witness is the
-    lexicographically smallest maximizer.  The exhaustive mode enumerates
-    all k^N words behind a guard, as an independent oracle.
+    ``qual`` marks the rows of small order.  One backward pass over the table
+    serves every start: score_n[v] = qual[v] + max_i score_(n-1)[table[v, i]]
+    is the best count over v and the n steps after it.  The forward pass then
+    takes the first letter that attains the score at each step.
     """
     if N < 1:
         raise OutOfRange("need N >= 1")
-    if t < 1:
-        raise OutOfRange("need t >= 1")
-    red = F.reduced(x.ctx)
-    k = F.k
-    if exhaustive:
-        if k**N > EXHAUSTIVE_WORD_GUARD:
-            raise ExplosionGuard("k^N exceeds the exhaustive-word guard")
-        best = -1
-        best_word: Word = ()
-        for word in product(range(1, k + 1), repeat=N):
-            v = x
-            c = 1 if _qualifies(v, t) else 0
-            for n in range(N - 1):
-                v = red[word[n] - 1].eval(v)
-                if _qualifies(v, t):
-                    c += 1
-            if c > best:
-                best, best_word = c, word
-        return best, best_word
-
-    qual_cache: Dict[FieldElement, int] = {}
-
-    def qual(v: FieldElement) -> int:
-        hit = qual_cache.get(v)
-        if hit is None:
-            hit = 1 if _qualifies(v, t) else 0
-            qual_cache[v] = hit
-        return hit
-
-    reach: List[Set[FieldElement]] = [{x}]
+    score = [qual.astype(np.int32)]
     for _ in range(N - 1):
-        reach.append({g.eval(v) for v in reach[-1] for g in red})
-    # gain[n][v]: best additional score from steps n+1 .. N-1 starting at v
-    gain: List[Dict[FieldElement, int]] = [dict() for _ in range(N)]
-    for v in reach[N - 1]:
-        gain[N - 1][v] = 0
-    for n in range(N - 2, -1, -1):
-        nxt = gain[n + 1]
-        cur = gain[n]
-        for v in reach[n]:
-            cur[v] = max(qual(w) + nxt[w] for w in (g.eval(v) for g in red))
-    total = qual(x) + gain[0][x]
-    letters: List[int] = []
-    v = x
-    for n in range(N - 1):
-        target = gain[n][v]
-        for i in range(1, k + 1):
-            w = red[i - 1].eval(v)
-            if qual(w) + gain[n + 1][w] == target:
-                letters.append(i)
-                v = w
-                break
-    letters.append(1)
-    return total, tuple(letters)
+        score.append(score[0] + score[-1][table].max(axis=1))
+    v = np.asarray(rows, dtype=np.int64)
+    best = score[-1][v]
+    letters = []
+    for after in reversed(score[:-1]):
+        succ = table[v]
+        i = np.argmax(after[succ], axis=1)
+        letters.append(i + 1)
+        v = succ[np.arange(len(v)), i]
+    letters.append(np.ones(len(v), dtype=np.int64))
+    words = np.stack(letters, axis=1).tolist()
+    return [(int(m), tuple(w)) for m, w in zip(best, words)]
 
 
 def count_small_order_points(
-    F: GeneratorSet,
-    u: FieldElement,
-    t: int,
-    N: int,
-    include_start: bool = False,
-) -> int:
-    """Distinct nonzero points of multiplicative order <= t among the level
-    sets 1..N of u (level 0, the start point, is included on request)."""
+    table: np.ndarray, qual: np.ndarray, rows: Sequence[int], N: int, include_start=False
+) -> List[int]:
+    """Per start row, the distinct rows marked by ``qual`` among its level
+    sets 1..N (level 0, the start point, is included on request)."""
     if N < 0:
         raise OutOfRange("need N >= 0")
-    if t < 1:
-        raise OutOfRange("need t >= 1")
-    seen: Set[FieldElement] = set()
-    if include_start:
-        seen.add(u)
-    if N >= 1:
-        for level in level_images(F, u, N):
-            seen |= level
-    return sum(1 for v in seen if _qualifies(v, t))
+    out = []
+    for r in rows:
+        seen = np.zeros(len(table), dtype=bool)
+        seen[r] = include_start
+        for level in _levels(table, r, N):
+            seen[level] = True
+        out.append(int(np.count_nonzero(seen & qual)))
+    return out
 
 
-def greedy_sequence_cover(
-    F: GeneratorSet, x: FieldElement, cap: int = DEFAULT_ORBIT_CAP
-) -> int:
+def greedy_sequence_cover(succ: Successors, rec: OrbitRecord) -> int:
     """Upper bound on the minimal number of single-sequence orbits covering
-    the full orbit of x.
+    the orbit ``rec``.
 
-    Greedy: walk from x, repeatedly steering (by BFS) to the nearest vertex
-    not yet covered; when no uncovered vertex is reachable, start a new walk
-    from x.  Every walk is a genuine sequence orbit, so the count is a valid
-    cover size and hence an upper bound on the minimum.
+    Greedy: walk from the start, repeatedly steering (by BFS) to the nearest
+    vertex not yet covered; when no uncovered vertex is reachable, start a
+    new walk from the start.  Every walk is a genuine sequence orbit, so the
+    count is a valid cover size and hence an upper bound on the minimum.
     """
-    rec = orbit(F, x, cap)
     if rec.truncated:
         raise Truncated("orbit hit its cap; cover count would not be exact")
-    red = F.reduced(x.ctx)
-    succ = {v: tuple(g.eval(v) for g in red) for v in rec.levels}
     uncovered = set(rec.levels)
     walks = 0
     while uncovered:
         walks += 1
-        cur = x
+        cur = rec.start
         uncovered.discard(cur)
         while uncovered:
-            # BFS from cur to the nearest uncovered vertex
-            parent: Dict[FieldElement, Optional[FieldElement]] = {cur: None}
-            queue = deque((cur,))
-            goal = None
-            while queue and goal is None:
-                v = queue.popleft()
-                for w in succ[v]:
-                    if w not in parent:
-                        parent[w] = v
-                        if w in uncovered:
-                            goal = w
-                            break
-                        queue.append(w)
-            if goal is None:
+            parent, _ = _bfs((cur,), succ, rec.T, stop=uncovered.__contains__)
+            v = cur = next(reversed(parent))
+            if cur not in uncovered:
                 break
-            path = []
-            v = goal
             while v is not None:
-                path.append(v)
-                v = parent[v]
-            for v in reversed(path):
                 uncovered.discard(v)
-            cur = goal
+                v = parent[v]
     return walks
 
 

@@ -20,7 +20,9 @@ import math
 import random
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .combinatorics import b_tree_size, build_graph, find_witness_words
 from .errors import ConfigError, EmptyReport, SpecialGenerator, TooLarge
@@ -46,12 +48,13 @@ from .intpoly import (
 )
 from .orbits import (
     DEFAULT_ORBIT_CAP,
+    MAX_GRAPH_SIZE,
     GeneratorSet,
-    WordStream,
     count_small_order_points,
     greedy_sequence_cover,
     m_count,
     orbit,
+    reach_table,
     stream_from_config,
     sup_m_over_sequences,
     theorem46_lhs,
@@ -125,6 +128,10 @@ class ExperimentConfig:
             self.starts = tuple(int(w) for w in self.starts)
         if self.t is not None and self.t < 1:
             raise ConfigError("t must be >= 1")
+        if self.N is not None and self.N < 1 and self.experiment in ("thm44i", "thm44ii", "cor45"):
+            raise ConfigError("%s needs N >= 1" % self.experiment)
+        if self.stream is not None:
+            stream_from_config(self.stream)  # rejects a malformed stream at load
         if self.t_exponent is not None and not 0 < self.t_exponent < 0.5:
             raise ConfigError("t_exponent must lie strictly in (0, 1/2)")
         if self.s < 1:
@@ -230,8 +237,8 @@ def _system(cfg: ExperimentConfig) -> GeneratorSet:
 
 def _special_warnings(
     cfg: ExperimentConfig, F: GeneratorSet, strict: bool = False
-) -> List[str]:
-    """Detect special generators.
+) -> Dict[str, str]:
+    """Detect special generators, as a summary entry (empty when none).
 
     Strict runs reject them unless the config opts in; everywhere else they
     are recorded as warnings so the harness doubles as a negative control
@@ -247,7 +254,7 @@ def _special_warnings(
                     % (format_poly(f), kind)
                 )
             notes.append("%s is %s" % (format_poly(f), kind))
-    return notes
+    return {"special_generators": "; ".join(notes)} if notes else {}
 
 
 def _context(cfg: ExperimentConfig, p: int) -> FieldContext:
@@ -267,21 +274,14 @@ def _resolve_primes(cfg: ExperimentConfig) -> List[int]:
     return [p for p in range(max(2, cfg.prime_min), cfg.prime_max + 1) if is_prime(p)]
 
 
-def _t_for(cfg: ExperimentConfig, base: int) -> int:
-    """Resolve the t-rule against log(base) (or base itself for fixed-P)."""
+def _t_for(cfg: ExperimentConfig, base: float) -> int:
+    """Resolve the t-rule as floor(base^t_exponent), at least 1; base is
+    log p, or P itself for the fixed-P scan."""
     if cfg.t is not None:
         return cfg.t
     if cfg.t_exponent is None:
         raise ConfigError("config needs 't' or 't_exponent'")
-    return max(1, int(math.log(base) ** cfg.t_exponent))
-
-
-def _t_for_big(cfg: ExperimentConfig, P: int) -> int:
-    if cfg.t is not None:
-        return cfg.t
-    if cfg.t_exponent is None:
-        raise ConfigError("config needs 't' or 't_exponent'")
-    return max(1, int(P**cfg.t_exponent))
+    return max(1, int(base**cfg.t_exponent))
 
 
 def _starts(cfg: ExperimentConfig, q: int) -> List[int]:
@@ -291,6 +291,26 @@ def _starts(cfg: ExperimentConfig, q: int) -> List[int]:
         return list(range(q))
     rng = random.Random(cfg.seed)
     return sorted(rng.sample(range(q), cfg.sample))
+
+
+def _tables(F: GeneratorSet, ctx: FieldContext, starts: Sequence[int], depth=None):
+    """Successor table over the starts' reach within ``depth`` steps (all when
+    None), and the map field index -> row.  A prime field within the cap takes
+    its whole graph, one numpy pass per generator; elsewhere each point costs
+    a Python evaluation, so only the reached points are evaluated, once."""
+    if ctx.s == 1 and ctx.q <= MAX_GRAPH_SIZE:
+        return build_graph(F, ctx).table, range(ctx.q)
+    return reach_table(F, ctx, starts, depth)
+
+
+def _qual(ctx: FieldContext, t: int, row: Mapping[int, int]) -> np.ndarray:
+    """Γ(t) mask over the table rows: the nonzero points of order <= t, tested
+    one by one on part of the field and listed by ``small_order_set`` on all."""
+    if len(row) < ctx.q:
+        return np.array([i != 0 and mul_order(ctx.from_index(i)) <= t for i in row], dtype=bool)
+    qual = np.zeros(ctx.q, dtype=bool)
+    qual[[row[u.index] for u in small_order_set(ctx, t)]] = True
+    return qual
 
 
 def _need(cfg: ExperimentConfig, name: str):
@@ -331,14 +351,14 @@ def run_thm44i(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     for p in _resolve_primes(cfg):
         ctx = _context(cfg, p)
-        t = _t_for(cfg, p)
+        t = _t_for(cfg, math.log(p))
         bound = max(math.sqrt(N), N / _loglog_denom(cfg, p))
-        for w in _starts(cfg, ctx.q):
-            M, word = sup_m_over_sequences(F, ctx.from_index(w), t, N)
+        ws = _starts(cfg, ctx.q)
+        table, row = _tables(F, ctx, ws, N - 1)
+        found = sup_m_over_sequences(table, _qual(ctx, t, row), [row[w] for w in ws], N)
+        for w, (M, word) in zip(ws, found):
             rows.append((p, cfg.s, w, t, N, M, bound, M / bound, _word_str(word)))
-    summary: dict = {"rows": len(rows)}
-    if notes:
-        summary["special_generators"] = "; ".join(notes)
+    summary: dict = {"rows": len(rows), **notes}
     if rows:
         summary.update(fit_constants(_report(cfg, columns, rows, {})))
     return _report(cfg, columns, rows, summary)
@@ -356,7 +376,7 @@ def run_thm44ii(cfg: ExperimentConfig) -> ExperimentReport:
         raise ConfigError("experiment thm44ii needs 'prime_max' (the P)")
     stream = stream_from_config(cfg.stream)
     P = cfg.prime_max
-    t = _t_for_big(cfg, P)
+    t = _t_for(cfg, P)
     columns = ("p", "t", "N", "starts", "max_M", "argmax_w", "bound", "ratio", "exceptional")
     rows = []
     exceptional = 0
@@ -372,9 +392,7 @@ def run_thm44ii(cfg: ExperimentConfig) -> ExperimentReport:
         flag = 1 if best > bound else 0
         exceptional += flag
         rows.append((p, t, N, len(ws), best, argw, bound, best / bound, flag))
-    summary: dict = {"rows": len(rows), "exceptional": exceptional}
-    if notes:
-        summary["special_generators"] = "; ".join(notes)
+    summary: dict = {"rows": len(rows), "exceptional": exceptional, **notes}
     if P >= 3:
         summary["p_over_log_p"] = P / math.log(P)
         summary["exceptional_fraction"] = exceptional / (P / math.log(P))
@@ -395,28 +413,29 @@ def run_cor45(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     for p in _resolve_primes(cfg):
         ctx = _context(cfg, p)
-        t = _t_for(cfg, p)
+        t = _t_for(cfg, math.log(p))
         kN = float(F.k) ** N
         bound = max(math.sqrt(N) * kN, N * kN / _loglog_denom(cfg, p))
-        for w in _starts(cfg, ctx.q):
-            cnt = count_small_order_points(
-                F, ctx.from_index(w), t, N, include_start=cfg.include_level_0
-            )
+        ws = _starts(cfg, ctx.q)
+        table, row = _tables(F, ctx, ws, N)
+        counts = count_small_order_points(
+            table, _qual(ctx, t, row), [row[w] for w in ws], N, cfg.include_level_0
+        )
+        for w, cnt in zip(ws, counts):
             rows.append((p, cfg.s, w, t, N, cnt, ctx.q, bound, cnt / bound))
     summary: dict = {
         "rows": len(rows),
         "bound_note": "count <= q everywhere; ratios expose the k^N slack",
+        **notes,
     }
-    if notes:
-        summary["special_generators"] = "; ".join(notes)
     if rows:
         summary.update(fit_constants(_report(cfg, columns, rows, {})))
     return _report(cfg, columns, rows, summary)
 
 
-def _collision_diagnostic(cfg: ExperimentConfig, F: GeneratorSet, ctx, w: int):
-    """First collision on the constant-1 walk from w, and the cyclotomic
-    resultant the proof divides by p.
+def _collision_diagnostic(cfg: ExperimentConfig, F: GeneratorSet, ctx, succ, w: int, n: int):
+    """First collision on the constant-1 walk from table row w, and the
+    cyclotomic resultant the proof divides by p.
 
     Ψ is the constant-1 sequence, so Ψ^(m) is the m-fold composite of the
     first generator; the collision Ψ^(m)(w) = Ψ^(l)(w) makes w a shared
@@ -424,18 +443,15 @@ def _collision_diagnostic(cfg: ExperimentConfig, F: GeneratorSet, ctx, w: int):
     p divides their resultant.
     """
     phi = F.polys[0]
-    red = F.reduced(ctx)[0]
-    x = ctx.from_index(w)
-    seen = {x: 0}
-    v = x
+    seen = {w: 0}
+    v = w
     m, l = 0, 0
     for j in range(1, ctx.q + 1):
-        v = red.eval(v)
+        v = succ(v)[0]
         if v in seen:
             m, l = j, seen[v]
             break
         seen[v] = j
-    n = mul_order(x)
     if phi.degree**m > cfg.diag_degree_cap:
         return m, l, n, None
     comp = IntPolynomial((0, 1))
@@ -464,25 +480,27 @@ def run_thm46(cfg: ExperimentConfig) -> ExperimentReport:
     zeros = 0
     for p in _resolve_primes(cfg):
         ctx = _context(cfg, p)
-        for w in _starts(cfg, ctx.q):
-            x = ctx.from_index(w)
-            if x.is_zero:
-                zeros += 1
-                continue
-            T = orbit(F, x, cfg.orbit_cap).T
-            tau = mul_order(x)
-            s_cover = greedy_sequence_cover(F, x, cfg.orbit_cap)
-            lhs = theorem46_lhs(F.d, T, tau, s_cover)
-            rhs = s_cover * math.log(cfg.c * math.log(p))
-            flag = 1 if lhs < rhs else 0
-            exceptions += flag
-            diag = (None, None, None, None)
-            if cfg.diagnostics:
-                diag = _collision_diagnostic(cfg, F, ctx, w)
-            rows.append((p, w, T, tau, s_cover, lhs, rhs, flag) + diag)
-    summary: dict = {"rows": len(rows), "exceptions": exceptions, "zeros_skipped": zeros}
-    if notes:
-        summary["special_generators"] = "; ".join(notes)
+        ws = _starts(cfg, ctx.q)
+        # above the cap each start gets its own table, the size of its orbit
+        for group in [ws] if ctx.q <= MAX_GRAPH_SIZE else [[w] for w in ws]:
+            table, row = _tables(F, ctx, [w for w in group if w])
+            succ = lambda v: table[v].tolist()  # per row: all rows take 180 MB at 2^20
+            for w in group:
+                if w == 0:
+                    zeros += 1
+                    continue
+                rec = orbit(succ, row[w], cfg.orbit_cap)
+                tau = mul_order(ctx.from_index(w))
+                s_cover = greedy_sequence_cover(succ, rec)
+                lhs = theorem46_lhs(F.d, rec.T, tau, s_cover)
+                rhs = s_cover * math.log(cfg.c * math.log(p))
+                flag = 1 if lhs < rhs else 0
+                exceptions += flag
+                diag = (None, None, None, None)
+                if cfg.diagnostics:
+                    diag = _collision_diagnostic(cfg, F, ctx, succ, row[w], tau)
+                rows.append((p, w, rec.T, tau, s_cover, lhs, rhs, flag) + diag)
+    summary: dict = {"rows": len(rows), "exceptions": exceptions, "zeros_skipped": zeros, **notes}
     if rows:
         summary["min_margin"] = min(r[5] - r[6] for r in rows)
     return _report(cfg, columns, rows, summary)
@@ -498,8 +516,8 @@ def run_thm61(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.h is not None:
         h = cfg.h
     elif cfg.h_from_n:
-        if F.k < 2:
-            raise ConfigError("h_from_n preset needs k >= 2")
+        if F.k < 2 or N < 1:
+            raise ConfigError("h_from_n preset needs k >= 2 and N >= 1")
         h = max(1, int((math.log(N) / math.log(F.k)) ** (1.0 / (l + 1))))
     else:
         raise ConfigError("experiment thm61 needs 'h' (or h_from_n)")
@@ -512,16 +530,15 @@ def run_thm61(cfg: ExperimentConfig) -> ExperimentReport:
     hyp_ok = 0
     for p in _resolve_primes(cfg):
         ctx = _context(cfg, p)
-        t = _t_for(cfg, p)
-        gamma = small_order_set(ctx, t)
+        t = _t_for(cfg, math.log(p))
         graph = build_graph(F, ctx)
         bound = max(B ** (l + 1) / h, B ** (l + 1) / _loglog_denom(cfg, p))
-        for w in _starts(cfg, ctx.q):
+        qual = _qual(ctx, t, range(ctx.q))
+        ws = _starts(cfg, ctx.q)
+        counts = count_small_order_points(graph.table, qual, ws, N, cfg.include_level_0)
+        for w, cnt in zip(ws, counts):
             u = ctx.from_index(w)
-            cnt = count_small_order_points(
-                F, u, t, N, include_start=cfg.include_level_0
-            )
-            res = find_witness_words(graph, u, gamma, N, h, l, c=cfg.c1)
+            res = find_witness_words(graph, u, np.flatnonzero(qual), N, h, l, c=cfg.c1)
             hyp = 1 if (res.hypothesis_met and h >= 3 * l) else 0
             hyp_ok += hyp
             eq61 = res.count / res.target if res.target > 0 else None
@@ -532,9 +549,7 @@ def run_thm61(cfg: ExperimentConfig) -> ExperimentReport:
                     "|".join(_word_str(word) for word in res.words),
                 )
             )
-    summary: dict = {"rows": len(rows), "hypothesis_met": hyp_ok}
-    if notes:
-        summary["special_generators"] = "; ".join(notes)
+    summary: dict = {"rows": len(rows), "hypothesis_met": hyp_ok, **notes}
     if rows:
         summary.update(fit_constants(_report(cfg, columns, rows, {})))
     return _report(cfg, columns, rows, summary)

@@ -2,8 +2,9 @@
 
 Everything here recomputes a library quantity by a different method:
 determinant resultants instead of remainder sequences, exhaustive powering
-instead of factored orders, closure iteration instead of BFS, and explicit
-state-space search instead of greedy covering.  They are deliberately slow
+instead of factored orders, closure iteration instead of BFS, word
+enumeration instead of table dynamic programming, and explicit state-space
+search instead of greedy covering.  They are deliberately slow
 and simple.
 """
 
@@ -151,11 +152,31 @@ def exhaustive_level_images(F, x, N):
     return out
 
 
+def _small(v, t):
+    return not v.is_zero and mul_order(v) <= t
+
+
+def exhaustive_sup_m(F, x, t, N):
+    """sup M over all k^N words by enumeration, with the first maximizing
+    word in lexicographic order."""
+    best = -1
+    best_word = ()
+    for word in product(range(1, F.k + 1), repeat=N):
+        v = x
+        c = 1 if _small(v, t) else 0
+        for letter in word[: N - 1]:
+            v = apply_word(F, (letter,), v)
+            c += 1 if _small(v, t) else 0
+        if c > best:
+            best, best_word = c, word
+    return best, best_word
+
+
 def exhaustive_small_order_count(F, u, t, N):
     seen = set()
     for level in exhaustive_level_images(F, u, N):
         seen |= level
-    return sum(1 for v in seen if not v.is_zero and mul_order(v) <= t)
+    return sum(1 for v in seen if _small(v, t))
 
 
 def minimal_walk_cover(F, x, state_cap=2_000_000):

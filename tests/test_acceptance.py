@@ -14,6 +14,7 @@ import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from semiorbits import (
@@ -24,6 +25,7 @@ from semiorbits import (
     IntPolynomial,
     WordStream,
     b_tree_size,
+    build_graph,
     composition_height_bound,
     cyclotomic,
     find_common_gap,
@@ -38,6 +40,7 @@ from semiorbits import (
     pair_step_count,
     resultant,
     run_experiment,
+    small_order_set,
     sup_m_over_sequences,
 )
 from semiorbits.cli import main
@@ -47,6 +50,7 @@ from oracles import (
     build_tree_nodes,
     compose_word,
     exhaustive_small_order_count,
+    exhaustive_sup_m,
     max_primitive_coeff,
     naive_l_n_count,
     rational_gcd_is_nonconstant,
@@ -233,8 +237,11 @@ def test_criterion_07_sup_m_dp_vs_exhaustive():
             x = ctx.from_index(rng.randrange(ctx.q))
             t = rng.randint(1, ctx.q - 1)
             N = rng.randint(1, 8)
-            val, word = sup_m_over_sequences(F, x, t, N)
-            ex_val, _ = sup_m_over_sequences(F, x, t, N, exhaustive=True)
+            gamma = {u.index for u in small_order_set(ctx, t)}
+            qual = np.array([i in gamma for i in range(ctx.q)], dtype=bool)
+            table = build_graph(F, ctx).table
+            ((val, word),) = sup_m_over_sequences(table, qual, [x.index], N)
+            ex_val, _ = exhaustive_sup_m(F, x, t, N)
             assert val == ex_val
             assert m_count(F, WordStream.periodic(word), x, t, N) == val
             done += 1

@@ -293,6 +293,13 @@ def test_verify_unknown_config_field_exit(tmp_path, capsys):
     code, _, err = _run(capsys, "verify", "thm44i", str(cfg))
     assert code == 4
     assert "wrong_key" in err
+    base = ["--generators", "X^2 + 1", "--t", "2", "--out", str(tmp_path / "x.csv")]
+    for argv in (
+        ["cor45", "--primes", "11", "--N", "0"],
+        ["thm44ii", "--prime-max", "20", "--N", "5", "--stream", '{"kind": "random"}'],
+    ):
+        code, _, err = _run(capsys, "verify", *argv, *base)
+        assert code == 4, err
 
 
 def test_console_script_installed():

@@ -5,20 +5,23 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from semiorbits import (
     DegenerateGenerator,
     DegreeTooSmall,
     EmptySystem,
-    ExplosionGuard,
     GeneratorSet,
     IntPolynomial,
     LetterOutOfRange,
     OutOfRange,
+    Truncated,
     WordStream,
     apply_word,
+    build_graph,
     count_small_order_points,
+    evaluated_successors,
     greedy_sequence_cover,
     level_images,
     m_count,
@@ -27,13 +30,19 @@ from semiorbits import (
     make_prime_field,
     orbit,
     parse_poly,
-    shift,
+    reach_table,
     small_order_set,
     stream_from_config,
     sup_m_over_sequences,
     theorem46_lhs,
 )
-from oracles import closure_orbit, exhaustive_level_images, minimal_walk_cover
+from oracles import (
+    closure_orbit,
+    exhaustive_level_images,
+    exhaustive_small_order_count,
+    exhaustive_sup_m,
+    minimal_walk_cover,
+)
 
 F5 = make_prime_field(5)
 F7 = make_prime_field(7)
@@ -49,6 +58,41 @@ def _random_system(rng, k, max_deg=3):
         coeffs = [rng.randint(-4, 4) for _ in range(deg)] + [rng.choice((1, 2, 3))]
         polys.append(IntPolynomial(coeffs))
     return GeneratorSet(polys)
+
+
+def _tables(F, x, t, depth):
+    """(table, Γ(t) mask, [row of x]) from both table builders: the whole
+    field's graph, and the compact table over x's reach within depth steps."""
+    ctx = x.ctx
+    gamma = {u.index for u in small_order_set(ctx, t)}
+    whole = (build_graph(F, ctx).table, range(ctx.q))
+    for table, row in (whole, reach_table(F, ctx, [x.index], depth)):
+        yield table, np.array([i in gamma for i in row], dtype=bool), [row[x.index]]
+
+
+def _sup_m(F, x, t, N):
+    """sup M from x, computed on both builders' tables, which must agree."""
+    (a,), (b,) = (sup_m_over_sequences(*tables, N) for tables in _tables(F, x, t, N - 1))
+    assert a == b
+    return a
+
+
+def _count(F, x, t, N, include_start=False):
+    (a,), (b,) = (
+        count_small_order_points(*tables, N, include_start)
+        for tables in _tables(F, x, t, N)
+    )
+    assert a == b
+    return a
+
+
+def _orbit(F, x, **cap):
+    succ = evaluated_successors(F, x.ctx)
+    return succ, orbit(succ, x.index, **cap)
+
+
+def _cover(F, x):
+    return greedy_sequence_cover(*_orbit(F, x))
 
 
 def test_generator_set_validation():
@@ -79,13 +123,13 @@ def test_stream_periodic():
 
 def test_stream_shift():
     s = WordStream.periodic((1, 2))
-    assert shift(s, 0) is s
-    assert shift(s, 1).prefix(4) == (2, 1, 2, 1)
+    assert s.shift(0) is s
+    assert s.shift(1).prefix(4) == (2, 1, 2, 1)
     # preperiod (3), period (1,2), dropped twice: (2,1) cycling
     s = WordStream.periodic((1, 2), preperiod=(3,))
-    assert shift(s, 2).prefix(4) == (2, 1, 2, 1)
+    assert s.shift(2).prefix(4) == (2, 1, 2, 1)
     with pytest.raises(OutOfRange):
-        shift(s, -1)
+        s.shift(-1)
 
 
 def test_stream_random_reproducible():
@@ -125,25 +169,28 @@ def test_apply_word_examples():
 
 
 def test_orbit_examples():
-    rec = orbit(SQ, F7.element(3))
-    assert rec.elements() == {F7.element(3), F7.element(2), F7.element(4)}
+    _, rec = _orbit(SQ, F7.element(3))
+    assert set(rec.levels) == {3, 2, 4}
     assert rec.T == 3
     assert not rec.truncated
-    assert rec.levels[F7.element(3)] == 0
-    assert rec.levels[F7.element(2)] == 1
-    assert rec.levels[F7.element(4)] == 2
-    assert orbit(SQ, F7.element(1)).T == 1
-    rec = orbit(PAIR, F5.element(0))
-    assert {v.index for v in rec.elements()} == {0, 1, 2, 4}
+    assert rec.levels[3] == 0
+    assert rec.levels[2] == 1
+    assert rec.levels[4] == 2
+    assert _orbit(SQ, F7.element(1))[1].T == 1
+    _, rec = _orbit(PAIR, F5.element(0))
+    assert set(rec.levels) == {0, 1, 2, 4}
     assert rec.T == 4
+    # the whole-field table drives the same BFS, in the same FIFO order
+    table_rec = orbit(build_graph(PAIR, F5).table.tolist().__getitem__, 0)
+    assert list(table_rec.levels.items()) == list(rec.levels.items())
 
 
 def test_orbit_truncation():
-    rec = orbit(PAIR, F5.element(0), cap=2)
+    _, rec = _orbit(PAIR, F5.element(0), cap=2)
     assert rec.truncated
     assert rec.T <= 2
     with pytest.raises(OutOfRange):
-        orbit(PAIR, F5.element(0), cap=0)
+        _orbit(PAIR, F5.element(0), cap=0)
 
 
 def test_orbit_matches_closure_seeded():
@@ -159,13 +206,13 @@ def test_orbit_matches_closure_seeded():
             F.reduced(ctx)
         except DegenerateGenerator:
             continue
-        rec = orbit(F, x)
-        assert rec.elements() == closure_orbit(F, x)
+        _, rec = _orbit(F, x)
+        assert set(rec.levels) == {v.index for v in closure_orbit(F, x)}
         # BFS levels are genuine shortest word lengths: level n elements
         # appear among level-set images at n but not earlier
         by_level = {}
         for v, lvl in rec.levels.items():
-            by_level.setdefault(lvl, set()).add(v)
+            by_level.setdefault(lvl, set()).add(ctx.from_index(v))
         if rec.T > 1:
             imgs = level_images(F, x, max(by_level))
             seen = {x}
@@ -196,11 +243,7 @@ def test_level_images_matches_exhaustive():
             F.reduced(ctx)
         except DegenerateGenerator:
             continue
-        fast = level_images(F, x, N)
-        assert fast == exhaustive_level_images(F, x, N)
-        assert fast == level_images(F, x, N, exhaustive=True)
-    with pytest.raises(ExplosionGuard):
-        level_images(PAIR, F5.element(0), 25, exhaustive=True)
+        assert level_images(F, x, N) == exhaustive_level_images(F, x, N)
 
 
 def test_m_count_examples():
@@ -244,13 +287,15 @@ def test_m_count_monotone():
 
 def test_sup_m_examples():
     # k=1: the sup is the unique stream's count
-    val, word = sup_m_over_sequences(SQ, F7.element(3), t=3, N=4)
+    val, word = _sup_m(SQ, F7.element(3), t=3, N=4)
     assert val == m_count(SQ, WordStream.constant(1), F7.element(3), 3, 4) == 3
     assert word == (1, 1, 1, 1)
-    val, word = sup_m_over_sequences(PAIR, F5.element(0), t=1, N=2)
-    ex_val, _ = sup_m_over_sequences(PAIR, F5.element(0), t=1, N=2, exhaustive=True)
+    val, word = _sup_m(PAIR, F5.element(0), t=1, N=2)
+    ex_val, _ = exhaustive_sup_m(PAIR, F5.element(0), t=1, N=2)
     assert val == ex_val
     assert len(word) == 2
+    with pytest.raises(OutOfRange):
+        _sup_m(PAIR, F5.element(0), t=1, N=0)
 
 
 def test_sup_m_matches_exhaustive_seeded():
@@ -266,37 +311,37 @@ def test_sup_m_matches_exhaustive_seeded():
         x = ctx.from_index(rng.randrange(ctx.q))
         t = rng.randint(1, ctx.q - 1)
         N = rng.randint(1, 6)
-        val, word = sup_m_over_sequences(F, x, t, N)
-        ex_val, ex_word = sup_m_over_sequences(F, x, t, N, exhaustive=True)
+        val, word = _sup_m(F, x, t, N)
+        ex_val, ex_word = exhaustive_sup_m(F, x, t, N)
         assert val == ex_val
         assert word == ex_word  # both tie-break to the lex-smallest word
         # the witness really achieves the value
         assert m_count(F, WordStream.periodic(word), x, t, N) == val
 
 
-def test_sup_m_guard():
-    with pytest.raises(ExplosionGuard):
-        sup_m_over_sequences(PAIR, F5.element(0), 1, 25, exhaustive=True)
-
-
 def test_count_small_order_points():
     # reachable within 2 steps from 3: {2, 4}, both of order 3
-    assert count_small_order_points(SQ, F7.element(3), t=3, N=2) == 2
-    assert count_small_order_points(SQ, F7.element(3), t=3, N=0) == 0
-    assert count_small_order_points(SQ, F7.element(3), t=2, N=2) == 0
+    assert _count(SQ, F7.element(3), t=3, N=2) == 2
+    assert _count(SQ, F7.element(3), t=3, N=0) == 0
+    assert _count(SQ, F7.element(3), t=2, N=2) == 0
     # include_start counts the start point too when it qualifies
-    assert count_small_order_points(SQ, F7.element(2), t=3, N=1, include_start=True) == 2
+    assert _count(SQ, F7.element(2), t=3, N=1, include_start=True) == 2
     # sanity cap by the small-order census of the whole field
     for t in (1, 2, 3, 6):
-        c = count_small_order_points(SQ, F7.element(3), t, 5)
+        c = _count(SQ, F7.element(3), t, 5)
         assert c <= len(small_order_set(F7, t))
+        assert c == exhaustive_small_order_count(SQ, F7.element(3), t, 5)
+    with pytest.raises(OutOfRange):
+        _count(SQ, F7.element(3), t=3, N=-1)
 
 
 def test_greedy_cover():
-    assert greedy_sequence_cover(SQ, F7.element(3)) == 1
-    got = greedy_sequence_cover(PAIR, F5.element(0))
+    assert _cover(SQ, F7.element(3)) == 1
+    got = _cover(PAIR, F5.element(0))
     assert 1 <= got <= 4
     assert got >= minimal_walk_cover(PAIR, F5.element(0))
+    with pytest.raises(Truncated):
+        greedy_sequence_cover(*_orbit(PAIR, F5.element(0), cap=2))
 
 
 def test_greedy_cover_dominates_exact_minimum():
@@ -313,7 +358,7 @@ def test_greedy_cover_dominates_exact_minimum():
         x = ctx.element(rng.randrange(ctx.p))
         if len(closure_orbit(F, x)) > 14:
             continue
-        got = greedy_sequence_cover(F, x)
+        got = _cover(F, x)
         assert got >= max(1, minimal_walk_cover(F, x))
         checked += 1
 

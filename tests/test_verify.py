@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 import pytest
 
@@ -14,21 +15,34 @@ from semiorbits import (
     ExperimentReport,
     EXPERIMENTS,
     GeneratorSet,
+    IntPolynomial,
     SpecialGenerator,
     TooLarge,
     b_tree_size,
     build_graph,
-    count_small_order_points,
+    evaluated_successors,
     fit_constants,
+    format_poly,
     height,
     m_count,
+    make_extension_field,
     make_prime_field,
+    orbit,
     parse_poly,
     run_experiment,
     small_order_set,
     stream_from_config,
 )
-from oracles import compose_word, naive_l_n_count, rational_gcd_is_nonconstant
+import semiorbits.verify as verify
+from semiorbits.orbits import MAX_GRAPH_SIZE
+from oracles import (
+    closure_orbit,
+    compose_word,
+    exhaustive_small_order_count,
+    exhaustive_sup_m,
+    naive_l_n_count,
+    rational_gcd_is_nonconstant,
+)
 
 
 def _cfg(**kw):
@@ -77,6 +91,28 @@ def test_config_validation():
         _cfg(experiment="thm44i", generators=["X^2 + 1"], s=0)
     with pytest.raises(ConfigError):
         _cfg(experiment="thm44i", generators=["X^2 + 1"], loglog_floor=0.0)
+    for bad_n in (0, -1):
+        for exp in ("thm44i", "thm44ii", "cor45"):
+            with pytest.raises(ConfigError):
+                _cfg(experiment=exp, generators=["X^2 + 1"], N=bad_n)
+        with pytest.raises(ConfigError):
+            run_experiment(_cfg(experiment="thm61", generators=["X^2 + 1", "X^3 + 2"],
+                                primes=[11], t=2, N=bad_n, l=1, h_from_n=True))
+    # with an explicit h, thm61 counts level sets 1..N for any N >= 0
+    rep = run_experiment(
+        _cfg(experiment="thm61", generators=["X^2 + 1", "X^3 + 2"], primes=[11],
+             starts=[3], t=2, N=0, h=3, l=1)
+    )
+    assert _by_col(rep, rep.rows[0], "count") == 0
+    for bad_stream in (
+        {"kind": "periodic"},
+        {"kind": "periodic", "period": 1},
+        {"kind": "random"},
+        {"kind": "random", "k": "2"},
+        [1, 2],
+    ):
+        with pytest.raises(ConfigError):
+            _cfg(experiment="thm44ii", generators=["X^2 + 1"], stream=bad_stream)
     cfg = _cfg(experiment="thm44i", generators=["X^2 + 1"], primes=[11], t=2, N=6)
     assert cfg.to_dict()["generators"] == ["X^2 + 1"]
 
@@ -369,7 +405,7 @@ def test_thm61_row_consistency():
     gamma = small_order_set(ctx, 10)
     graph = build_graph(F, ctx)
     assert _by_col(rep, row, "B") == b_tree_size(2, 3) == 7
-    assert _by_col(rep, row, "count") == count_small_order_points(
+    assert _by_col(rep, row, "count") == exhaustive_small_order_count(
         F, ctx.element(2), 10, 4
     )
     words = [
@@ -599,3 +635,87 @@ def test_determinism_same_config_same_body():
     assert all(row[_col(a, "s")] == 1 for row in a.rows)
     starts = {row[_col(a, "w")] for row in a.rows if row[0] == 23}
     assert len(starts) == 4
+
+
+# -- fields above the whole-field table cap ----------------------------------
+
+
+def test_runners_above_graph_cap_match_oracles():
+    # q > MAX_GRAPH_SIZE, so the runners work on compact reach tables
+    p = 1048583
+    ctx = make_prime_field(p)
+    assert ctx.q > MAX_GRAPH_SIZE
+    t = 58  # orders 1, 2, 29 and 58 divide q - 1
+    roots = sorted(u.index for u in small_order_set(ctx, t))
+    rng = random.Random(1048583)
+    systems = [["X^2"], ["X^2", "X^2 + 1"]]
+    for _ in range(4):
+        systems.append([
+            format_poly(IntPolynomial(
+                [rng.randint(-4, 4) for _ in range(rng.randint(2, 3))] + [rng.randint(1, 3)]
+            ))
+            for _ in range(rng.randint(1, 2))
+        ])
+    small_orbits = 0
+    for gens in systems:
+        F = GeneratorSet([parse_poly(g) for g in gens])
+        N = rng.randint(4, 8)
+        starts = [rng.randrange(p), rng.choice(roots), rng.choice(roots)]
+        base = dict(generators=gens, primes=[p], starts=starts, t=t, N=N)
+        sup = run_experiment(_cfg(experiment="thm44i", allow_special=True, **base))
+        cnt = run_experiment(_cfg(experiment="cor45", **base))
+        succ = evaluated_successors(F, ctx)
+        for w, row_m, row_c in zip(starts, sup.rows, cnt.rows):
+            x = ctx.element(w)
+            M, word = exhaustive_sup_m(F, x, t, N)
+            assert _by_col(sup, row_m, "M") == M
+            assert _by_col(sup, row_m, "word") == "-".join(map(str, word))
+            assert _by_col(cnt, row_c, "count") == exhaustive_small_order_count(F, x, t, N)
+            rec = orbit(succ, w, cap=2000)
+            if not rec.truncated:
+                assert set(rec.levels) == {v.index for v in closure_orbit(F, x)}
+                small_orbits += 1
+    # squaring keeps roots of unity among themselves: their orbits are small
+    square = GeneratorSet([parse_poly("X^2")])
+    rep = run_experiment(
+        _cfg(experiment="thm46", generators=["X^2"], primes=[p], starts=roots)
+    )
+    for row in rep.rows:
+        x = ctx.element(_by_col(rep, row, "w"))
+        assert _by_col(rep, row, "T") == len(closure_orbit(square, x))
+        small_orbits += 1
+    assert small_orbits >= len(roots)
+
+
+def test_sampled_starts_evaluate_only_their_reach(monkeypatch):
+    # Above the cap, and on extension fields, the runners evaluate only the
+    # starts' reach: no whole-field graph, and no whole-field Γ(t) list even
+    # when t >= q - 1 makes every nonzero point qualify.
+    def refuse(*args):
+        raise AssertionError("whole-field work for a few starts")
+
+    monkeypatch.setattr(verify, "build_graph", refuse)
+    monkeypatch.setattr(verify, "small_order_set", refuse)
+    gens = ["X^2 + 1", "X^3 + 2"]
+    F = GeneratorSet([parse_poly(g) for g in gens])
+    N = 5
+    for p, s in ((1048583, 1), (2, 12), (3, 13)):
+        ctx = make_prime_field(p) if s == 1 else make_extension_field(p, s)
+        starts = [1, 5, ctx.q - 2]
+        for t in (ctx.q - 1, 1 << 48):
+            base = dict(generators=gens, primes=[p], s=s, starts=starts, t=t, N=N)
+            sup = run_experiment(_cfg(experiment="thm44i", **base))
+            cnt = run_experiment(_cfg(experiment="cor45", **base))
+            for w, row_m, row_c in zip(starts, sup.rows, cnt.rows):
+                x = ctx.from_index(w)
+                assert _by_col(sup, row_m, "M") == exhaustive_sup_m(F, x, t, N)[0]
+                assert _by_col(cnt, row_c, "count") == exhaustive_small_order_count(F, x, t, N)
+        if s > 1:
+            # Frobenius powers: every orbit has at most s points
+            powers = ["X^%d" % p, "X^%d" % (p * p)]
+            frob = GeneratorSet([parse_poly(g) for g in powers])
+            rep = run_experiment(
+                _cfg(experiment="thm46", generators=powers, primes=[p], s=s, starts=starts)
+            )
+            for w, row in zip(starts, rep.rows):
+                assert _by_col(rep, row, "T") == len(closure_orbit(frob, ctx.from_index(w)))
