@@ -163,21 +163,21 @@ class WordStream:
         return out
 
 
-_STREAM_NEEDS = {"periodic": ("period", list), "random": ("k", int)}
-
-
 def stream_from_config(desc: dict) -> WordStream:
     """Build a stream from its ``describe()`` dictionary."""
     if not isinstance(desc, dict):
         raise ConfigError("a stream is a JSON object, got %r" % (desc,))
     kind = desc.get("kind")
-    if kind not in _STREAM_NEEDS:
+    if kind not in ("periodic", "random"):
         raise OutOfRange("unknown stream kind %r" % (kind,))
-    key, kind_of = _STREAM_NEEDS[kind]
-    if not isinstance(desc.get(key), kind_of):
-        raise ConfigError("a %s stream needs %r of type %s" % (kind, key, kind_of.__name__))
+    period, pre = desc.get("period"), desc.get("preperiod", [])
+    if kind == "periodic" and not (isinstance(period, list) and isinstance(pre, list)):
+        raise ConfigError("a periodic stream needs 'period' (and any 'preperiod') as a list")
+    ints = period + pre if kind == "periodic" else [desc.get("k"), desc.get("seed", 0)]
+    if not all(type(v) is int for v in ints + [desc.get("offset", 0)]):  # excludes bool
+        raise ConfigError("a %s stream needs integer letters, k, seed and offset" % kind)
     if kind == "periodic":
-        s = WordStream.periodic(desc["period"], desc.get("preperiod", ()))
+        s = WordStream.periodic(period, pre)
     else:
         s = WordStream.random(desc["k"], desc.get("seed", 0))
     return s.shift(desc.get("offset", 0))

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .combinatorics import b_tree_size, build_graph, find_witness_words
-from .errors import ConfigError, EmptyReport, SpecialGenerator, TooLarge
+from .errors import ConfigError, EmptyReport, LetterOutOfRange, SpecialGenerator, TooLarge
 from .ff import (
     FieldContext,
     euler_phi,
@@ -293,12 +293,17 @@ def _starts(cfg: ExperimentConfig, q: int) -> List[int]:
     return sorted(rng.sample(range(q), cfg.sample))
 
 
+def _whole_field(ctx: FieldContext) -> bool:
+    """A prime field within the cap takes its whole graph, one numpy pass per
+    generator; elsewhere each point costs a Python evaluation."""
+    return ctx.s == 1 and ctx.q <= MAX_GRAPH_SIZE
+
+
 def _tables(F: GeneratorSet, ctx: FieldContext, starts: Sequence[int], depth=None):
     """Successor table over the starts' reach within ``depth`` steps (all when
-    None), and the map field index -> row.  A prime field within the cap takes
-    its whole graph, one numpy pass per generator; elsewhere each point costs
-    a Python evaluation, so only the reached points are evaluated, once."""
-    if ctx.s == 1 and ctx.q <= MAX_GRAPH_SIZE:
+    None), and the map field index -> row: the whole graph where
+    ``_whole_field`` allows, else only the reached points, each evaluated once."""
+    if _whole_field(ctx):
         return build_graph(F, ctx).table, range(ctx.q)
     return reach_table(F, ctx, starts, depth)
 
@@ -380,15 +385,29 @@ def run_thm44ii(cfg: ExperimentConfig) -> ExperimentReport:
     columns = ("p", "t", "N", "starts", "max_M", "argmax_w", "bound", "ratio", "exceptional")
     rows = []
     exceptional = 0
+    letters = stream.prefix(N - 1)
     for p in _resolve_primes(cfg):
         ctx = _context(cfg, p)
         bound = cfg.C * max(math.sqrt(N), N / _log_denom(cfg, p))
-        best, argw = -1, None
         ws = _starts(cfg, ctx.q)
-        for w in ws:
-            M = m_count(F, stream, ctx.from_index(w), t, N)
-            if M > best:
-                best, argw = M, w
+        if _whole_field(ctx) and len(ws) * N >= ctx.q:
+            # walk all starts together when they take >= q steps; certify the winner
+            table, qual = build_graph(F, ctx).table, _qual(ctx, t, range(ctx.q))
+            v = np.array(ws, dtype=np.int64)
+            counts = qual[v].astype(np.int64)
+            for a in letters:
+                if not 1 <= a <= F.k:
+                    raise LetterOutOfRange("letter %r outside [1, %d]" % (a, F.k))
+                v = table[v, a - 1]
+                counts += qual[v]
+            best, argw = int(counts.max()), ws[int(counts.argmax())]
+            assert best == m_count(F, stream, ctx.from_index(argw), t, N)
+        else:
+            best, argw = -1, None
+            for w in ws:
+                M = m_count(F, stream, ctx.from_index(w), t, N)
+                if M > best:
+                    best, argw = M, w
         flag = 1 if best > bound else 0
         exceptional += flag
         rows.append((p, t, N, len(ws), best, argw, bound, best / bound, flag))
@@ -433,14 +452,15 @@ def run_cor45(cfg: ExperimentConfig) -> ExperimentReport:
     return _report(cfg, columns, rows, summary)
 
 
-def _collision_diagnostic(cfg: ExperimentConfig, F: GeneratorSet, ctx, succ, w: int, n: int):
+def _collision_diagnostic(cfg: ExperimentConfig, F: GeneratorSet, ctx, succ, w: int, n: int, tower):
     """First collision on the constant-1 walk from table row w, and the
     cyclotomic resultant the proof divides by p.
 
     Ψ is the constant-1 sequence, so Ψ^(m) is the m-fold composite of the
     first generator; the collision Ψ^(m)(w) = Ψ^(l)(w) makes w a shared
     root mod p of Ψ^(m) - Ψ^(l) and (with n the order of w) of Φ_n, hence
-    p divides their resultant.
+    p divides their resultant.  ``tower`` holds [X, Ψ^(1), Ψ^(2), ...] and
+    is extended only as far as m.
     """
     phi = F.polys[0]
     seen = {w: 0}
@@ -454,12 +474,9 @@ def _collision_diagnostic(cfg: ExperimentConfig, F: GeneratorSet, ctx, succ, w: 
         seen[v] = j
     if phi.degree**m > cfg.diag_degree_cap:
         return m, l, n, None
-    comp = IntPolynomial((0, 1))
-    powers = [comp]
-    for _ in range(m):
-        comp = phi.compose(comp)
-        powers.append(comp)
-    diff = powers[m] - powers[l]
+    while len(tower) <= m:
+        tower.append(phi.compose(tower[-1]))
+    diff = tower[m] - tower[l]
     q_val = 0 if diff.is_zero else resultant(diff, cyclotomic(n))
     return m, l, n, q_val % ctx.p
 
@@ -478,6 +495,7 @@ def run_thm46(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     exceptions = 0
     zeros = 0
+    tower = [IntPolynomial((0, 1))]  # iterates of the first generator, shared by all starts
     for p in _resolve_primes(cfg):
         ctx = _context(cfg, p)
         ws = _starts(cfg, ctx.q)
@@ -498,7 +516,7 @@ def run_thm46(cfg: ExperimentConfig) -> ExperimentReport:
                 exceptions += flag
                 diag = (None, None, None, None)
                 if cfg.diagnostics:
-                    diag = _collision_diagnostic(cfg, F, ctx, succ, row[w], tau)
+                    diag = _collision_diagnostic(cfg, F, ctx, succ, row[w], tau, tower)
                 rows.append((p, w, rec.T, tau, s_cover, lhs, rhs, flag) + diag)
     summary: dict = {"rows": len(rows), "exceptions": exceptions, "zeros_skipped": zeros, **notes}
     if rows:
@@ -579,10 +597,11 @@ def run_lemma41(cfg: ExperimentConfig) -> ExperimentReport:
     for f in gens:
         text = format_poly(f)
         denom_base = height(f) + f.degree
+        composites = [cyclotomic(s).compose(f) for s in range(1, cfg.s_max + 1)]
         for r in range(1, cfg.r_max + 1):
             phi_r = cyclotomic(r)
-            for s in range(1, cfg.s_max + 1):
-                value = resultant(phi_r, cyclotomic(s).compose(f))
+            for s, phi_s_f in enumerate(composites, 1):
+                value = resultant(phi_r, phi_s_f)
                 if value == 0:
                     zero_count += 1
                     rows.append((text, r, s, 1, None, None))

@@ -14,8 +14,10 @@ from semiorbits import (
     ExperimentConfig,
     ExperimentReport,
     EXPERIMENTS,
+    FieldPolynomial,
     GeneratorSet,
     IntPolynomial,
+    LetterOutOfRange,
     SpecialGenerator,
     TooLarge,
     b_tree_size,
@@ -110,6 +112,15 @@ def test_config_validation():
         {"kind": "random"},
         {"kind": "random", "k": "2"},
         [1, 2],
+        {"kind": "periodic", "period": ["a"]},
+        {"kind": "periodic", "period": [1], "offset": "2"},
+        {"kind": "periodic", "period": [1], "offset": 1.0},
+        {"kind": "periodic", "period": [True]},
+        {"kind": "periodic", "period": [1], "preperiod": [2.5]},
+        {"kind": "periodic", "period": [1], "preperiod": 3},
+        {"kind": "random", "k": True},
+        {"kind": "random", "k": 2, "seed": [7]},
+        {"kind": "random", "k": 2, "offset": "1"},
     ):
         with pytest.raises(ConfigError):
             _cfg(experiment="thm44ii", generators=["X^2 + 1"], stream=bad_stream)
@@ -269,6 +280,83 @@ def test_thm44ii_degenerate_prime_range():
     assert "p_over_log_p" not in rep.summary
 
 
+def _per_start_thm44ii(cfg, rep):
+    """Check every row's max_M and argmax_w against per-start m_count."""
+    F = GeneratorSet([parse_poly(g) for g in cfg.generators])
+    stream = stream_from_config(cfg.stream)
+    for row in rep.rows:
+        p = _by_col(rep, row, "p")
+        ctx = make_prime_field(p) if cfg.s == 1 else make_extension_field(p, cfg.s)
+        ws = verify._starts(cfg, ctx.q)
+        counts = [m_count(F, stream, ctx.from_index(w), cfg.t, cfg.N) for w in ws]
+        assert _by_col(rep, row, "starts") == len(ws)
+        best = max(counts, default=-1)
+        assert _by_col(rep, row, "max_M") == best
+        assert _by_col(rep, row, "argmax_w") == (ws[counts.index(best)] if ws else None)
+
+
+def test_thm44ii_walk_matches_m_count():
+    gens = ["X^2 + 1", "X^3 + 2"]
+    random_stream = {"kind": "random", "k": 2, "seed": 11}
+    periodic = {"kind": "periodic", "period": [2, 1, 1], "preperiod": [1, 2, 2]}
+    grids = [
+        dict(stream=random_stream, prime_max=60, t=4, N=12),
+        dict(stream=periodic, prime_max=60, t=3, N=9),
+        # 0 and a duplicate; 4 starts * 16 steps cover every field up to 60
+        dict(stream=random_stream, prime_max=60, t=6, N=16, starts=[0, 5, 3, 5]),
+        dict(stream=periodic, prime_max=60, t=4, N=1),
+        dict(stream=random_stream, prime_max=60, t=4, N=8, starts=[]),
+        dict(stream=periodic, prime_max=7, s=2, t=3, N=7),  # per-start path
+    ]
+    for grid in grids:
+        cfg = _cfg(experiment="thm44ii", generators=gens, **grid)
+        rep = run_experiment(cfg)
+        assert len(rep.rows) == (17 if grid.get("s", 1) == 1 else 4)
+        _per_start_thm44ii(cfg, rep)
+        if grid.get("starts") == []:
+            assert {(_by_col(rep, r, "starts"), _by_col(rep, r, "max_M"),
+                     _by_col(rep, r, "argmax_w")) for r in rep.rows} == {(0, -1, None)}
+    # a letter naming no generator fails once a start is walked, not before
+    bad = dict(experiment="thm44ii", generators=gens, t=2, N=5,
+               stream={"kind": "periodic", "period": [1, 3]})
+    with pytest.raises(LetterOutOfRange) as err:
+        run_experiment(_cfg(prime_max=13, **bad))
+    assert str(err.value) == "letter 3 outside [1, 2]"
+    assert run_experiment(_cfg(prime_max=1, **bad)).rows == []
+    assert run_experiment(_cfg(prime_max=13, starts=[], **bad)).rows[0][3:6] == (0, -1, None)
+
+
+def test_thm44ii_prime_fields_walk_all_starts_at_once(monkeypatch):
+    # one walk over the successor table per field: the only point-by-point
+    # evaluations left are the certificate's N - 1 steps from the winner
+    calls = []
+    real_eval = FieldPolynomial.eval
+
+    def counted(self, x):
+        calls.append(x)
+        return real_eval(self, x)
+
+    monkeypatch.setattr(FieldPolynomial, "eval", counted)
+    N = 12
+    cfg = _cfg(experiment="thm44ii", generators=["X^2 + 1", "X^3 + 2"], prime_max=60,
+               t=4, N=N, stream={"kind": "random", "k": 2, "seed": 3})
+    rep = run_experiment(cfg)
+    assert len(rep.rows) == 17
+    assert len(calls) == (N - 1) * len(rep.rows)
+    # a few starts on a large prime field are walked one by one: no table
+    monkeypatch.undo()
+
+    def refuse(*args):
+        raise AssertionError("whole-field table for a few starts")
+
+    monkeypatch.setattr(verify, "build_graph", refuse)
+    cfg = _cfg(experiment="thm44ii", generators=["X^2 + 1", "X^3 + 2"], prime_max=1048573,
+               primes=[1048573], sample=4, t=4, N=N, stream={"kind": "random", "k": 2, "seed": 3})
+    rep = run_experiment(cfg)
+    assert _by_col(rep, rep.rows[0], "starts") == 4
+    _per_start_thm44ii(cfg, rep)
+
+
 # -- cor45 -------------------------------------------------------------------
 
 
@@ -383,6 +471,29 @@ def test_thm46_diagnostic_degree_cap():
         assert _by_col(rep, row, "res_mod_p") is None
 
 
+def _count_compose(monkeypatch):
+    calls = []
+    real_compose = IntPolynomial.compose
+
+    def counted(self, other):
+        calls.append(other)
+        return real_compose(self, other)
+
+    monkeypatch.setattr(IntPolynomial, "compose", counted)
+    return calls
+
+
+def test_thm46_diagnostics_build_one_composition_tower(monkeypatch):
+    calls = _count_compose(monkeypatch)
+    rep = run_experiment(
+        _cfg(experiment="thm46", generators=["X^2 + 1", "X^3 + 2"], primes=[7, 11, 13],
+             diagnostics=True)
+    )
+    assert all(_by_col(rep, r, "res_mod_p") is not None for r in rep.rows)
+    # every start and prime extends the same tower [X, phi, phi o phi, ...]
+    assert len(calls) == max(_by_col(rep, r, "coll_m") for r in rep.rows)
+
+
 # -- thm61 -------------------------------------------------------------------
 
 
@@ -479,6 +590,14 @@ def test_lemma41_frozen_values():
     r21 = rows[(2, 1)]
     assert _by_col(rep, r21, "log_abs_res") == 0.0
     assert rep.summary["zero_resultants"] == 0
+
+
+def test_lemma41_composes_once_per_generator_and_s(monkeypatch):
+    calls = _count_compose(monkeypatch)
+    gens = ["X^2 + 1", "X^3 + 2", "X^2 + 3*X + 5"]
+    rep = run_experiment(_cfg(experiment="lemma41", generators=gens, r_max=4, s_max=5))
+    assert len(rep.rows) == 3 * 4 * 5
+    assert len(calls) == 3 * 5
 
 
 def test_lemma41_zero_flags_match_gcd():
