@@ -20,12 +20,11 @@ import numpy as np
 from .errors import (
     ExplosionGuard,
     HypothesisViolated,
-    LetterOutOfRange,
     OutOfRange,
     TooLarge,
 )
 from .ff import FieldContext, FieldElement
-from .orbits import MAX_GRAPH_SIZE, GeneratorSet, Word, WordStream
+from .orbits import MAX_GRAPH_SIZE, GeneratorSet, Word, WordStream, letter_index
 
 WITNESS_SEARCH_GUARD = 1 << 22
 
@@ -112,10 +111,7 @@ def pair_step_count(
     visits: List[Tuple[int, FieldElement]] = []
     v = x
     for n in range(1, N + 1):
-        letter = stream.letter(n)
-        if not 1 <= letter <= F.k:
-            raise LetterOutOfRange("letter %r outside [1, %d]" % (letter, F.k))
-        v = red[letter - 1].eval(v)
+        v = red[letter_index(stream.letter(n), F.k)].eval(v)
         if v in members:
             visits.append((n, v))
     T = len(visits)
@@ -160,9 +156,7 @@ class FunctionalGraph:
         return i
 
     def step(self, v, letter: int) -> int:
-        if not 1 <= letter <= self.k:
-            raise LetterOutOfRange("letter %r outside [1, %d]" % (letter, self.k))
-        return int(self.table[self._idx(v), letter - 1])
+        return int(self.table[self._idx(v), letter_index(letter, self.k)])
 
     def successors(self, v) -> Tuple[int, ...]:
         return tuple(int(w) for w in self.table[self._idx(v)])
@@ -170,22 +164,14 @@ class FunctionalGraph:
     def walk_word(self, v, word: Sequence[int]) -> int:
         i = self._idx(v)
         for letter in word:
-            if not 1 <= letter <= self.k:
-                raise LetterOutOfRange(
-                    "letter %r outside [1, %d]" % (letter, self.k)
-                )
-            i = int(self.table[i, letter - 1])
+            i = int(self.table[i, letter_index(letter, self.k)])
         return i
 
     def word_images(self, word: Sequence[int]) -> np.ndarray:
         """The image of every vertex under the word, as one index array."""
         img = np.arange(self.n, dtype=np.int64)
         for letter in word:
-            if not 1 <= letter <= self.k:
-                raise LetterOutOfRange(
-                    "letter %r outside [1, %d]" % (letter, self.k)
-                )
-            img = self.table[img, letter - 1]
+            img = self.table[img, letter_index(letter, self.k)]
         return img
 
     def distances_from(self, u) -> np.ndarray:

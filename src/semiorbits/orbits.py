@@ -173,9 +173,11 @@ def stream_from_config(desc: dict) -> WordStream:
     period, pre = desc.get("period"), desc.get("preperiod", [])
     if kind == "periodic" and not (isinstance(period, list) and isinstance(pre, list)):
         raise ConfigError("a periodic stream needs 'period' (and any 'preperiod') as a list")
-    ints = period + pre if kind == "periodic" else [desc.get("k"), desc.get("seed", 0)]
+    ints = period + pre if kind == "periodic" else [desc.get("k")]
     if not all(type(v) is int for v in ints + [desc.get("offset", 0)]):  # excludes bool
-        raise ConfigError("a %s stream needs integer letters, k, seed and offset" % kind)
+        raise ConfigError("a %s stream needs integer letters, k and offset" % kind)
+    if type(desc.get("seed", 0)) not in (int, str):  # null would seed from the OS
+        raise ConfigError("a stream seed is an integer or a string")
     if kind == "periodic":
         s = WordStream.periodic(period, pre)
     else:
@@ -183,14 +185,19 @@ def stream_from_config(desc: dict) -> WordStream:
     return s.shift(desc.get("offset", 0))
 
 
+def letter_index(letter: int, k: int) -> int:
+    """The 0-based generator index named by a word letter in [1, k]."""
+    if not 1 <= letter <= k:
+        raise LetterOutOfRange("letter %r outside [1, %d]" % (letter, k))
+    return letter - 1
+
+
 def apply_word(F: GeneratorSet, word: Sequence[int], x: FieldElement) -> FieldElement:
     """Apply the composition picked by ``word`` (first letter first)."""
     red = F.reduced(x.ctx)
     v = x
     for letter in word:
-        if not 1 <= letter <= F.k:
-            raise LetterOutOfRange("letter %r outside [1, %d]" % (letter, F.k))
-        v = red[letter - 1].eval(v)
+        v = red[letter_index(letter, F.k)].eval(v)
     return v
 
 
@@ -329,10 +336,7 @@ def m_count_detail(
     zeros = 0
     for n in range(N):
         if n > 0:
-            letter = stream.letter(n)
-            if not 1 <= letter <= F.k:
-                raise LetterOutOfRange("letter %r outside [1, %d]" % (letter, F.k))
-            v = red[letter - 1].eval(v)
+            v = red[letter_index(stream.letter(n), F.k)].eval(v)
         if v.is_zero:
             zeros += 1
         elif mul_order(v) <= t:

@@ -25,9 +25,10 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .combinatorics import b_tree_size, build_graph, find_witness_words
-from .errors import ConfigError, EmptyReport, LetterOutOfRange, SpecialGenerator, TooLarge
+from .errors import ConfigError, EmptyReport, SpecialGenerator, TooLarge
 from .ff import (
     FieldContext,
+    _divisors,
     euler_phi,
     is_prime,
     make_extension_field,
@@ -52,6 +53,7 @@ from .orbits import (
     GeneratorSet,
     count_small_order_points,
     greedy_sequence_cover,
+    letter_index,
     m_count,
     orbit,
     reach_table,
@@ -299,6 +301,16 @@ def _whole_field(ctx: FieldContext) -> bool:
     return ctx.s == 1 and ctx.q <= MAX_GRAPH_SIZE
 
 
+def _walk_pays(ctx: FieldContext, t: int, steps: int) -> bool:
+    """Whether ``steps`` point evaluations (``m_count``) cost more than the
+    whole-field table and its Γ(t) mask.  Timed on F_p, 10^4 < p < 2^20 and
+    t from 4 to 10^5: a table row costs about 1/160 of an evaluation near
+    2^20 (a larger share on small fields, where both take milliseconds), and
+    each power that ``small_order_set`` lists about 1/8 of one."""
+    listed = sum(l for l in _divisors(ctx.group_order_factorization()) if l <= t)
+    return 160 * steps >= ctx.q + 20 * listed
+
+
 def _tables(F: GeneratorSet, ctx: FieldContext, starts: Sequence[int], depth=None):
     """Successor table over the starts' reach within ``depth`` steps (all when
     None), and the map field index -> row: the whole graph where
@@ -390,15 +402,13 @@ def run_thm44ii(cfg: ExperimentConfig) -> ExperimentReport:
         ctx = _context(cfg, p)
         bound = cfg.C * max(math.sqrt(N), N / _log_denom(cfg, p))
         ws = _starts(cfg, ctx.q)
-        if _whole_field(ctx) and len(ws) * N >= ctx.q:
-            # walk all starts together when they take >= q steps; certify the winner
+        if _whole_field(ctx) and _walk_pays(ctx, t, len(ws) * N):
+            # walk all starts together on the table; certify the winner
             table, qual = build_graph(F, ctx).table, _qual(ctx, t, range(ctx.q))
             v = np.array(ws, dtype=np.int64)
             counts = qual[v].astype(np.int64)
             for a in letters:
-                if not 1 <= a <= F.k:
-                    raise LetterOutOfRange("letter %r outside [1, %d]" % (a, F.k))
-                v = table[v, a - 1]
+                v = table[v, letter_index(a, F.k)]
                 counts += qual[v]
             best, argw = int(counts.max()), ws[int(counts.argmax())]
             assert best == m_count(F, stream, ctx.from_index(argw), t, N)

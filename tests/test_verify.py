@@ -121,9 +121,14 @@ def test_config_validation():
         {"kind": "random", "k": True},
         {"kind": "random", "k": 2, "seed": [7]},
         {"kind": "random", "k": 2, "offset": "1"},
+        {"kind": "random", "k": 2, "seed": None},
     ):
         with pytest.raises(ConfigError):
             _cfg(experiment="thm44ii", generators=["X^2 + 1"], stream=bad_stream)
+    # a string seed, which random.Random takes, still draws a reproducible stream
+    named = dict(experiment="thm44ii", generators=["X^2 + 1", "X^3 + 2"], prime_max=13,
+                 t=2, N=5, stream={"kind": "random", "k": 2, "seed": "abc"})
+    assert run_experiment(_cfg(**named)).rows == run_experiment(_cfg(**named)).rows
     cfg = _cfg(experiment="thm44i", generators=["X^2 + 1"], primes=[11], t=2, N=6)
     assert cfg.to_dict()["generators"] == ["X^2 + 1"]
 
@@ -302,7 +307,7 @@ def test_thm44ii_walk_matches_m_count():
     grids = [
         dict(stream=random_stream, prime_max=60, t=4, N=12),
         dict(stream=periodic, prime_max=60, t=3, N=9),
-        # 0 and a duplicate; 4 starts * 16 steps cover every field up to 60
+        # 0 and a duplicate; 4 starts * 16 steps take the walk on every field up to 60
         dict(stream=random_stream, prime_max=60, t=6, N=16, starts=[0, 5, 3, 5]),
         dict(stream=periodic, prime_max=60, t=4, N=1),
         dict(stream=random_stream, prime_max=60, t=4, N=8, starts=[]),
@@ -343,18 +348,28 @@ def test_thm44ii_prime_fields_walk_all_starts_at_once(monkeypatch):
     rep = run_experiment(cfg)
     assert len(rep.rows) == 17
     assert len(calls) == (N - 1) * len(rep.rows)
-    # a few starts on a large prime field are walked one by one: no table
+    # 50 sampled starts * 40 steps on F_65537 pay for the table at t = 4 ...
+    calls.clear()
+    big = dict(experiment="thm44ii", generators=["X^2 + 1", "X^3 + 2"], primes=[65537],
+               prime_max=65537, sample=50, N=40, stream={"kind": "random", "k": 2, "seed": 3})
+    run_experiment(_cfg(t=4, **big))
+    assert len(calls) == 39
     monkeypatch.undo()
 
     def refuse(*args):
         raise AssertionError("whole-field table for a few starts")
 
+    # ... but not at t = 2^16, where the mask lists all 2^16 units one by one,
+    # and 4 starts on F_1048573 are walked one by one too
     monkeypatch.setattr(verify, "build_graph", refuse)
-    cfg = _cfg(experiment="thm44ii", generators=["X^2 + 1", "X^3 + 2"], prime_max=1048573,
-               primes=[1048573], sample=4, t=4, N=N, stream={"kind": "random", "k": 2, "seed": 3})
-    rep = run_experiment(cfg)
-    assert _by_col(rep, rep.rows[0], "starts") == 4
-    _per_start_thm44ii(cfg, rep)
+    for cfg in (
+        _cfg(t=65536, **big),
+        _cfg(experiment="thm44ii", generators=["X^2 + 1", "X^3 + 2"], prime_max=1048573,
+             primes=[1048573], sample=4, t=4, N=N, stream={"kind": "random", "k": 2, "seed": 3}),
+    ):
+        rep = run_experiment(cfg)
+        assert _by_col(rep, rep.rows[0], "starts") == cfg.sample
+        _per_start_thm44ii(cfg, rep)
 
 
 # -- cor45 -------------------------------------------------------------------
