@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .combinatorics import b_tree_size, find_common_gap
@@ -124,11 +125,11 @@ def cmd_gamma(args) -> int:
     return 0
 
 
-def _split_ints(text: str):
+def int_list(text: str):
     return tuple(int(part) for part in text.replace(",", " ").split())
 
 
-def _split_polys(text: str):
+def poly_list(text: str):
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
@@ -144,42 +145,10 @@ def cmd_verify(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    data["experiment"] = args.experiment
-    overrides = {
-        "generators": _split_polys(args.generators) if args.generators else None,
-        "s": args.field_degree,
-        "primes": _split_ints(args.primes) if args.primes else None,
-        "prime_min": args.prime_min,
-        "prime_max": args.prime_max,
-        "starts": _split_ints(args.starts) if args.starts else None,
-        "sample": args.sample,
-        "seed": args.seed,
-        "t": args.t,
-        "t_exponent": args.t_exponent,
-        "N": args.N,
-        "h": args.h,
-        "l": args.l,
-        "C": args.C,
-        "c": args.c,
-        "c1": args.c1,
-        "r_max": args.r_max,
-        "s_max": args.s_max,
-        "n_max": args.n_max,
-        "trials": args.trials,
-        "orbit_cap": args.orbit_cap,
-        "stream": json.loads(args.stream) if args.stream else None,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
-    for key, flag in (
-        ("include_level_0", args.include_level_0),
-        ("allow_special", args.allow_special),
-        ("diagnostics", args.diagnostics),
-        ("h_from_n", args.h_from_n),
-    ):
-        if flag:
-            data[key] = True
+    if isinstance(data, dict):  # from_dict rejects anything else
+        names = {f.name for f in fields(ExperimentConfig)}
+        data.update((key, value) for key, value in vars(args).items()
+                    if key in names and value is not None and value is not False)
     cfg = ExperimentConfig.from_dict(data)
     report = run_experiment(cfg)
     out = args.out
@@ -187,8 +156,14 @@ def cmd_verify(args) -> int:
         out_dir = os.environ.get(OUT_DIR_ENV, ".")
         out = os.path.join(out_dir, "%s.csv" % cfg.experiment)
     text = report.to_json() if out.endswith(".json") else report.to_csv()
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    tmp = "%s.%d.tmp" % (out, os.getpid())  # moved into place once fully written
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, out)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     if args.json:
         print(json.dumps({"out": out, "summary": report.body_dict()["summary"]},
                          sort_keys=True))
@@ -256,13 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("config", nargs="?", help="JSON config file")
     sp.add_argument("--out", help="report path (.csv or .json)")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--generators", help="comma-separated polynomial texts")
-    sp.add_argument("--field-degree", type=int, dest="field_degree",
+    sp.add_argument("--generators", type=poly_list, help="comma-separated polynomial texts")
+    sp.add_argument("--field-degree", type=int, dest="s", metavar="FIELD_DEGREE",
                     help="extension degree s")
-    sp.add_argument("--primes", help="comma-separated primes")
+    sp.add_argument("--primes", type=int_list, help="comma-separated primes")
     sp.add_argument("--prime-min", type=int)
     sp.add_argument("--prime-max", type=int)
-    sp.add_argument("--starts", help="comma-separated start indices")
+    sp.add_argument("--starts", type=int_list, help="comma-separated start indices")
     sp.add_argument("--sample", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--t", type=int)
@@ -278,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int)
     sp.add_argument("--trials", type=int)
     sp.add_argument("--orbit-cap", type=int)
-    sp.add_argument("--stream", help="stream description as JSON text")
+    sp.add_argument("--stream", type=json.loads, help="stream description as JSON text")
     sp.add_argument("--include-level-0", action="store_true")
     sp.add_argument("--allow-special", action="store_true")
     sp.add_argument("--diagnostics", action="store_true")

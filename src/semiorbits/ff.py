@@ -180,42 +180,13 @@ def _divisors(fact: Factorization) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial arithmetic over F_p, used for irreducibility testing
+# dense polynomial gcd over F_p, used by the irreducibility test
 
 
 def _pstrip(a: List[int]) -> List[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _pmulmod(a: List[int], b: List[int], mod: List[int], p: int) -> List[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    prod = [c % p for c in prod]
-    # mod is monic
-    dm = len(mod) - 1
-    for t in range(len(prod) - 1, dm - 1, -1):
-        c = prod[t]
-        if c:
-            for i in range(dm):
-                prod[t - dm + i] = (prod[t - dm + i] - c * mod[i]) % p
-            prod[t] = 0
-    return _pstrip(prod[:dm])
-
-
-def _ppowmod(base: List[int], e: int, mod: List[int], p: int) -> List[int]:
-    result = [1]
-    acc = list(base)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, acc, mod, p)
-        acc = _pmulmod(acc, acc, mod, p)
-        e >>= 1
-    return result
 
 
 def _pgcd(a: List[int], b: List[int], p: int) -> List[int]:
@@ -232,28 +203,6 @@ def _pgcd(a: List[int], b: List[int], p: int) -> List[int]:
             r = _pstrip(r)
         a, b = b, r
     return a
-
-
-def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Rabin's criterion: x^(p^s) = x mod f, gcd(x^(p^(s/t)) - x, f) = 1."""
-    f = list(coeffs)
-    s = len(f) - 1
-    if s < 1:
-        return False
-    if s == 1:
-        return True
-    x = [0, 1]
-    for t, _ in factorize(s).pairs:
-        g = _ppowmod(x, p ** (s // t), f, p)
-        width = max(len(g), 2)
-        diff = [
-            ((g[i] if i < len(g) else 0) - (x[i] if i < 2 else 0)) % p
-            for i in range(width)
-        ]
-        if len(_pgcd(f, _pstrip(diff), p)) - 1 != 0:
-            return False
-    xq = _ppowmod(x, p**s, f, p)
-    return xq == x
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +241,8 @@ class FieldContext:
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != s + 1 or modulus[-1] != 1:
             raise CompositeModulus("modulus must be monic of degree s")
-        if s == 1:
-            if modulus != (0, 1):
-                raise CompositeModulus("prime fields use the modulus X")
-        elif not _is_irreducible(modulus, p):
-            raise CompositeModulus("modulus is reducible over F_%d" % p)
+        if s == 1 and modulus != (0, 1):
+            raise CompositeModulus("prime fields use the modulus X")
         self.p = p
         self.s = s
         self.q = q
@@ -316,6 +262,15 @@ class FieldContext:
                     tuple((shifted[i] + carry * row0[i]) % p for i in range(s))
                 )
             self._xred = tuple(rows)
+            # Rabin's criterion on this context's own arithmetic mod f:
+            # gcd(X^(p^(s/t)) - X, f) = 1 for each prime t | s, and X^(p^s) = X
+            x = (0, 1) + (0,) * (s - 2)
+            coprime = all(
+                len(_pgcd(modulus, self._sub(self._pow(x, p ** (s // t)), x), p)) == 1
+                for t, _ in factorize(s).pairs
+            )
+            if not coprime or self._pow(x, q) != x:
+                raise CompositeModulus("modulus is reducible over F_%d" % p)
         else:
             self._xred = ()
 
@@ -590,9 +545,10 @@ def make_extension_field(p: int, s: int) -> FieldContext:
         for _ in range(s):
             mm, c = divmod(mm, p)
             digits.append(c)
-        candidate = tuple(digits) + (1,)
-        if _is_irreducible(candidate, p):
-            return FieldContext(p, s, candidate)
+        try:
+            return FieldContext(p, s, tuple(digits) + (1,))
+        except CompositeModulus:  # reducible; p was checked above
+            continue
     raise ArithmeticError("no irreducible modulus found; unreachable for s >= 2")
 
 

@@ -20,7 +20,8 @@ import math
 import random
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -66,6 +67,17 @@ COMPOSITION_DEGREE_CAP = 3**5
 CYCLOTOMIC_COMPOSE_CAP = 4000
 
 
+def _fits(value, hint) -> bool:
+    """Whether a config value has its field's declared type: bool is not a
+    number, an int may stand for a float, a JSON list for a tuple."""
+    if get_origin(hint) is Union:
+        return any(_fits(value, arg) for arg in get_args(hint))
+    if get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(
+            _fits(v, get_args(hint)[0]) for v in value)
+    return type(value) in ((int, float) if hint is float else (hint,))
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment run: which theorem harness, over which grid.
@@ -83,7 +95,7 @@ class ExperimentConfig:
     prime_max: Optional[int] = None
     starts: Optional[Tuple[int, ...]] = None
     sample: Optional[int] = None
-    seed: int = 0
+    seed: Union[int, str] = 0
     t: Optional[int] = None
     t_exponent: Optional[float] = None
     N: Optional[int] = None
@@ -107,12 +119,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("a config is a JSON object, got %r" % (data,))
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigError("unknown config fields: %s" % ", ".join(unknown))
         if "experiment" not in data:
             raise ConfigError("config needs an 'experiment' field")
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            if f.name in data and not _fits(data[f.name], hints[f.name]):
+                raise ConfigError("config field %r must be %s, got %r"
+                                  % (f.name, f.type, data[f.name]))
         cfg = cls(**data)
         cfg._normalize()
         return cfg
@@ -125,9 +144,11 @@ class ExperimentConfig:
             )
         self.generators = tuple(self.generators)
         if self.primes is not None:
-            self.primes = tuple(int(p) for p in self.primes)
+            self.primes = tuple(self.primes)
         if self.starts is not None:
-            self.starts = tuple(int(w) for w in self.starts)
+            self.starts = tuple(self.starts)
+        if self.sample is not None and self.sample < 0:
+            raise ConfigError("sample must be >= 0")
         if self.t is not None and self.t < 1:
             raise ConfigError("t must be >= 1")
         if self.N is not None and self.N < 1 and self.experiment in ("thm44i", "thm44ii", "cor45"):

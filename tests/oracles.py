@@ -305,3 +305,20 @@ def compose_word(F, word):
 
 def max_primitive_coeff(f: IntPolynomial) -> int:
     return max(abs(c) for c in f.primitive().coeffs)
+
+
+def irreducible_by_trial_division(coeffs, p):
+    """Whether a monic f over F_p (constant term first) is irreducible: no
+    monic g of degree 1..deg(f)/2 leaves remainder zero on long division."""
+    s = len(coeffs) - 1
+    for d in range(1, s // 2 + 1):
+        for low in product(range(p), repeat=d):
+            g = list(low) + [1]
+            r = [c % p for c in coeffs]
+            for top in range(s, d - 1, -1):  # g is monic, so no inverse is needed
+                c = r[top]
+                for i in range(d + 1):
+                    r[top - d + i] = (r[top - d + i] - c * g[i]) % p
+            if not any(r[:d]):
+                return False
+    return True

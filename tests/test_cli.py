@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 import os
 import shutil
@@ -13,7 +15,8 @@ import pytest
 
 import semiorbits
 from semiorbits import chebyshev, cyclotomic, parse_poly
-from semiorbits.cli import OUT_DIR_ENV, main
+from semiorbits.cli import OUT_DIR_ENV, build_parser, main
+from semiorbits.verify import ExperimentConfig, ExperimentReport
 
 
 def _run(capsys, *argv):
@@ -149,6 +152,10 @@ def test_usage_errors_exit_2(capsys):
     assert main(["order", "7"]) == 2
     assert main(["nonsense"]) == 2
     capsys.readouterr()
+    for flag, value in (("--primes", "11,x"), ("--starts", "1,y"), ("--stream", "{")):
+        code, _, err = _run(capsys, "verify", "thm44i", "--generators", "X^2 + 1", flag, value)
+        assert code == 2
+        assert "argument %s" % flag in err
 
 
 # -- verify plumbing -----------------------------------------------------------
@@ -198,6 +205,53 @@ def test_verify_flags_override_config(tmp_path, capsys):
     assert doc["config"]["t"] == 3
     assert doc["rows"][0][3] == 3  # t column reflects the override
     assert doc["header"]["created"]
+
+
+def test_verify_zero_valued_flags_override_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(THM44I_CFG, seed=5, c1=1.5, sample=2)))
+    out_path = tmp_path / "r.json"
+    args = ("--seed", "0", "--c1", "0", "--sample", "0", "--out", str(out_path))
+    assert _run(capsys, "verify", "thm44i", str(cfg), *args)[0] == 0
+    config = json.loads(out_path.read_text())["config"]
+    assert (config["seed"], config["c1"], config["sample"]) == (0, 0.0, 0)
+
+
+def test_verify_options_store_into_config_fields():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    options = [a for a in sub.choices["verify"]._actions
+               if a.option_strings and a.dest not in ("help", "out", "json")]
+    assert len(options) == 26
+    for action in options:
+        assert action.dest in names, action.option_strings
+
+
+def test_verify_config_not_an_object_exit_4(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    code, out, err = _run(capsys, "verify", "thm44i", str(cfg), "--out", str(tmp_path / "r.csv"))
+    assert (code, out) == (4, "")
+    assert "JSON object" in err
+    cfg.write_text(json.dumps(dict(THM44I_CFG, t="4")))
+    code, _, err = _run(capsys, "verify", "thm44i", str(cfg), "--out", str(tmp_path / "r.csv"))
+    assert code == 4 and "'t'" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_verify_failed_write_keeps_the_old_report(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(THM44I_CFG))
+    out_path = tmp_path / "r.csv"
+    assert _run(capsys, "verify", "thm44i", str(cfg), "--out", str(out_path))[0] == 0
+    before = out_path.read_text()
+    # the write fails after the output file is opened: to_csv returns no str
+    monkeypatch.setattr(ExperimentReport, "to_csv", lambda self: object())
+    with pytest.raises(TypeError):
+        main(["verify", "thm44i", str(cfg), "--out", str(out_path)])
+    assert out_path.read_text() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "r.csv"]
 
 
 def test_verify_flags_only(tmp_path, capsys):

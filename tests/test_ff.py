@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -22,7 +23,11 @@ from semiorbits import (
     omega_distinct_primes,
     small_order_set,
 )
-from oracles import all_orders_prime_field, order_by_powering
+from oracles import (
+    all_orders_prime_field,
+    irreducible_by_trial_division,
+    order_by_powering,
+)
 
 
 def test_is_prime_small_table():
@@ -88,6 +93,58 @@ def test_extension_field_modulus_is_first_in_index_order():
     assert make_extension_field(2, 3).modulus == (1, 1, 0, 1)
 
 
+# the modulus make_extension_field picks, constant term first (frozen values)
+FROZEN_MODULI = {
+    (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 16): (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1),
+    (3, 13): (1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 16): (1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (5, 16): (2,) + (0,) * 15 + (1,),
+    (7, 16): (3, 2) + (0,) * 14 + (1,),
+    (11, 13): (4, 2) + (0,) * 11 + (1,),
+    (31, 9): (3,) + (0,) * 8 + (1,),
+    (257, 5): (4, 1, 0, 0, 0, 1),
+    (1021, 3): (5, 0, 0, 1),
+    (4093, 4): (2, 0, 0, 0, 1),
+    (65521, 2): (17, 0, 1),
+}
+
+
+def test_extension_field_modulus_frozen():
+    for (p, s), modulus in FROZEN_MODULI.items():
+        assert make_extension_field(p, s).modulus == modulus, (p, s)
+
+
+def _mobius(n):
+    pairs = factorize(n).pairs
+    return 0 if any(e > 1 for _, e in pairs) else (-1) ** len(pairs)
+
+
+def test_field_context_accepts_exactly_the_irreducible_moduli():
+    # every monic candidate of degree s >= 2 over F_p with p^s <= 1024
+    fields = [(p, s) for p in range(2, 32) if is_prime(p)
+              for s in range(2, 11) if p**s <= 1024]
+    assert len(fields) == 26
+    for p, s in fields:
+        accepted, irreducible = set(), set()
+        for low in product(range(p), repeat=s):
+            candidate = low + (1,)
+            try:
+                FieldContext(p, s, candidate)
+                accepted.add(candidate)
+            except CompositeModulus:
+                pass
+            if irreducible_by_trial_division(candidate, p):
+                irreducible.add(candidate)
+        assert accepted == irreducible, (p, s)
+        # Gauss's count of monic irreducibles of degree s over F_p
+        gauss = sum(_mobius(d) * p ** (s // d) for d in range(1, s + 1) if s % d == 0)
+        assert len(accepted) * s == gauss, (p, s)
+
+
 def test_field_size_guards():
     with pytest.raises(DegreeOutOfRange):
         make_extension_field(2, 17)
@@ -97,6 +154,14 @@ def test_field_size_guards():
         FieldContext(5, 2, (1, 0, 2))  # not monic
     with pytest.raises(CompositeModulus):
         FieldContext(5, 2, (0, 0, 1))  # X^2 is reducible
+    # the input checks run ahead of the candidate search, so a composite p is
+    # reported as such and not skipped as one more reducible candidate
+    with pytest.raises(CompositeModulus, match="4 is not prime"):
+        make_extension_field(4, 2)
+    with pytest.raises(DegreeOutOfRange):
+        make_extension_field(3, 0)
+    with pytest.raises(TooLarge):
+        make_extension_field(65537, 3)  # 65537^3 > 2^48
 
 
 def test_element_arithmetic_properties_seeded():

@@ -131,6 +131,24 @@ def test_config_validation():
     assert run_experiment(_cfg(**named)).rows == run_experiment(_cfg(**named)).rows
     cfg = _cfg(experiment="thm44i", generators=["X^2 + 1"], primes=[11], t=2, N=6)
     assert cfg.to_dict()["generators"] == ["X^2 + 1"]
+    # every value must have its field's declared type; the message names the field
+    base = dict(experiment="thm44i", generators=["X^2 + 1"], primes=[11], t=4, N=5)
+    for key, bad in (
+        ("t", "4"), ("N", "5"), ("s", "2"), ("sample", "3"), ("t_exponent", "0.3"),
+        ("prime_max", "20"), ("seed", [1]), ("seed", None), ("seed", True),
+        ("generators", [5]), ("generators", "X^2 + 1"), ("starts", [1.5]),
+        ("primes", [11.0]), ("primes", 11), ("t", True), ("C", False), ("c1", "0"),
+        ("include_level_0", 1), ("stream", [1, 2]), ("experiment", 5), ("s", None),
+    ):
+        with pytest.raises(ConfigError, match="'%s'" % key):
+            _cfg(**dict(base, **{key: bad}))
+    with pytest.raises(ConfigError, match="sample"):
+        _cfg(**dict(base, sample=-1))
+    with pytest.raises(ConfigError, match="JSON object"):
+        ExperimentConfig.from_dict([1, 2])
+    # an int stands for a float, a tuple for a list, and null fills an Optional
+    cfg = _cfg(**dict(base, C=2, t_exponent=None, starts=(1, 2), seed="abc", sample=0))
+    assert (cfg.C, cfg.starts, cfg.seed) == (2, (1, 2), "abc")
 
 
 def test_config_needs_some_t_rule():
