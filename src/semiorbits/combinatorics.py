@@ -4,8 +4,9 @@ The gap finder locates a step r <= 2N/T repeated among at least T(T-1)/(4N)
 consecutive differences of any T visit times inside [0, N]; the pair counter
 replays that argument along an orbit to produce witness pairs a fixed step t
 apart.  The functional graph is the k-out-regular digraph on F_q with edges
-x -> phi_i(x); on it live BFS distances, the L_N vertex counts, and an
-exhaustive search for witness word tuples maximizing L_N.
+x -> phi_i(x); on it live the N-ball d(u, v) <= N from the level-set kernel
+shared with ``orbits``, the L_N vertex counts, and an exhaustive search for
+witness word tuples maximizing L_N.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     TooLarge,
 )
 from .ff import FieldContext, FieldElement
-from .orbits import MAX_GRAPH_SIZE, GeneratorSet, Word, WordStream, letter_index
+from .orbits import MAX_GRAPH_SIZE, GeneratorSet, Word, WordStream, letter_index, level_union
 
 WITNESS_SEARCH_GUARD = 1 << 22
 
@@ -131,7 +132,7 @@ class FunctionalGraph:
     """A k-labeled functional graph: every vertex has out-edges 1..k.
 
     Vertices are indices 0..n-1; when built from a field, index i is the
-    element ctx.from_index(i) and methods also accept field elements.
+    element ctx.from_index(i), and field elements are accepted as vertices.
     """
 
     __slots__ = ("table", "n", "k", "ctx")
@@ -155,44 +156,12 @@ class FunctionalGraph:
             raise OutOfRange("vertex index %d outside [0, %d)" % (i, self.n))
         return i
 
-    def step(self, v, letter: int) -> int:
-        return int(self.table[self._idx(v), letter_index(letter, self.k)])
-
-    def successors(self, v) -> Tuple[int, ...]:
-        return tuple(int(w) for w in self.table[self._idx(v)])
-
-    def walk_word(self, v, word: Sequence[int]) -> int:
-        i = self._idx(v)
-        for letter in word:
-            i = int(self.table[i, letter_index(letter, self.k)])
-        return i
-
     def word_images(self, word: Sequence[int]) -> np.ndarray:
         """The image of every vertex under the word, as one index array."""
         img = np.arange(self.n, dtype=np.int64)
         for letter in word:
             img = self.table[img, letter_index(letter, self.k)]
         return img
-
-    def distances_from(self, u) -> np.ndarray:
-        """BFS distances from u; -1 marks unreachable vertices."""
-        dist = np.full(self.n, -1, dtype=np.int64)
-        start = self._idx(u)
-        dist[start] = 0
-        frontier = np.array([start], dtype=np.int64)
-        d = 0
-        while frontier.size:
-            d += 1
-            nxt = np.unique(self.table[frontier].ravel())
-            nxt = nxt[dist[nxt] < 0]
-            dist[nxt] = d
-            frontier = nxt
-        return dist
-
-    def distance(self, u, v):
-        """Shortest directed path length, or None when unreachable."""
-        d = int(self.distances_from(u)[self._idx(v)])
-        return None if d < 0 else d
 
     def __repr__(self):
         return "FunctionalGraph(n=%d, k=%d)" % (self.n, self.k)
@@ -236,8 +205,9 @@ def l_n_count(
         raise OutOfRange("need N >= 0")
     if not words:
         raise OutOfRange("need at least one word")
-    dist = g.distances_from(u)
-    near = (dist >= 0) & (dist <= N)
+    r = g._idx(u)
+    near = level_union(g.table, r, N)  # the ball d(u, v) <= N: u and levels 1..N
+    near[r] = True
     in_a = _vertex_mask(g, A)
     keep = near.copy()
     for word in words:
@@ -291,8 +261,9 @@ def find_witness_words(
     ]
     if len(words) < l:
         raise OutOfRange("fewer than l distinct words of length <= h exist")
-    dist = g.distances_from(u)
-    near = (dist >= 0) & (dist <= N)
+    r = g._idx(u)
+    near = level_union(g.table, r, N)  # the ball d(u, v) <= N: u and levels 1..N
+    near[r] = True
     in_a = _vertex_mask(g, A)
     quals = []
     for w in words:

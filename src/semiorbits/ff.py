@@ -363,13 +363,11 @@ class FieldContext:
     def _pow(self, a, e: int):
         if self.s == 1:
             return (pow(a[0], e, self.p),)
-        result = self.element(1).coeffs
-        acc = a
-        while e:
-            if e & 1:
-                result = self._mul(result, acc)
-            acc = self._mul(acc, acc)
-            e >>= 1
+        result = a if e else self.element(1).coeffs
+        for bit in bin(e)[3:]:  # left to right, after the top bit
+            result = self._mul(result, result)
+            if bit == "1":
+                result = self._mul(result, a)
         return result
 
     def _inv(self, a):

@@ -274,11 +274,26 @@ def reach_table(
 
 
 def _levels(table: np.ndarray, r: int, N: int):
-    """The level sets 1..N of row r (all length-n images), as row arrays."""
+    """The level sets 1..N of row r (all length-n images), as sorted row
+    arrays.  Each level is marked on one reused mask of len(table) rows."""
+    mask = np.zeros(len(table), dtype=bool)
     frontier = np.array([r], dtype=np.int64)
     for _ in range(N):
-        frontier = np.unique(table[frontier].ravel())
+        mask[table[frontier]] = True
+        frontier = np.flatnonzero(mask)
+        mask[frontier] = False
         yield frontier
+
+
+def level_union(table: np.ndarray, r: int, N: int) -> np.ndarray:
+    """Mask of the rows in the level sets 1..N of row r.  Row r itself is
+    marked only when a word of length 1..N leads back to it."""
+    seen = np.zeros(len(table), dtype=bool)
+    for level in _levels(table, r, N):
+        if seen[level].all():  # then every later level, its image, is seen too
+            break
+        seen[level] = True
+    return seen
 
 
 def level_images(F: GeneratorSet, x: FieldElement, N: int) -> List[Set[FieldElement]]:
@@ -389,10 +404,8 @@ def count_small_order_points(
         raise OutOfRange("need N >= 0")
     out = []
     for r in rows:
-        seen = np.zeros(len(table), dtype=bool)
-        seen[r] = include_start
-        for level in _levels(table, r, N):
-            seen[level] = True
+        seen = level_union(table, r, N)
+        seen[r] |= include_start
         out.append(int(np.count_nonzero(seen & qual)))
     return out
 

@@ -3,8 +3,9 @@
 Everything here recomputes a library quantity by a different method:
 determinant resultants instead of remainder sequences, exhaustive powering
 instead of factored orders, closure iteration instead of BFS, word
-enumeration instead of table dynamic programming, and explicit state-space
-search instead of greedy covering.  They are deliberately slow
+enumeration instead of table dynamic programming and level-set masks, dict
+BFS instead of level unions, and explicit state-space search instead of
+greedy covering.  They are deliberately slow
 and simple.
 """
 
@@ -223,20 +224,43 @@ def minimal_walk_cover(F, x, state_cap=2_000_000):
     raise AssertionError("orbit not coverable by its own walks")
 
 
-def naive_l_n_count(graph, u, members, N, words):
-    """Triple loop: BFS distances as a dict, then per-vertex word checks."""
-    dist = {graph._idx(u): 0}
-    frontier = [graph._idx(u)]
-    d = 0
+def level_sets_by_words(table, r, N):
+    """Level sets 1..N of row r: the end row of every word of length n,
+    walked letter by letter over the raw successor table."""
+    rows = np.asarray(table).tolist()
+    k = len(rows[r])
+    out = []
+    for n in range(1, N + 1):
+        ends = set()
+        for word in product(range(k), repeat=n):
+            v = r
+            for i in word:
+                v = rows[v][i]
+            ends.add(v)
+        out.append(ends)
+    return out
+
+
+def bfs_distances(table, r):
+    """Shortest path length from row r to every reachable row, as a dict."""
+    rows = np.asarray(table).tolist()
+    dist = {r: 0}
+    frontier = [r]
     while frontier:
-        d += 1
         nxt = []
         for v in frontier:
-            for w in graph.successors(v):
+            for w in rows[v]:
                 if w not in dist:
-                    dist[w] = d
+                    dist[w] = dist[v] + 1
                     nxt.append(w)
         frontier = nxt
+    return dist
+
+
+def naive_l_n_count(graph, u, members, N, words):
+    """Triple loop: BFS distances as a dict, then per-vertex word checks."""
+    rows = graph.table.tolist()
+    dist = bfs_distances(graph.table, graph._idx(u))
     member_idx = {graph._idx(a) for a in members}
     count = 0
     for v in range(graph.n):
@@ -246,7 +270,7 @@ def naive_l_n_count(graph, u, members, N, words):
         for word in words:
             img = v
             for letter in word:
-                img = graph.step(img, letter)
+                img = rows[img][letter - 1]
             if dist.get(img, N + 1) > N or img not in member_idx:
                 ok = False
                 break

@@ -6,17 +6,21 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiorbits import (
     ExplosionGuard,
     FunctionalGraph,
     GeneratorSet,
     HypothesisViolated,
+    LetterOutOfRange,
     OutOfRange,
     TooLarge,
     WordStream,
     b_tree_size,
     build_graph,
+    count_small_order_points,
     find_common_gap,
     find_witness_words,
     l_n_count,
@@ -25,7 +29,8 @@ from semiorbits import (
     pair_step_count,
     parse_poly,
 )
-from oracles import build_tree_nodes, naive_l_n_count
+from semiorbits.orbits import _levels, level_union
+from oracles import bfs_distances, build_tree_nodes, level_sets_by_words, naive_l_n_count
 
 F5 = make_prime_field(5)
 F7 = make_prime_field(7)
@@ -138,7 +143,7 @@ def test_pair_step_bound_seeded():
 
 def test_build_graph_examples():
     g = build_graph(SQ, F5)
-    assert [g.step(i, 1) for i in range(5)] == [0, 1, 4, 4, 1]
+    assert g.table[:, 0].tolist() == [0, 1, 4, 4, 1]
     g2 = build_graph(PAIR, F5)
     assert g2.table.shape == (5, 2)
     assert build_graph(SQ, make_prime_field(2)).n == 2
@@ -152,7 +157,7 @@ def test_build_graph_matches_eval():
         for i in range(ctx.q):
             x = ctx.from_index(i)
             for j, gen in enumerate(red):
-                assert g.step(x, j + 1) == gen.eval(x).index
+                assert g.table[i, j] == gen.eval(x).index
 
 
 def test_graph_validation():
@@ -164,11 +169,9 @@ def test_graph_validation():
         FunctionalGraph([0, 1])  # not 2-d
     g = FunctionalGraph([[1], [0]])
     with pytest.raises(OutOfRange):
-        g.step(5, 1)
-    from semiorbits import LetterOutOfRange
-
+        l_n_count(g, 5, {0}, 1, [(1,)])
     with pytest.raises(LetterOutOfRange):
-        g.step(0, 2)
+        g.word_images((2,))
 
 
 def test_build_graph_too_large():
@@ -177,26 +180,47 @@ def test_build_graph_too_large():
         build_graph(SQ, big)
 
 
-def test_distance_examples():
+def _ball(dist, N):
+    return {v for v, d in dist.items() if d <= N}
+
+
+def test_ball_examples():
+    # X^2 on F_7 from 3: 3 -> 2 -> 4 -> 2 -> ..., and 5 is never reached
     g = build_graph(SQ, F7)
-    assert g.distance(3, 3) == 0
-    assert g.distance(F7.element(3), F7.element(4)) == 2
-    assert g.distance(3, 5) is None
-    d = g.distances_from(3)
-    assert d[3] == 0 and d[2] == 1 and d[4] == 2 and d[5] == -1
+    assert bfs_distances(g.table, 3) == {3: 0, 2: 1, 4: 2}
+    assert set(np.flatnonzero(level_union(g.table, 3, 2))) == {2, 4}
+    for N, ball in ((0, 1), (1, 2), (2, 3), (9, 3)):
+        res = find_witness_words(g, F7.element(3), {4, 5}, N, h=1, l=1)
+        assert (res.ball, res.ball_in_a) == (ball, int(N >= 2))
 
 
-def test_distance_triangle_seeded():
+def test_start_on_a_cycle():
+    # rows 0 -> 1 -> 2 -> 0 and 3 -> 0; only the start, row 0, qualifies
+    table = np.array([[1], [2], [0], [0]])
+    qual = np.array([True, False, False, False])
+    for N, bare, with_start in ((0, 0, 1), (2, 0, 1), (3, 1, 1), (7, 1, 1)):
+        assert count_small_order_points(table, qual, [0], N) == [bare]
+        assert count_small_order_points(table, qual, [0], N, True) == [with_start]
+    g = FunctionalGraph(table)
+    for N in range(5):
+        res = find_witness_words(g, 0, {0}, N, h=1, l=1)
+        assert (res.ball, res.ball_in_a) == (min(N + 1, 3), 1)
+        assert l_n_count(g, 0, {0}, N, [(1, 1, 1)]) == 1  # v = 0 returns to 0
+
+
+def test_ball_matches_bfs_seeded():
     rng = random.Random(7)
-    g = _random_graph(rng, 40, 2)
-    dists = [g.distances_from(u) for u in range(g.n)]
-    for u in range(0, g.n, 7):
-        for v in range(g.n):
-            for w in range(0, g.n, 5):
-                duw, duv, dvw = dists[u][w], dists[u][v], dists[v][w]
-                if duv >= 0 and dvw >= 0:
-                    assert duw >= 0
-                    assert duw <= duv + dvw
+    for _ in range(30):
+        n = rng.randint(1, 40)
+        g = _random_graph(rng, n, rng.randint(1, 3))
+        A = {v for v in range(n) if rng.random() < 0.5}
+        u = rng.randrange(n)
+        dist = bfs_distances(g.table, u)
+        for N in range(0, 8):
+            ball = _ball(dist, N)
+            assert set(np.flatnonzero(level_union(g.table, u, N))) | {u} == ball
+            res = find_witness_words(g, u, A, N, h=1, l=1)
+            assert (res.ball, res.ball_in_a) == (len(ball), len(ball & A))
 
 
 def test_word_images_matches_walk():
@@ -206,7 +230,10 @@ def test_word_images_matches_walk():
         word = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 5)))
         img = g.word_images(word)
         for v in range(g.n):
-            assert img[v] == g.walk_word(v, word)
+            w = v
+            for letter in word:
+                w = g.table[w, letter - 1]
+            assert img[v] == w
 
 
 def test_l_n_count_example():
@@ -247,8 +274,7 @@ def test_find_witness_words_small():
         l_n_count(g, 2, {0, 1, 4}, 1, [(1,)]),
         l_n_count(g, 2, {0, 1, 4}, 1, [(2,)]),
     )
-    d = g.distances_from(2)
-    assert res.ball == int(np.count_nonzero((d >= 0) & (d <= 1)))
+    assert res.ball == len(_ball(bfs_distances(g.table, 2), 1))
     assert isinstance(res.hypothesis_met, bool)
 
 
@@ -283,3 +309,32 @@ def test_find_witness_words_guard():
         find_witness_words(g, 0, {0}, 2, h=6, l=3)
     with pytest.raises(OutOfRange):
         find_witness_words(g, 0, {0}, 2, h=1, l=9)
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 3))
+    rows = st.lists(st.integers(0, n - 1), min_size=k, max_size=k)
+    return np.array(draw(st.lists(rows, min_size=n, max_size=n)), dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(table=_tables(), data=st.data())
+def test_level_kernel_matches_word_enumeration(table, data):
+    n, k = table.shape
+    r = data.draw(st.integers(0, n - 1))
+    N = data.draw(st.integers(0, 6))
+    levels = level_sets_by_words(table, r, N)
+    got = list(_levels(table, r, N))
+    assert [lvl.tolist() for lvl in got] == [sorted(lvl) for lvl in levels]
+    qual = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    union = set().union(*levels)
+    for include_start in (False, True):
+        want = sum(1 for v in union | ({r} if include_start else set()) if qual[v])
+        assert count_small_order_points(table, qual, [r], N, include_start) == [want]
+    g = FunctionalGraph(table)
+    A = set(np.flatnonzero(qual).tolist())
+    word = st.lists(st.integers(1, k), min_size=1, max_size=3).map(tuple)
+    words = data.draw(st.lists(word, min_size=1, max_size=3))
+    assert l_n_count(g, r, A, N, words) == naive_l_n_count(g, r, A, N, words)

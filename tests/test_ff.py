@@ -184,6 +184,29 @@ def test_element_arithmetic_properties_seeded():
                 assert a**-1 == a.inverse()
 
 
+def test_pow_makes_one_mul_per_bit(monkeypatch):
+    # binary powering: a squaring per bit below the top one, plus a multiply
+    # per set bit below it; __slots__ leaves only the class to wrap
+    ctx = make_extension_field(2, 12)
+    x = ctx.from_index(5).coeffs
+    calls = []
+    mul = FieldContext._mul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FieldContext, "_mul", counted)
+    for e, want in ((0, 0), (1, 0), (2, 1), (3, 2), (2**8, 8), (4095, 22)):
+        calls.clear()
+        got = ctx._pow(x, e)
+        assert len(calls) == want, e
+        acc = ctx.one().coeffs
+        for _ in range(e):
+            acc = mul(ctx, acc, x)
+        assert got == acc, e
+
+
 def test_index_roundtrip():
     ctx = make_extension_field(5, 2)
     for i in range(ctx.q):
