@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .combinatorics import b_tree_size, find_common_gap
 from .errors import SemiorbitsError
-from .ff import make_extension_field, make_prime_field, mul_order, small_order_set
+from .ff import make_extension_field, mul_order, small_order_set
 from .intpoly import cyclotomic, format_poly, is_special, parse_poly, resultant
 from .orbits import DEFAULT_ORBIT_CAP, GeneratorSet, evaluated_successors, orbit
 from .verify import EXPERIMENTS, ExperimentConfig, run_experiment
@@ -28,14 +28,8 @@ from .verify import EXPERIMENTS, ExperimentConfig, run_experiment
 OUT_DIR_ENV = "SEMIORBITS_OUT_DIR"
 
 
-def _field(p: int, s: int):
-    if s == 1:
-        return make_prime_field(p)
-    return make_extension_field(p, s)
-
-
 def cmd_order(args) -> int:
-    ctx = _field(args.p, args.s)
+    ctx = make_extension_field(args.p, args.s)
     print(mul_order(ctx.from_index(args.element % ctx.q)))
     return 0
 
@@ -54,9 +48,14 @@ def cmd_orbit(args) -> int:
     if len(args.rest) < 2:
         print("orbit needs generators followed by a start point", file=sys.stderr)
         return 2
+    try:
+        x = int(args.rest[-1])
+    except ValueError:
+        print("orbit start point must be an integer, got %r" % args.rest[-1], file=sys.stderr)
+        return 2
     gens = [parse_poly(text) for text in args.rest[:-1]]
-    ctx = _field(args.p, args.s)
-    x = int(args.rest[-1]) % ctx.q
+    ctx = make_extension_field(args.p, args.s)
+    x %= ctx.q
     rec = orbit(evaluated_successors(GeneratorSet(gens), ctx), x, args.cap)
     if args.json:
         print(
@@ -115,7 +114,7 @@ def cmd_special(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    ctx = _field(args.p, args.s)
+    ctx = make_extension_field(args.p, args.s)
     members = sorted(v.index for v in small_order_set(ctx, args.t))
     out = " ".join(str(m) for m in members)
     if args.json:
@@ -277,7 +276,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print("bad JSON: %s" % exc, file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

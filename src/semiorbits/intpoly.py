@@ -13,7 +13,6 @@ variable and arbitrary whitespace; printing and parsing round-trip.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -249,7 +248,6 @@ def parse_poly(text: str) -> IntPolynomial:
 
 
 _cyclo_cache = {1: IntPolynomial((-1, 1))}
-_cyclo_lock = threading.RLock()
 
 
 def _exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -273,22 +271,18 @@ def _exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 
 def cyclotomic(n: int) -> IntPolynomial:
-    """The n-th cyclotomic polynomial, by exact division of X^n - 1.
-
-    Memoized; safe under concurrent lookup-or-insert.
-    """
+    """The n-th cyclotomic polynomial, by exact division of X^n - 1 (memoized)."""
     if not 1 <= n <= MAX_CYCLOTOMIC_INDEX:
         raise OutOfRange("cyclotomic index must satisfy 1 <= n <= %d" % MAX_CYCLOTOMIC_INDEX)
-    with _cyclo_lock:
-        hit = _cyclo_cache.get(n)
-        if hit is not None:
-            return hit
-        poly = IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
-        for d in range(1, n):
-            if n % d == 0:
-                poly = _exact_div(poly, cyclotomic(d))
-        _cyclo_cache[n] = poly
-        return poly
+    hit = _cyclo_cache.get(n)
+    if hit is not None:
+        return hit
+    poly = IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _exact_div(poly, cyclotomic(d))
+    _cyclo_cache[n] = poly
+    return poly
 
 
 # ---------------------------------------------------------------------------

@@ -254,19 +254,15 @@ def fit_constants(report: ExperimentReport, column: str = "ratio") -> dict:
 # grid helpers
 
 
-def _system(cfg: ExperimentConfig) -> GeneratorSet:
-    return GeneratorSet([parse_poly(text) for text in cfg.generators])
-
-
-def _special_warnings(
-    cfg: ExperimentConfig, F: GeneratorSet, strict: bool = False
-) -> Dict[str, str]:
-    """Detect special generators, as a summary entry (empty when none).
+def _system(cfg: ExperimentConfig, strict: bool = False) -> Tuple[GeneratorSet, Dict[str, str]]:
+    """The generator system, and its special generators as a summary entry
+    (empty when none).
 
     Strict runs reject them unless the config opts in; everywhere else they
     are recorded as warnings so the harness doubles as a negative control
     (the bounds are expected to degrade for monomials and Chebyshev).
     """
+    F = GeneratorSet([parse_poly(text) for text in cfg.generators])
     notes = []
     for f in F.polys:
         kind = is_special(f).kind
@@ -277,13 +273,7 @@ def _special_warnings(
                     % (format_poly(f), kind)
                 )
             notes.append("%s is %s" % (format_poly(f), kind))
-    return {"special_generators": "; ".join(notes)} if notes else {}
-
-
-def _context(cfg: ExperimentConfig, p: int) -> FieldContext:
-    if cfg.s == 1:
-        return make_prime_field(p)
-    return make_extension_field(p, cfg.s)
+    return F, {"special_generators": "; ".join(notes)} if notes else {}
 
 
 def _resolve_primes(cfg: ExperimentConfig) -> List[int]:
@@ -314,6 +304,13 @@ def _starts(cfg: ExperimentConfig, q: int) -> List[int]:
         return list(range(q))
     rng = random.Random(cfg.seed)
     return sorted(rng.sample(range(q), cfg.sample))
+
+
+def _grid(cfg: ExperimentConfig):
+    """Yield (p, field, starts) for each prime of the grid, in order."""
+    for p in _resolve_primes(cfg):
+        ctx = make_prime_field(p) if cfg.s == 1 else make_extension_field(p, cfg.s)
+        yield p, ctx, _starts(cfg, ctx.q)
 
 
 def _whole_field(ctx: FieldContext) -> bool:
@@ -371,8 +368,13 @@ def _word_str(word: Sequence[int]) -> str:
     return "-".join(str(i) for i in word)
 
 
-def _report(cfg, columns, rows, summary) -> ExperimentReport:
-    return ExperimentReport(cfg.to_dict(), tuple(columns), rows, summary)
+def _report(cfg, columns, rows, fit=None, **summary) -> ExperimentReport:
+    """The report on ``rows``: its summary counts them, holds the given
+    entries, and the fitted constants of column ``fit`` once it has a value."""
+    report = ExperimentReport(cfg.to_dict(), tuple(columns), rows, {"rows": len(rows), **summary})
+    if fit is not None and any(r[report.columns.index(fit)] is not None for r in rows):
+        report.summary.update(fit_constants(report, fit))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -382,31 +384,24 @@ def _report(cfg, columns, rows, summary) -> ExperimentReport:
 def run_thm44i(cfg: ExperimentConfig) -> ExperimentReport:
     """Sup over sequences of the small-order count, against
     max{N^(1/2), N/log log p}."""
-    F = _system(cfg)
-    notes = _special_warnings(cfg, F, strict=True)
+    F, notes = _system(cfg, strict=True)
     N = _need(cfg, "N")
     columns = ("p", "s", "w", "t", "N", "M", "bound", "ratio", "word")
     rows = []
-    for p in _resolve_primes(cfg):
-        ctx = _context(cfg, p)
+    for p, ctx, ws in _grid(cfg):
         t = _t_for(cfg, math.log(p))
         bound = max(math.sqrt(N), N / _loglog_denom(cfg, p))
-        ws = _starts(cfg, ctx.q)
         table, row = _tables(F, ctx, ws, N - 1)
         found = sup_m_over_sequences(table, _qual(ctx, t, row), [row[w] for w in ws], N)
         for w, (M, word) in zip(ws, found):
             rows.append((p, cfg.s, w, t, N, M, bound, M / bound, _word_str(word)))
-    summary: dict = {"rows": len(rows), **notes}
-    if rows:
-        summary.update(fit_constants(_report(cfg, columns, rows, {})))
-    return _report(cfg, columns, rows, summary)
+    return _report(cfg, columns, rows, "ratio", **notes)
 
 
 def run_thm44ii(cfg: ExperimentConfig) -> ExperimentReport:
     """Fixed stream, all primes p <= P: count primes where M exceeds
     C * max{N^(1/2), N/log p}."""
-    F = _system(cfg)
-    notes = _special_warnings(cfg, F, strict=True)
+    F, notes = _system(cfg, strict=True)
     N = _need(cfg, "N")
     if cfg.stream is None:
         raise ConfigError("experiment thm44ii needs a 'stream'")
@@ -417,12 +412,9 @@ def run_thm44ii(cfg: ExperimentConfig) -> ExperimentReport:
     t = _t_for(cfg, P)
     columns = ("p", "t", "N", "starts", "max_M", "argmax_w", "bound", "ratio", "exceptional")
     rows = []
-    exceptional = 0
     letters = stream.prefix(N - 1)
-    for p in _resolve_primes(cfg):
-        ctx = _context(cfg, p)
+    for p, ctx, ws in _grid(cfg):
         bound = cfg.C * max(math.sqrt(N), N / _log_denom(cfg, p))
-        ws = _starts(cfg, ctx.q)
         if _whole_field(ctx) and _walk_pays(ctx, t, len(ws) * N):
             # walk all starts together on the table; certify the winner
             table, qual = build_graph(F, ctx).table, _qual(ctx, t, range(ctx.q))
@@ -440,13 +432,12 @@ def run_thm44ii(cfg: ExperimentConfig) -> ExperimentReport:
                 if M > best:
                     best, argw = M, w
         flag = 1 if best > bound else 0
-        exceptional += flag
         rows.append((p, t, N, len(ws), best, argw, bound, best / bound, flag))
-    summary: dict = {"rows": len(rows), "exceptional": exceptional, **notes}
+    exceptional = sum(r[-1] for r in rows)
     if P >= 3:
-        summary["p_over_log_p"] = P / math.log(P)
-        summary["exceptional_fraction"] = exceptional / (P / math.log(P))
-    return _report(cfg, columns, rows, summary)
+        notes["p_over_log_p"] = P / math.log(P)
+        notes["exceptional_fraction"] = exceptional / (P / math.log(P))
+    return _report(cfg, columns, rows, exceptional=exceptional, **notes)
 
 
 def run_cor45(cfg: ExperimentConfig) -> ExperimentReport:
@@ -456,31 +447,22 @@ def run_cor45(cfg: ExperimentConfig) -> ExperimentReport:
     The count is trivially capped by q itself, so the q column is emitted
     next to the bound to expose its slack at small scale.
     """
-    F = _system(cfg)
-    notes = _special_warnings(cfg, F)
+    F, notes = _system(cfg)
     N = _need(cfg, "N")
     columns = ("p", "s", "w", "t", "N", "count", "q", "bound", "ratio")
     rows = []
-    for p in _resolve_primes(cfg):
-        ctx = _context(cfg, p)
+    for p, ctx, ws in _grid(cfg):
         t = _t_for(cfg, math.log(p))
         kN = float(F.k) ** N
         bound = max(math.sqrt(N) * kN, N * kN / _loglog_denom(cfg, p))
-        ws = _starts(cfg, ctx.q)
         table, row = _tables(F, ctx, ws, N)
         counts = count_small_order_points(
             table, _qual(ctx, t, row), [row[w] for w in ws], N, cfg.include_level_0
         )
         for w, cnt in zip(ws, counts):
             rows.append((p, cfg.s, w, t, N, cnt, ctx.q, bound, cnt / bound))
-    summary: dict = {
-        "rows": len(rows),
-        "bound_note": "count <= q everywhere; ratios expose the k^N slack",
-        **notes,
-    }
-    if rows:
-        summary.update(fit_constants(_report(cfg, columns, rows, {})))
-    return _report(cfg, columns, rows, summary)
+    return _report(cfg, columns, rows, "ratio", **notes,
+                   bound_note="count <= q everywhere; ratios expose the k^N slack")
 
 
 def _collision_diagnostic(cfg: ExperimentConfig, F: GeneratorSet, ctx, succ, w: int, n: int, tower):
@@ -515,8 +497,7 @@ def _collision_diagnostic(cfg: ExperimentConfig, F: GeneratorSet, ctx, succ, w: 
 def run_thm46(cfg: ExperimentConfig) -> ExperimentReport:
     """Orbit size, order, and cover count per start, testing
     T log d + s log tau >= s log(c log p)."""
-    F = _system(cfg)
-    notes = _special_warnings(cfg, F)
+    F, notes = _system(cfg)
     if cfg.c <= 0:
         raise ConfigError("thm46 needs c > 0")
     columns = (
@@ -524,12 +505,9 @@ def run_thm46(cfg: ExperimentConfig) -> ExperimentReport:
         "coll_m", "coll_l", "ord_n", "res_mod_p",
     )
     rows = []
-    exceptions = 0
     zeros = 0
     tower = [IntPolynomial((0, 1))]  # iterates of the first generator, shared by all starts
-    for p in _resolve_primes(cfg):
-        ctx = _context(cfg, p)
-        ws = _starts(cfg, ctx.q)
+    for p, ctx, ws in _grid(cfg):
         # above the cap each start gets its own table, the size of its orbit
         for group in [ws] if ctx.q <= MAX_GRAPH_SIZE else [[w] for w in ws]:
             table, row = _tables(F, ctx, [w for w in group if w])
@@ -544,22 +522,20 @@ def run_thm46(cfg: ExperimentConfig) -> ExperimentReport:
                 lhs = theorem46_lhs(F.d, rec.T, tau, s_cover)
                 rhs = s_cover * math.log(cfg.c * math.log(p))
                 flag = 1 if lhs < rhs else 0
-                exceptions += flag
                 diag = (None, None, None, None)
                 if cfg.diagnostics:
                     diag = _collision_diagnostic(cfg, F, ctx, succ, row[w], tau, tower)
                 rows.append((p, w, rec.T, tau, s_cover, lhs, rhs, flag) + diag)
-    summary: dict = {"rows": len(rows), "exceptions": exceptions, "zeros_skipped": zeros, **notes}
     if rows:
-        summary["min_margin"] = min(r[5] - r[6] for r in rows)
-    return _report(cfg, columns, rows, summary)
+        notes["min_margin"] = min(r[5] - r[6] for r in rows)
+    return _report(cfg, columns, rows, exceptions=sum(r[7] for r in rows),
+                   zeros_skipped=zeros, **notes)
 
 
 def run_thm61(cfg: ExperimentConfig) -> ExperimentReport:
     """Graph-side count of reachable small-order points against
     max{B^(l+1)/h, B^(l+1)/log log p}, plus the witness-word inequality."""
-    F = _system(cfg)
-    notes = _special_warnings(cfg, F)
+    F, notes = _system(cfg)
     N = _need(cfg, "N")
     l = _need(cfg, "l")
     if cfg.h is not None:
@@ -576,20 +552,16 @@ def run_thm61(cfg: ExperimentConfig) -> ExperimentReport:
         "ratio", "L_N", "target", "eq61_ratio", "words",
     )
     rows = []
-    hyp_ok = 0
-    for p in _resolve_primes(cfg):
-        ctx = _context(cfg, p)
+    for p, ctx, ws in _grid(cfg):
         t = _t_for(cfg, math.log(p))
         graph = build_graph(F, ctx)
         bound = max(B ** (l + 1) / h, B ** (l + 1) / _loglog_denom(cfg, p))
         qual = _qual(ctx, t, range(ctx.q))
-        ws = _starts(cfg, ctx.q)
         counts = count_small_order_points(graph.table, qual, ws, N, cfg.include_level_0)
         for w, cnt in zip(ws, counts):
             u = ctx.from_index(w)
             res = find_witness_words(graph, u, np.flatnonzero(qual), N, h, l, c=cfg.c1)
             hyp = 1 if (res.hypothesis_met and h >= 3 * l) else 0
-            hyp_ok += hyp
             eq61 = res.count / res.target if res.target > 0 else None
             rows.append(
                 (
@@ -598,10 +570,7 @@ def run_thm61(cfg: ExperimentConfig) -> ExperimentReport:
                     "|".join(_word_str(word) for word in res.words),
                 )
             )
-    summary: dict = {"rows": len(rows), "hypothesis_met": hyp_ok, **notes}
-    if rows:
-        summary.update(fit_constants(_report(cfg, columns, rows, {})))
-    return _report(cfg, columns, rows, summary)
+    return _report(cfg, columns, rows, "ratio", hypothesis_met=sum(r[7] for r in rows), **notes)
 
 
 def run_lemma41(cfg: ExperimentConfig) -> ExperimentReport:
@@ -624,7 +593,6 @@ def run_lemma41(cfg: ExperimentConfig) -> ExperimentReport:
                 )
     columns = ("generator", "r", "s", "zero", "log_abs_res", "constant")
     rows = []
-    zero_count = 0
     for f in gens:
         text = format_poly(f)
         denom_base = height(f) + f.degree
@@ -634,24 +602,19 @@ def run_lemma41(cfg: ExperimentConfig) -> ExperimentReport:
             for s, phi_s_f in enumerate(composites, 1):
                 value = resultant(phi_r, phi_s_f)
                 if value == 0:
-                    zero_count += 1
                     rows.append((text, r, s, 1, None, None))
                 else:
                     log_res = math.log(abs(value))
                     rows.append(
                         (text, r, s, 0, log_res, log_res / (r * s * denom_base))
                     )
-    summary: dict = {"rows": len(rows), "zero_resultants": zero_count}
-    nonzero = [r for r in rows if r[3] == 0]
-    if nonzero:
-        summary.update(fit_constants(_report(cfg, columns, nonzero, {}), "constant"))
-    return _report(cfg, columns, rows, summary)
+    return _report(cfg, columns, rows, "constant", zero_resultants=sum(r[3] for r in rows))
 
 
 def run_prop21(cfg: ExperimentConfig) -> ExperimentReport:
     """Random compositions versus the explicit height bound; the
     inequality is a theorem and is asserted, with the slack reported."""
-    F = _system(cfg)
+    F, _ = _system(cfg)
     if cfg.n_max < 1 or cfg.trials < 0:
         raise ConfigError("prop21 needs n_max >= 1 and trials >= 0")
     if F.d**cfg.n_max > COMPOSITION_DEGREE_CAP:
@@ -681,10 +644,7 @@ def run_prop21(cfg: ExperimentConfig) -> ExperimentReport:
         assert m_comp <= coeff_cap**c1 * 8**c2, "height bound violated"
         ratio = lhs / bound if bound > 0 else None
         rows.append((trial, n, _word_str(word), comp.degree, lhs, bound, ratio))
-    summary: dict = {"rows": len(rows), "violations": 0}
-    if any(r[6] is not None for r in rows):
-        summary.update(fit_constants(_report(cfg, columns, rows, {})))
-    return _report(cfg, columns, rows, summary)
+    return _report(cfg, columns, rows, "ratio", violations=0)
 
 
 EXPERIMENTS: Dict[str, Callable[[ExperimentConfig], ExperimentReport]] = {

@@ -27,8 +27,9 @@ grids = {
     "cor45": ["--primes", "11", "--N", "3"],
     "thm44ii": ["--prime-max", "13", "--N", "5",
                 "--stream", '{"kind": "periodic", "period": [1, 2]}'],
-    "thm46": ["--primes", "11"],
+    "thm46": ["--primes", "11", "--diagnostics"],
     "thm61": ["--primes", "11", "--N", "3", "--h", "2", "--l", "1"],
+    "lemma41": ["--r-max", "2", "--s-max", "2"],
 }
 for exp, argv in grids.items():
     path = os.path.join(out, exp + ".json")
@@ -49,6 +50,10 @@ TRACED_LAYERS = (
     "ff.make_field",
     "ff.eval",
     "ff.mul_order",
+    "intpoly.resultant",
+    "intpoly.cyclotomic",
+    "intpoly.compose",
+    "verify.report",
 )
 
 

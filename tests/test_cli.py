@@ -148,7 +148,7 @@ def test_round_trip_printed_polynomials(capsys):
     assert parse_poly(json.loads(out)["normal_form"]) == chebyshev(3)
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["order", "7"]) == 2
     assert main(["nonsense"]) == 2
     capsys.readouterr()
@@ -156,6 +156,14 @@ def test_usage_errors_exit_2(capsys):
         code, _, err = _run(capsys, "verify", "thm44i", "--generators", "X^2 + 1", flag, value)
         assert code == 2
         assert "argument %s" % flag in err
+    for start in ("abc", "3.5"):
+        code, out, err = _run(capsys, "orbit", "7", "1", "X^2", start)
+        assert (code, out) == (2, "")
+        assert err == "orbit start point must be an integer, got %r\n" % start
+    # a config path that names a directory is unreadable, not a crash
+    code, out, err = _run(capsys, "verify", "thm44i", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert "Is a directory" in err
 
 
 # -- verify plumbing -----------------------------------------------------------

@@ -735,6 +735,70 @@ def _tiny_report(values):
     )
 
 
+MONOMIAL = {"special_generators": "X^2 is monomial_conjugate"}
+
+# one small grid per runner, with its whole summary as the runner produced it
+# before the runners shared one summary builder (floats at 12 digits)
+SUMMARY_CASES = {
+    "thm44i_empty": (
+        dict(experiment="thm44i", generators=["X^2 + 1"], primes=[], t=2, N=6),
+        {"rows": 0},
+    ),
+    "thm44i": (
+        dict(experiment="thm44i", generators=["X^2 + 1", "X^3 + 2"], primes=[11, 13], t=4, N=5),
+        {"rows": 24, "max": 0.941938734748, "p95": 0.941938734748, "n": 24},
+    ),
+    "thm44ii_P_below_3": (
+        dict(experiment="thm44ii", generators=["X^2 + 1"], prime_max=2, N=4, t=2,
+             stream={"kind": "periodic", "period": [1]}),
+        {"rows": 1, "exceptional": 0},
+    ),
+    "thm44ii": (
+        dict(experiment="thm44ii", generators=["X^2 + 1", "X^3 + 2"], prime_max=13, N=6,
+             t=3, C=0.5, stream={"kind": "periodic", "period": [1, 2]}),
+        {"rows": 6, "exceptional": 5, "p_over_log_p": 5.06832618827,
+         "exceptional_fraction": 0.986518983639},
+    ),
+    "cor45": (
+        dict(experiment="cor45", generators=["X^2", "X^2 + 1"], primes=[7, 11],
+             starts=[1, 2, 3], t=3, N=3),
+        {"rows": 6, "bound_note": "count <= q everywhere; ratios expose the k^N slack",
+         "max": 0.0832162263223, "p95": 0.0832162263223, "n": 6, **MONOMIAL},
+    ),
+    "thm46_zero_start_diagnostics": (
+        dict(experiment="thm46", generators=["X^2", "X^2 + 1"], primes=[7, 11],
+             starts=[0, 1, 3, 5], c=60.0, diagnostics=True),
+        {"rows": 6, "exceptions": 3, "zeros_skipped": 2, "min_margin": -1.29433847,
+         **MONOMIAL},
+    ),
+    "thm61": (
+        dict(experiment="thm61", generators=["X^2", "X^2 + 1"], primes=[31],
+             starts=[2, 3, 5], t=30, N=8, h=3, l=1),
+        {"rows": 3, "hypothesis_met": 2, "max": 0.553916016317, "p95": 0.553916016317,
+         "n": 3, **MONOMIAL},
+    ),
+    "lemma41_zero_resultants": (
+        dict(experiment="lemma41", generators=["X^2", "X^2 + 1"], r_max=3, s_max=3),
+        {"rows": 18, "zero_resultants": 3, "max": 0.324318358176, "p95": 0.324318358176,
+         "n": 15},
+    ),
+    "prop21_no_trials": (
+        dict(experiment="prop21", generators=["2X^2 + 1"], n_max=2, trials=0),
+        {"rows": 0, "violations": 0},
+    ),
+    "prop21": (
+        dict(experiment="prop21", generators=["2X^2 + 1", "X^3 - X"], n_max=2, trials=5, seed=3),
+        {"rows": 5, "violations": 0, "max": 1.0, "p95": 1.0, "n": 5},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUMMARY_CASES))
+def test_summary_frozen(case):
+    cfg, summary = SUMMARY_CASES[case]
+    assert run_experiment(_cfg(**cfg)).body_dict()["summary"] == summary
+
+
 def test_fit_constants():
     assert fit_constants(_tiny_report([0.5])) == {"max": 0.5, "p95": 0.5, "n": 1}
     fit = fit_constants(_tiny_report([3.0, 1.0, 2.0]))
