@@ -160,6 +160,8 @@ def cmd_verify(args) -> int:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, out)
+    except OSError as exc:  # name the requested path, not the temporary one
+        raise OSError(exc.errno, exc.strerror, out) from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -39,7 +39,6 @@ from .ff import (
 )
 from .intpoly import (
     NON_SPECIAL,
-    IntPolynomial,
     composition_height_bound,
     cyclotomic,
     format_poly,
@@ -465,19 +464,19 @@ def run_cor45(cfg: ExperimentConfig) -> ExperimentReport:
                    bound_note="count <= q everywhere; ratios expose the k^N slack")
 
 
-def _collision_diagnostic(cfg: ExperimentConfig, F: GeneratorSet, ctx, succ, w: int, n: int, tower):
-    """First collision on the constant-1 walk from table row w, and the
-    cyclotomic resultant the proof divides by p.
+def _collision_diagnostic(cfg: ExperimentConfig, F: GeneratorSet, ctx, succ, r: int, w: int, n: int):
+    """First collision on the constant-1 walk from table row r (field index
+    w), and Res(Ψ^(m) - Ψ^(l), Φ_n) mod p: the proof needs p to divide it.
 
     Ψ is the constant-1 sequence, so Ψ^(m) is the m-fold composite of the
-    first generator; the collision Ψ^(m)(w) = Ψ^(l)(w) makes w a shared
-    root mod p of Ψ^(m) - Ψ^(l) and (with n the order of w) of Φ_n, hence
-    p divides their resultant.  ``tower`` holds [X, Ψ^(1), Ψ^(2), ...] and
-    is extended only as far as m.
+    first generator.  The collision Ψ^(m)(w) = Ψ^(l)(w), checked here by
+    evaluation, makes w a root mod p of Ψ^(m) - Ψ^(l); as w has order n it is
+    also a root of Φ_n mod p.  Φ_n is monic, so the resultant mod p is the
+    product of Ψ^(m) - Ψ^(l) over the roots of Φ_n mod p, and that is 0.
+    Collisions past ``diag_degree_cap`` report no residue.
     """
-    phi = F.polys[0]
-    seen = {w: 0}
-    v = w
+    seen = {r: 0}
+    v = r
     m, l = 0, 0
     for j in range(1, ctx.q + 1):
         v = succ(v)[0]
@@ -485,13 +484,12 @@ def _collision_diagnostic(cfg: ExperimentConfig, F: GeneratorSet, ctx, succ, w: 
             m, l = j, seen[v]
             break
         seen[v] = j
-    if phi.degree**m > cfg.diag_degree_cap:
-        return m, l, n, None
-    while len(tower) <= m:
-        tower.append(phi.compose(tower[-1]))
-    diff = tower[m] - tower[l]
-    q_val = 0 if diff.is_zero else resultant(diff, cyclotomic(n))
-    return m, l, n, q_val % ctx.p
+    phi = F.reduced(ctx)[0]
+    values = [ctx.from_index(w)]
+    while len(values) <= m:
+        values.append(phi.eval(values[-1]))
+    assert values[m] == values[l], "collision disagrees with evaluation"
+    return m, l, n, None if F.polys[0].degree**m > cfg.diag_degree_cap else 0
 
 
 def run_thm46(cfg: ExperimentConfig) -> ExperimentReport:
@@ -506,7 +504,6 @@ def run_thm46(cfg: ExperimentConfig) -> ExperimentReport:
     )
     rows = []
     zeros = 0
-    tower = [IntPolynomial((0, 1))]  # iterates of the first generator, shared by all starts
     for p, ctx, ws in _grid(cfg):
         # above the cap each start gets its own table, the size of its orbit
         for group in [ws] if ctx.q <= MAX_GRAPH_SIZE else [[w] for w in ws]:
@@ -524,7 +521,7 @@ def run_thm46(cfg: ExperimentConfig) -> ExperimentReport:
                 flag = 1 if lhs < rhs else 0
                 diag = (None, None, None, None)
                 if cfg.diagnostics:
-                    diag = _collision_diagnostic(cfg, F, ctx, succ, row[w], tau, tower)
+                    diag = _collision_diagnostic(cfg, F, ctx, succ, row[w], w, tau)
                 rows.append((p, w, rec.T, tau, s_cover, lhs, rhs, flag) + diag)
     if rows:
         notes["min_margin"] = min(r[5] - r[6] for r in rows)

@@ -4,8 +4,9 @@ Everything here recomputes a library quantity by a different method:
 determinant resultants instead of remainder sequences, exhaustive powering
 instead of factored orders, closure iteration instead of BFS, word
 enumeration instead of table dynamic programming and level-set masks, dict
-BFS instead of level unions, and explicit state-space search instead of
-greedy covering.  They are deliberately slow
+BFS instead of level unions, explicit state-space search instead of greedy
+covering, and Z[X] composites with integer resultants instead of the field
+argument behind the collision diagnostic.  They are deliberately slow
 and simple.
 """
 
@@ -16,7 +17,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from semiorbits import IntPolynomial, apply_word, mul_order
+from semiorbits import IntPolynomial, apply_word, cyclotomic, mul_order, resultant
 
 
 def sylvester_matrix(f, g):
@@ -325,6 +326,17 @@ def compose_word(F, word):
     for letter in word[1:]:
         comp = F.polys[letter - 1].compose(comp)
     return comp
+
+
+def collision_resultant_mod_p(phi, m, l, n, p):
+    """Res(Ψ^(m) - Ψ^(l), Φ_n) mod p with Ψ^(j) the j-fold composite of phi,
+    computed in Z[X]: the tower [X, phi, phi o phi, ...] up to m, then the
+    integer resultant."""
+    tower = [IntPolynomial((0, 1))]
+    while len(tower) <= m:
+        tower.append(phi.compose(tower[-1]))
+    diff = tower[m] - tower[l]
+    return 0 if diff.is_zero else resultant(diff, cyclotomic(n)) % p
 
 
 def max_primitive_coeff(f: IntPolynomial) -> int:

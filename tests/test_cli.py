@@ -164,6 +164,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     code, out, err = _run(capsys, "verify", "thm44i", str(tmp_path))
     assert (code, out) == (2, "")
     assert "Is a directory" in err
+    # a report path in a missing directory is named as given, not as its temporary file
+    out_path = tmp_path / "nodir" / "r.csv"
+    code, out, err = _run(capsys, "verify", "thm44i", "--generators", "X^2 + 1", "--primes", "11",
+                          "--t", "2", "--N", "3", "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert str(out_path) in err and ".tmp" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- verify plumbing -----------------------------------------------------------

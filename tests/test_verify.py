@@ -39,6 +39,7 @@ import semiorbits.verify as verify
 from semiorbits.orbits import MAX_GRAPH_SIZE
 from oracles import (
     closure_orbit,
+    collision_resultant_mod_p,
     compose_word,
     exhaustive_small_order_count,
     exhaustive_sup_m,
@@ -516,15 +517,60 @@ def _count_compose(monkeypatch):
     return calls
 
 
-def test_thm46_diagnostics_build_one_composition_tower(monkeypatch):
-    calls = _count_compose(monkeypatch)
+DIAGNOSTIC_GRIDS = (
+    dict(generators=["X^2 + 1", "X^3 + 2"], primes=[7, 11, 13]),
+    # reach tables: table rows are not field indices
+    dict(generators=["X^2 + 1", "X^3 + 2"], primes=[5], s=2, diag_degree_cap=729),
+    dict(generators=["X^2 + 1", "X^3 + 2"], primes=[2], s=3, diag_degree_cap=729),
+)
+
+
+@pytest.mark.parametrize("grid", DIAGNOSTIC_GRIDS)
+def test_thm46_diagnostic_matches_zx_resultant(grid):
+    rep = run_experiment(_cfg(experiment="thm46", diagnostics=True, **grid))
+    phi = parse_poly(grid["generators"][0])
+    assert len(rep.rows) == sum(p**grid.get("s", 1) - 1 for p in grid["primes"])
+    for r in rep.rows:
+        res = _by_col(rep, r, "res_mod_p")
+        assert res is not None
+        m, l, n = (_by_col(rep, r, c) for c in ("coll_m", "coll_l", "ord_n"))
+        assert res == collision_resultant_mod_p(phi, m, l, n, _by_col(rep, r, "p"))
+
+
+def test_thm46_diagnostics_make_no_zx_calls(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("Z[X] arithmetic on the thm46 path")
+
+    monkeypatch.setattr(IntPolynomial, "compose", forbidden)
+    monkeypatch.setattr(verify, "resultant", forbidden)
+    monkeypatch.setattr(verify, "cyclotomic", forbidden)
+    for grid in DIAGNOSTIC_GRIDS:
+        rep = run_experiment(_cfg(experiment="thm46", diagnostics=True, **grid))
+        assert {_by_col(rep, r, "res_mod_p") for r in rep.rows} == {0}
+
+
+def test_collision_diagnostic_checks_the_walk():
+    ctx = make_prime_field(7)
+    F = GeneratorSet([parse_poly("X^2")])
+    cfg = _cfg(experiment="thm46", generators=["X^2"], primes=[7], diagnostics=True)
+    succ = evaluated_successors(F, ctx)
+    assert verify._collision_diagnostic(cfg, F, ctx, succ, 3, 3, 6) == (3, 1, 6, 0)
+    # a source that makes 3 a fixed point, where X^2 sends 3 to 2
+    with pytest.raises(AssertionError):
+        verify._collision_diagnostic(cfg, F, ctx, lambda v: (v,), 3, 3, 6)
+
+
+def test_thm46_diagnostic_on_f3_6():
+    # 2^12 = 4096 stays within the default diag_degree_cap
     rep = run_experiment(
-        _cfg(experiment="thm46", generators=["X^2 + 1", "X^3 + 2"], primes=[7, 11, 13],
-             diagnostics=True)
+        _cfg(experiment="thm46", generators=["X^2 + 1", "X^3 + 2"], primes=[3], s=6,
+             starts=[47], diagnostics=True)
     )
-    assert all(_by_col(rep, r, "res_mod_p") is not None for r in rep.rows)
-    # every start and prime extends the same tower [X, phi, phi o phi, ...]
-    assert len(calls) == max(_by_col(rep, r, "coll_m") for r in rep.rows)
+    (row,) = rep.rows
+    assert _by_col(rep, row, "coll_m") == 12
+    assert _by_col(rep, row, "coll_l") == 0
+    assert _by_col(rep, row, "ord_n") == 728
+    assert _by_col(rep, row, "res_mod_p") == 0
 
 
 # -- thm61 -------------------------------------------------------------------
