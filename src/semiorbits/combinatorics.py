@@ -171,22 +171,8 @@ def build_graph(F: GeneratorSet, ctx: FieldContext) -> FunctionalGraph:
     """The labeled graph on all of F_q with edges x -> phi_i(x)."""
     if ctx.q > MAX_GRAPH_SIZE:
         raise TooLarge("graph needs q <= 2^20, got q=%d" % ctx.q)
-    red = F.reduced(ctx)
-    table = np.empty((ctx.q, F.k), dtype=np.int64)
-    if ctx.s == 1:
-        xs = np.arange(ctx.p, dtype=np.int64)
-        for j, g in enumerate(red):
-            # Horner over the whole field at once; p <= 2^20 keeps
-            # products inside int64
-            acc = np.zeros(ctx.p, dtype=np.int64)
-            for c in reversed(g.coeffs):
-                acc = (acc * xs + c) % ctx.p
-            table[:, j] = acc
-    else:
-        for i in range(ctx.q):
-            x = ctx.from_index(i)
-            for j, g in enumerate(red):
-                table[i, j] = g.eval(x).index
+    xs = np.arange(ctx.q, dtype=np.int64)
+    table = np.stack([g.eval_indices(xs) for g in F.reduced(ctx)], axis=1)
     return FunctionalGraph(table, ctx)
 
 

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .errors import (
     CompositeModulus,
@@ -28,7 +31,6 @@ from .errors import (
 MAX_EXTENSION_DEGREE = 16
 MAX_FIELD_SIZE = 1 << 48
 MAX_FACTOR_ARG = 1 << 96
-_ORDER_CACHE_LIMIT = 1 << 22
 
 
 def _sieve(limit: int) -> Tuple[int, ...]:
@@ -225,7 +227,6 @@ class FieldContext:
         "_key",
         "_fact_q1",
         "_generator_idx",
-        "_order_cache",
     )
 
     def __init__(self, p: int, s: int, modulus: Sequence[int]):
@@ -250,7 +251,6 @@ class FieldContext:
         self._key = (p, s, modulus)
         self._fact_q1: Optional[Factorization] = None
         self._generator_idx: Optional[int] = None
-        self._order_cache: dict = {}
         if s >= 2:
             row0 = tuple((-m) % p for m in modulus[:s])
             rows = [row0]
@@ -515,6 +515,31 @@ class FieldPolynomial:
             return acc
         return ctx.index(self.eval(ctx.from_index(m)))
 
+    def eval_indices(self, idx) -> np.ndarray:
+        """Index-to-index evaluation of an array of field indices: the Horner steps
+        of ``eval`` on an (s, n) array of base-p digits, reduced by ``_xred``; int64
+        while 2 s p^2 < 2^63, Python ints beyond (primes above about 2^31)."""
+        ctx, p, s = self.ctx, self.ctx.p, self.ctx.s
+        coeffs = self.coeffs or (0,)
+        dtype = np.int64 if 2 * s * p * p < 1 << 63 else object
+        rest, x = np.asarray(idx, dtype=np.int64), np.empty((s, len(idx)), dtype=dtype)
+        for i in range(s - 1):  # base-p digits, lowest first
+            rest, x[i] = np.divmod(rest, p)
+        x[s - 1] = rest
+        xred = np.array(ctx._xred, dtype=dtype)
+        acc, prod = np.zeros_like(x), np.empty((2 * s - 1, len(idx)), dtype=dtype)
+        acc[0] = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            np.multiply(acc[0], x, out=prod[:s])
+            prod[s:] = 0
+            prod[0] += c
+            for i in range(1, s):
+                prod[i : i + s] += acc[i] * x
+            for t in range(2 * s - 2, s - 1, -1):
+                prod[:s] += xred[t - s, :, None] * (prod[t] % p)
+            np.remainder(prod[:s], p, out=acc)
+        return reduce(lambda m, d: m * p + d, acc[::-1]).astype(np.int64, copy=False)
+
 
 def make_prime_field(p: int) -> FieldContext:
     """F_p for prime p (deterministic primality check)."""
@@ -559,11 +584,6 @@ def mul_order(u: FieldElement) -> int:
     if u.is_zero:
         raise ZeroElement("zero has no multiplicative order")
     ctx = u.ctx
-    cache = ctx._order_cache if ctx.q <= _ORDER_CACHE_LIMIT else None
-    if cache is not None:
-        hit = cache.get(u.coeffs)
-        if hit is not None:
-            return hit
     n = ctx.q - 1
     one = ctx.one().coeffs
     order = 1
@@ -572,8 +592,6 @@ def mul_order(u: FieldElement) -> int:
         while x != one:
             x = ctx._pow(x, p)
             order *= p
-    if cache is not None:
-        cache[u.coeffs] = order
     return order
 
 

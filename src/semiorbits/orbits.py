@@ -10,8 +10,9 @@ The statistics here count iterates of small multiplicative order: m_count
 along a fixed stream, its supremum over all words of a given length,
 small-order points among the level sets of the whole system, and orbits
 with greedy walk covers.  All but m_count read the successor table
-x -> phi_i(x) on field indices: ``combinatorics.build_graph`` for a whole
-prime field, or ``reach_table`` over the starts' reach for any field.
+x -> phi_i(x) on field indices, which ``FieldPolynomial.eval_indices`` fills
+an index array at a time: ``combinatorics.build_graph`` for a whole field,
+or ``reach_table`` over the starts' reach.
 """
 
 from __future__ import annotations
@@ -213,20 +214,17 @@ def evaluated_successors(F: GeneratorSet, ctx: FieldContext) -> Successors:
 
 
 def _bfs(
-    seeds: Iterable[int], succ: Successors, cap: int, depth: Optional[int] = None, stop=None
+    seeds: Iterable[int], succ: Successors, cap: int, stop=None
 ) -> Tuple[Dict[int, Optional[int]], bool]:
     """Breadth-first search along ``succ`` from the seeds, in FIFO order.
 
     Returns (parent, truncated).  ``parent`` keeps discovery order and maps
-    each seed to None.  Only levels below ``depth`` are expanded (all when
-    depth is None); the search ends at the first discovered vertex with
+    each seed to None.  The search ends at the first discovered vertex with
     ``stop(v)`` true, and is truncated when it would exceed ``cap`` vertices.
     """
     parent: Dict[int, Optional[int]] = dict.fromkeys(seeds)
     frontier = list(parent)
-    level = 0
-    while frontier and level != depth:
-        level += 1
+    while frontier:
         nxt = []
         for v in frontier:
             for w in succ(v):
@@ -241,36 +239,32 @@ def _bfs(
     return parent, False
 
 
-def _depths(parent: Dict[int, Optional[int]]) -> Dict[int, int]:
-    """BFS level of every vertex of a discovery-ordered parent map."""
-    level: Dict[int, int] = {}
-    for w, v in parent.items():
-        level[w] = 0 if v is None else level[v] + 1
-    return level
-
-
 def reach_table(
     F: GeneratorSet, ctx: FieldContext, starts: Sequence[int], depth: Optional[int] = None
 ) -> Tuple[np.ndarray, Dict[int, int]]:
     """Compact successor table over the points within ``depth`` steps of the
-    starts; it evaluates only those points, each once.
-
-    Returns (table, row): ``row`` maps the field index of every reached point
-    to its table row, in BFS discovery order.  Rows on the depth limit are not
-    evaluated and loop to themselves; a kernel that runs at most ``depth``
-    steps never reads them.
-    """
-    succ = evaluated_successors(F, ctx)
-    parent, truncated = _bfs(starts, succ, MAX_GRAPH_SIZE, depth)
-    if truncated:
+    starts, evaluated a BFS level at a time with one array call per generator.
+    Returns (table, row), ``row`` mapping each reached field index to its row
+    in FIFO discovery order.  Rows on the depth limit are not evaluated and
+    loop to themselves; a kernel that runs at most ``depth`` steps never reads
+    them.  Raises TooLarge once the reach passes MAX_GRAPH_SIZE points."""
+    levels = [np.array(list(dict.fromkeys(starts)), dtype=np.int64)]
+    seen = np.sort(levels[0])  # every point found so far
+    images = [np.empty(0, np.int64)]  # each evaluated level's rows, flattened
+    while len(levels[-1]) and len(images) - 1 != depth and len(seen) <= MAX_GRAPH_SIZE:
+        img = np.stack([g.eval_indices(levels[-1]) for g in F.reduced(ctx)], axis=1).ravel()
+        images.append(img)
+        new, first = np.unique(img, return_index=True)
+        pos = np.searchsorted(seen, new)
+        fresh = seen[np.minimum(pos, len(seen) - 1)] != new
+        seen = np.insert(seen, pos[fresh], new[fresh])
+        levels.append(img[np.sort(first[fresh])])
+    if len(seen) > MAX_GRAPH_SIZE:
         raise TooLarge("the starts reach more than %d points" % MAX_GRAPH_SIZE)
-    row = {i: r for r, i in enumerate(parent)}
-    level = _depths(parent)
-    table = [
-        [row[j] for j in succ(i)] if depth is None or level[i] < depth else [r] * F.k
-        for i, r in row.items()
-    ]
-    return np.array(table, dtype=np.int64).reshape(-1, F.k), row
+    points, done = np.concatenate(levels), np.concatenate(images)  # seen is points, sorted
+    table = np.repeat(np.arange(len(points))[:, None], F.k, axis=1)
+    table[: len(done) // F.k] = np.argsort(points)[np.searchsorted(seen, done)].reshape(-1, F.k)
+    return table, dict(zip(points.tolist(), range(len(points))))
 
 
 def _levels(table: np.ndarray, r: int, N: int):
@@ -329,7 +323,10 @@ def orbit(succ: Successors, x: int, cap: int = DEFAULT_ORBIT_CAP) -> OrbitRecord
     if cap < 1:
         raise OutOfRange("orbit cap must be >= 1")
     parent, truncated = _bfs((x,), succ, cap)
-    return OrbitRecord(x, _depths(parent), truncated)
+    levels: Dict[int, int] = {}
+    for w, v in parent.items():  # discovery order: a parent precedes its children
+        levels[w] = 0 if v is None else levels[v] + 1
+    return OrbitRecord(x, levels, truncated)
 
 
 @dataclass(frozen=True)

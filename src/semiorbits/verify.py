@@ -313,8 +313,8 @@ def _grid(cfg: ExperimentConfig):
 
 
 def _whole_field(ctx: FieldContext) -> bool:
-    """A prime field within the cap takes its whole graph, one numpy pass per
-    generator; elsewhere each point costs a Python evaluation."""
+    """A prime field within the cap takes its whole graph; an extension field
+    takes the starts' reach, for a few starts far cheaper than all of F_q."""
     return ctx.s == 1 and ctx.q <= MAX_GRAPH_SIZE
 
 
@@ -424,14 +424,13 @@ def run_thm44ii(cfg: ExperimentConfig) -> ExperimentReport:
                 counts += qual[v]
             best, argw = int(counts.max()), ws[int(counts.argmax())]
             assert best == m_count(F, stream, ctx.from_index(argw), t, N)
-        else:
-            best, argw = -1, None
-            for w in ws:
-                M = m_count(F, stream, ctx.from_index(w), t, N)
-                if M > best:
-                    best, argw = M, w
-        flag = 1 if best > bound else 0
-        rows.append((p, t, N, len(ws), best, argw, bound, best / bound, flag))
+        else:  # a prime without starts has no maximum: its cells are "."
+            found = [m_count(F, stream, ctx.from_index(w), t, N) for w in ws]
+            best = max(found, default=None)
+            argw = ws[found.index(best)] if found else None
+        ratio = None if best is None else best / bound
+        flag = 1 if ratio is not None and best > bound else 0
+        rows.append((p, t, N, len(ws), best, argw, bound, ratio, flag))
     exceptional = sum(r[-1] for r in rows)
     if P >= 3:
         notes["p_over_log_p"] = P / math.log(P)

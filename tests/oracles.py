@@ -2,7 +2,8 @@
 
 Everything here recomputes a library quantity by a different method:
 determinant resultants instead of remainder sequences, exhaustive powering
-instead of factored orders, closure iteration instead of BFS, word
+instead of factored orders, closure iteration instead of BFS, per-point
+breadth-first search instead of level-at-a-time array evaluation, word
 enumeration instead of table dynamic programming and level-set masks, dict
 BFS instead of level unions, explicit state-space search instead of greedy
 covering, and Z[X] composites with integer resultants instead of the field
@@ -145,6 +146,30 @@ def closure_orbit(F, x):
         seen |= nxt
         frontier = nxt
     return seen
+
+
+def bfs_reach_table(F, ctx, starts, depth=None):
+    """The successor table over the starts' reach within ``depth`` steps, by a
+    per-point FIFO breadth-first search that evaluates one point at a time.
+
+    Rows follow discovery order; rows on the depth limit loop to themselves.
+    No size guard.
+    """
+    red = F.reduced(ctx)
+    level = dict.fromkeys(starts, 0)
+    queue = list(level)
+    images = {}
+    for v in queue:  # the queue grows while it is read
+        if level[v] == depth:
+            continue
+        images[v] = [g.eval_index(v) for g in red]
+        for w in images[v]:
+            if w not in level:
+                level[w] = level[v] + 1
+                queue.append(w)
+    row = {v: r for r, v in enumerate(level)}
+    table = [[row[w] for w in images[v]] if v in images else [r] * F.k for v, r in row.items()]
+    return np.array(table, dtype=np.int64).reshape(-1, F.k), row
 
 
 def exhaustive_level_images(F, x, N):

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semiorbits import (
     CompositeModulus,
     DegreeOutOfRange,
     FieldContext,
+    FieldPolynomial,
     OutOfRange,
     TooLarge,
     ZeroElement,
@@ -278,3 +283,50 @@ def test_field_element_hash_consistency():
     b = ctx.element(a.coeffs)
     assert a == b and hash(a) == hash(b)
     assert len({ctx.from_index(i) for i in range(ctx.q)}) == ctx.q
+
+
+# -- index-array evaluation ----------------------------------------------------
+
+BIG_PRIME = 281474976710597  # below the 2^48 cap; its products overflow int64
+
+
+def _prime_at_most(n):
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+@lru_cache(maxsize=None)
+def _field(p, s):
+    return make_extension_field(p, s)
+
+
+@st.composite
+def _eval_cases(draw):
+    """A field F_{p^s} with q <= 2^16 (or F_p for a prime near 2^48), a
+    polynomial of degree < 7 over its prime subfield, and indices into it."""
+    if draw(st.integers(0, 9)) == 0:
+        p, s = BIG_PRIME, 1
+    else:
+        s = draw(st.integers(1, 16))
+        p = _prime_at_most(draw(st.integers(2, int(2 ** (16 / s)))))
+    coeffs = draw(st.lists(st.integers(0, p - 1) | st.just(0), max_size=7))
+    idx = draw(st.lists(st.integers(0, p**s - 1), max_size=12))
+    return p, s, coeffs, idx
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_eval_cases())
+@example(case=(2, 16, [], [0, 1, 65535]))  # the zero polynomial
+@example(case=(3, 10, [2], [5, 59048]))  # a constant
+@example(case=(BIG_PRIME, 1, [5, 0, 3, BIG_PRIME - 1], [0, 1, BIG_PRIME - 1]))
+@example(case=(7, 3, [1, 2, 3], []))  # no points
+@example(case=(65521, 1, [3, 1, 4, 1], [0, 65520]))
+@example(case=(251, 2, [0, 0, 1], [250, 251 * 251 - 1]))
+def test_eval_indices_matches_eval(case):
+    p, s, coeffs, idx = case
+    ctx = _field(p, s)
+    g = FieldPolynomial(ctx, coeffs)
+    got = g.eval_indices(np.array(idx, dtype=np.int64))
+    assert got.dtype == np.int64 and got.shape == (len(idx),)
+    assert got.tolist() == [g.eval(ctx.from_index(i)).index for i in idx]

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+import semiorbits.orbits as orbits
 from semiorbits import (
     DegenerateGenerator,
     DegreeTooSmall,
@@ -15,7 +16,9 @@ from semiorbits import (
     GeneratorSet,
     IntPolynomial,
     LetterOutOfRange,
+    FieldPolynomial,
     OutOfRange,
+    TooLarge,
     Truncated,
     WordStream,
     apply_word,
@@ -37,6 +40,7 @@ from semiorbits import (
     theorem46_lhs,
 )
 from oracles import (
+    bfs_reach_table,
     closure_orbit,
     exhaustive_level_images,
     exhaustive_small_order_count,
@@ -369,3 +373,81 @@ def test_theorem46_lhs():
     assert theorem46_lhs(3, 2, 2, 2) == pytest.approx(2 * math.log(3) + 2 * math.log(2))
     with pytest.raises(OutOfRange):
         theorem46_lhs(2, 0, 1, 1)
+
+
+# -- reach tables ---------------------------------------------------------------
+
+# F_1048583 and F_{3^13} lie above the whole-graph cap; the last prime needs
+# Python-int arithmetic (its products overflow int64)
+REACH_FIELDS = ((5, 1), (7, 1), (2, 4), (3, 3), (2, 8), (5, 3), (2, 13), (1048583, 1),
+                (3, 13), (281474976710597, 1))
+
+
+def _assert_same_reach(got, want):
+    (table, row), (want_table, want_row) = got, want
+    assert list(row.items()) == list(want_row.items())  # same rows, same order
+    assert table.dtype == np.int64 and table.shape == want_table.shape
+    assert (table == want_table).all()
+
+
+def _system_on(rng, ctx, k, max_deg=3):
+    """A random system that stays of degree >= 2 modulo the field's prime."""
+    while True:
+        F = _random_system(rng, k, max_deg)
+        try:
+            F.reduced(ctx)
+            return F
+        except DegenerateGenerator:
+            continue
+
+
+def test_reach_table_matches_per_point_bfs_seeded():
+    rng = random.Random(20)
+    checked = 0
+    for p, s in REACH_FIELDS:
+        ctx = make_extension_field(p, s)
+        for _ in range(4):
+            F = _system_on(rng, ctx, rng.randint(1, 3), max_deg=4)
+            starts = [rng.randrange(ctx.q) for _ in range(rng.randint(1, 5))]
+            starts += starts[:1]  # a repeated start keeps its first row
+            for depth in ([None] if ctx.q <= 1 << 12 else []) + [0, 1, 2, 5]:
+                want = bfs_reach_table(F, ctx, starts, depth)
+                _assert_same_reach(reach_table(F, ctx, starts, depth), want)
+                checked += 1
+    assert checked == 184  # 4 systems per field; whole reach on the 6 below 2^12
+    table, row = reach_table(PAIR, F7, [])
+    assert table.shape == (0, 2) and row == {}
+
+
+def test_successor_tables_evaluate_no_point_alone(monkeypatch):
+    # build_graph and reach_table evaluate index arrays only; a per-point
+    # evaluation anywhere inside them fails
+    F = GeneratorSet([parse_poly("X^2 + 1"), parse_poly("X^3 + 2")])
+    fields = [make_prime_field(1048583), make_extension_field(3, 13)]
+    want = [bfs_reach_table(F, ctx, [1, 2, 3, 12345], 5) for ctx in fields]
+    graphs = {ps: build_graph(F, make_extension_field(*ps)).table for ps in ((1009, 1), (2, 12))}
+
+    def refuse(*args):
+        raise AssertionError("a successor table evaluated a single point")
+
+    monkeypatch.setattr(FieldPolynomial, "eval", refuse)
+    monkeypatch.setattr(FieldPolynomial, "eval_index", refuse)
+    for ctx, expected in zip(fields, want):
+        _assert_same_reach(reach_table(F, ctx, [1, 2, 3, 12345], 5), expected)
+    for ps, table in graphs.items():
+        assert (build_graph(F, make_extension_field(*ps)).table == table).all()
+
+
+def test_reach_table_guard_trips_exactly_above_the_cap(monkeypatch):
+    rng = random.Random(21)
+    for ctx in (make_prime_field(1009), make_extension_field(2, 10)):
+        for depth in (None, 0, 1, 3):
+            F = _system_on(rng, ctx, 2)
+            starts = [rng.randrange(ctx.q) for _ in range(3)]
+            table, row = bfs_reach_table(F, ctx, starts, depth)
+            reach = len(row)
+            monkeypatch.setattr(orbits, "MAX_GRAPH_SIZE", reach)
+            _assert_same_reach(reach_table(F, ctx, starts, depth), (table, row))
+            monkeypatch.setattr(orbits, "MAX_GRAPH_SIZE", reach - 1)
+            with pytest.raises(TooLarge):
+                reach_table(F, ctx, starts, depth)

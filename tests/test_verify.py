@@ -304,6 +304,23 @@ def test_thm44ii_degenerate_prime_range():
     assert "p_over_log_p" not in rep.summary
 
 
+def test_thm44ii_prime_without_starts_has_no_maximum():
+    # no starts, no max_M: its cells are "." (never a -1 sentinel) and the
+    # prime is not exceptional
+    grid = dict(experiment="thm44ii", generators=["X^2 + 1", "X^3 + 2"], prime_max=13,
+                t=4, N=5, stream={"kind": "periodic", "period": [1, 2]})
+    for empty in (dict(sample=0), dict(starts=[])):
+        rep = run_experiment(_cfg(**grid, **empty))
+        assert [_by_col(rep, row, "p") for row in rep.rows] == [2, 3, 5, 7, 11, 13]
+        for row in rep.rows:
+            assert _by_col(rep, row, "starts") == 0
+            assert _by_col(rep, row, "exceptional") == 0
+            for name in ("max_M", "argmax_w", "ratio"):
+                assert _by_col(rep, row, name) is None
+        assert rep.summary["exceptional"] == 0
+        assert rep.to_csv().splitlines()[1] == "2,4,5,0,.,.,7.21347520444,.,0"
+
+
 def _per_start_thm44ii(cfg, rep):
     """Check every row's max_M and argmax_w against per-start m_count."""
     F = GeneratorSet([parse_poly(g) for g in cfg.generators])
@@ -314,7 +331,7 @@ def _per_start_thm44ii(cfg, rep):
         ws = verify._starts(cfg, ctx.q)
         counts = [m_count(F, stream, ctx.from_index(w), cfg.t, cfg.N) for w in ws]
         assert _by_col(rep, row, "starts") == len(ws)
-        best = max(counts, default=-1)
+        best = max(counts, default=None)
         assert _by_col(rep, row, "max_M") == best
         assert _by_col(rep, row, "argmax_w") == (ws[counts.index(best)] if ws else None)
 
@@ -339,7 +356,7 @@ def test_thm44ii_walk_matches_m_count():
         _per_start_thm44ii(cfg, rep)
         if grid.get("starts") == []:
             assert {(_by_col(rep, r, "starts"), _by_col(rep, r, "max_M"),
-                     _by_col(rep, r, "argmax_w")) for r in rep.rows} == {(0, -1, None)}
+                     _by_col(rep, r, "argmax_w")) for r in rep.rows} == {(0, None, None)}
     # a letter naming no generator fails once a start is walked, not before
     bad = dict(experiment="thm44ii", generators=gens, t=2, N=5,
                stream={"kind": "periodic", "period": [1, 3]})
@@ -347,7 +364,7 @@ def test_thm44ii_walk_matches_m_count():
         run_experiment(_cfg(prime_max=13, **bad))
     assert str(err.value) == "letter 3 outside [1, 2]"
     assert run_experiment(_cfg(prime_max=1, **bad)).rows == []
-    assert run_experiment(_cfg(prime_max=13, starts=[], **bad)).rows[0][3:6] == (0, -1, None)
+    assert run_experiment(_cfg(prime_max=13, starts=[], **bad)).rows[0][3:6] == (0, None, None)
 
 
 def test_thm44ii_prime_fields_walk_all_starts_at_once(monkeypatch):
