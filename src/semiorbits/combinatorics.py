@@ -5,15 +5,17 @@ consecutive differences of any T visit times inside [0, N]; the pair counter
 replays that argument along an orbit to produce witness pairs a fixed step t
 apart.  The functional graph is the k-out-regular digraph on F_q with edges
 x -> phi_i(x); on it live the N-ball d(u, v) <= N from the level-set kernel
-shared with ``orbits``, the L_N vertex counts, and an exhaustive search for
-witness word tuples maximizing L_N.
+shared with ``orbits``, the L_N vertex counts, and the search for witness
+word tuples maximizing L_N, which scores every word subset in one
+bit-packed pass over the ball and keeps the first maximum in
+``itertools.combinations`` order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -28,6 +30,7 @@ from .ff import FieldContext, FieldElement
 from .orbits import MAX_GRAPH_SIZE, GeneratorSet, Word, WordStream, letter_index, level_union
 
 WITNESS_SEARCH_GUARD = 1 << 22
+WITNESS_BLOCK_BYTES = 1 << 18  # the largest scoring temporary of the witness search
 
 
 def b_tree_size(k: int, h: int) -> int:
@@ -177,9 +180,16 @@ def build_graph(F: GeneratorSet, ctx: FieldContext) -> FunctionalGraph:
 
 
 def _vertex_mask(g: FunctionalGraph, vertices: Iterable) -> np.ndarray:
+    """Boolean mask of a vertex set: an integer index array, or any iterable
+    of indices and field elements."""
+    if not (isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iu"):
+        vertices = [v.index if isinstance(v, FieldElement) else int(v) for v in vertices]
+    idx = np.asarray(vertices, dtype=np.int64)
+    bad = idx[(idx < 0) | (idx >= g.n)]
+    if len(bad):
+        raise OutOfRange("vertex index %d outside [0, %d)" % (bad[0], g.n))
     mask = np.zeros(g.n, dtype=bool)
-    for v in vertices:
-        mask[g._idx(v)] = True
+    mask[idx] = True
     return mask
 
 
@@ -224,17 +234,38 @@ class WitnessSearchResult:
         return iter((self.words, self.count))
 
 
+def _packed_word_bits(g: FunctionalGraph, rows, ok, h: int) -> np.ndarray:
+    """ok[w(v)] for every v in rows, bit-packed into one uint64 row per word of
+    length <= h (by length, then lexicographically).  One gather per length
+    extends every word w to w.a, at index k * index(w) + a - 1."""
+    img, packed = rows[None, :], []
+    for _ in range(h):
+        img = g.table[img].transpose(0, 2, 1).reshape(-1, len(rows))
+        packed.append(np.packbits(ok[img], axis=1, bitorder="little"))
+    bits = np.concatenate(packed)
+    bits = np.pad(bits, ((0, 0), (0, -bits.shape[1] % 8)))
+    return np.ascontiguousarray(bits).view(np.uint64)
+
+
 def find_witness_words(
     g: FunctionalGraph, u, A: Iterable, N: int, h: int, l: int, c: float = 0.0
 ) -> WitnessSearchResult:
-    """Exhaustive argmax of l_n_count over l distinct words of length <= h.
+    """Argmax of l_n_count over l distinct words of length <= h.
 
-    Words are ordered by length then lexicographically and subsets are
-    scanned in that order, so ties resolve deterministically.  The search
-    does not require the counting lemma's hypothesis; it records whether
-    #(ball in A) >= max{3 B(k,h), (3l/h) #ball} held.  When it held and a
-    positive constant c is supplied, the lemma's lower bound with that c
-    is asserted.
+    Words are ordered by length then lexicographically, and the first
+    maximum in ``itertools.combinations`` order wins.  Every subset is
+    scored, in one bit-packed pass over the ball's rows: a word's row holds
+    the ball points v with w(v) in the ball and in A, the rows of each
+    (l-1)-prefix are ANDed once, and a popcount scores the prefix against
+    every later word.  Prefixes go in blocks whose largest temporary stays
+    within WITNESS_BLOCK_BYTES; within a block a row-major argmax, with
+    words not after the prefix masked out, finds the first maximum, and a
+    later block replaces it only with a strictly larger count.
+
+    The search does not require the counting lemma's hypothesis; it records
+    whether #(ball in A) >= max{3 B(k,h), (3l/h) #ball} held.  When it held
+    and a positive constant c is supplied, the lemma's lower bound with that
+    c is asserted.
     """
     if h < 1 or l < 1:
         raise OutOfRange("need h >= 1 and l >= 1")
@@ -245,29 +276,29 @@ def find_witness_words(
     words: List[Word] = [
         w for n in range(1, h + 1) for w in product(range(1, g.k + 1), repeat=n)
     ]
-    if len(words) < l:
+    W = len(words)
+    if W < l:
         raise OutOfRange("fewer than l distinct words of length <= h exist")
     r = g._idx(u)
     near = level_union(g.table, r, N)  # the ball d(u, v) <= N: u and levels 1..N
     near[r] = True
-    in_a = _vertex_mask(g, A)
-    quals = []
-    for w in words:
-        img = g.word_images(w)
-        quals.append(near[img] & in_a[img])
+    ok = near & _vertex_mask(g, A)
+    bits = _packed_word_bits(g, np.flatnonzero(near), ok, h)
     ball = int(np.count_nonzero(near))
-    ball_in_a = int(np.count_nonzero(near & in_a))
+    ball_in_a = int(np.count_nonzero(ok))
     B = b_tree_size(g.k, h)
     hypothesis_met = ball_in_a >= max(3 * B, (3 * l / h) * ball)
-    best = -1
-    best_combo = None
-    for combo in combinations(range(len(words)), l):
-        keep = near
-        for i in combo:
-            keep = keep & quals[i]
-        cnt = int(np.count_nonzero(keep))
-        if cnt > best:
-            best, best_combo = cnt, combo
+    best, best_combo = -1, None
+    block = max(1, WITNESS_BLOCK_BYTES // (8 * W * bits.shape[1]))
+    prefixes = combinations(range(W - 1), l - 1)  # the last word comes later
+    while chunk := list(islice(prefixes, block)):
+        pre = np.array(chunk, dtype=np.int64).reshape(len(chunk), l - 1)
+        both = np.bitwise_and.reduce(bits[pre], axis=1)[:, None, :] & bits
+        counts = np.bitwise_count(both).sum(axis=2, dtype=np.int64)
+        np.copyto(counts, -1, where=np.arange(W) <= (pre[:, -1:] if l > 1 else -1))
+        j, i = divmod(int(np.argmax(counts)), W)
+        if counts[j, i] > best:
+            best, best_combo = int(counts[j, i]), chunk[j] + (i,)
     target = (h / B ** (l + 1)) * ball
     if hypothesis_met and c > 0:
         assert best >= c * target, "witness count fell below c * target"

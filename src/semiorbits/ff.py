@@ -31,6 +31,7 @@ from .errors import (
 MAX_EXTENSION_DEGREE = 16
 MAX_FIELD_SIZE = 1 << 48
 MAX_FACTOR_ARG = 1 << 96
+EVAL_BLOCK = 1 << 12  # points per eval_indices pass; bounds its memory on large fields
 
 
 def _sieve(limit: int) -> Tuple[int, ...]:
@@ -518,11 +519,19 @@ class FieldPolynomial:
     def eval_indices(self, idx) -> np.ndarray:
         """Index-to-index evaluation of an array of field indices: the Horner steps
         of ``eval`` on an (s, n) array of base-p digits, reduced by ``_xred``; int64
-        while 2 s p^2 < 2^63, Python ints beyond (primes above about 2^31)."""
+        while 2 s p^2 < 2^63, Python ints beyond (primes above about 2^31).  Runs
+        on EVAL_BLOCK points at a time, so memory stays bounded on any field."""
+        idx = np.asarray(idx, dtype=np.int64)
+        out = np.empty(len(idx), dtype=np.int64)
+        for lo in range(0, len(idx), EVAL_BLOCK):
+            out[lo : lo + EVAL_BLOCK] = self._eval_block(idx[lo : lo + EVAL_BLOCK])
+        return out
+
+    def _eval_block(self, idx: np.ndarray) -> np.ndarray:
         ctx, p, s = self.ctx, self.ctx.p, self.ctx.s
         coeffs = self.coeffs or (0,)
         dtype = np.int64 if 2 * s * p * p < 1 << 63 else object
-        rest, x = np.asarray(idx, dtype=np.int64), np.empty((s, len(idx)), dtype=dtype)
+        rest, x = idx, np.empty((s, len(idx)), dtype=dtype)
         for i in range(s - 1):  # base-p digits, lowest first
             rest, x[i] = np.divmod(rest, p)
         x[s - 1] = rest
@@ -538,7 +547,7 @@ class FieldPolynomial:
             for t in range(2 * s - 2, s - 1, -1):
                 prod[:s] += xred[t - s, :, None] * (prod[t] % p)
             np.remainder(prod[:s], p, out=acc)
-        return reduce(lambda m, d: m * p + d, acc[::-1]).astype(np.int64, copy=False)
+        return reduce(lambda m, d: m * p + d, acc[::-1])
 
 
 def make_prime_field(p: int) -> FieldContext:

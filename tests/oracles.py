@@ -5,10 +5,11 @@ determinant resultants instead of remainder sequences, exhaustive powering
 instead of factored orders, closure iteration instead of BFS, per-point
 breadth-first search instead of level-at-a-time array evaluation, word
 enumeration instead of table dynamic programming and level-set masks, dict
-BFS instead of level unions, explicit state-space search instead of greedy
-covering, and Z[X] composites with integer resultants instead of the field
-argument behind the collision diagnostic.  They are deliberately slow
-and simple.
+BFS instead of level unions, a subset-by-subset scan of per-vertex counts
+instead of the bit-packed witness search, explicit state-space search
+instead of greedy covering, and Z[X] composites with integer resultants
+instead of the field argument behind the collision diagnostic.  They are
+deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -303,6 +304,18 @@ def naive_l_n_count(graph, u, members, N, words):
         if ok:
             count += 1
     return count
+
+
+def exhaustive_witness_words(graph, u, members, N, h, l):
+    """First argmax of naive_l_n_count over combinations(pool, l), the pool
+    being every word of length <= h by length, then lexicographically."""
+    pool = [w for n in range(1, h + 1) for w in product(range(1, graph.k + 1), repeat=n)]
+    best, best_words = -1, None
+    for words in combinations(pool, l):
+        count = naive_l_n_count(graph, u, members, N, words)
+        if count > best:
+            best, best_words = count, words
+    return best_words, best
 
 
 def build_tree_nodes(k, h):

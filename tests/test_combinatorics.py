@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semiorbits import (
@@ -29,8 +31,15 @@ from semiorbits import (
     pair_step_count,
     parse_poly,
 )
+import semiorbits.combinatorics as combinatorics
 from semiorbits.orbits import _levels, level_union
-from oracles import bfs_distances, build_tree_nodes, level_sets_by_words, naive_l_n_count
+from oracles import (
+    bfs_distances,
+    build_tree_nodes,
+    exhaustive_witness_words,
+    level_sets_by_words,
+    naive_l_n_count,
+)
 
 F5 = make_prime_field(5)
 F7 = make_prime_field(7)
@@ -309,6 +318,103 @@ def test_find_witness_words_guard():
         find_witness_words(g, 0, {0}, 2, h=6, l=3)
     with pytest.raises(OutOfRange):
         find_witness_words(g, 0, {0}, 2, h=1, l=9)
+
+
+def test_vertex_sets_from_index_arrays_and_elements():
+    g = build_graph(PAIR, F7)
+    arr = np.array([6, 0, 3, 3])
+    mixed = [F7.element(6), 0, np.int64(3)]
+    for A in (arr, arr.astype(np.int32), mixed, {0, 3, 6}, range(0, 7, 3)):
+        assert np.flatnonzero(combinatorics._vertex_mask(g, A)).tolist() == [0, 3, 6]
+    assert not combinatorics._vertex_mask(g, np.array([], dtype=np.int64)).any()
+    assert l_n_count(g, 2, arr, 2, [(1,)]) == l_n_count(g, 2, mixed, 2, [(1,)])
+    res = find_witness_words(g, 2, arr, 2, h=2, l=2)
+    assert res == find_witness_words(g, 2, mixed, 2, h=2, l=2)
+    for bad in (np.array([0, 7]), np.array([-1]), [0, 7], (-1,)):
+        with pytest.raises(OutOfRange):
+            l_n_count(g, 2, bad, 2, [(1,)])
+        with pytest.raises(OutOfRange):
+            find_witness_words(g, 2, bad, 2, h=1, l=1)
+
+
+# (k, h, l): every l <= 3 for k = 1, 2, 3, and l equal to the number of words
+# (k = 1, h = 3; k = 2, h = 1; k = 3, h = 1), with at most 91 subsets
+WITNESS_SHAPES = [
+    (1, 1, 1), (1, 3, 1), (1, 3, 2), (1, 3, 3), (1, 5, 3),
+    (2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 3, 2),
+    (3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 2, 1), (3, 2, 2),
+]
+
+
+def _witness_case(seed, m, k, density):
+    """A k-labeled graph, start, N and set A drawn from the seed.
+
+    With m, the start's ball is exactly m rows: a path under letter 1 whose
+    last row steps out at distance m = N + 1, the other letters stepping
+    back along the path, so row i stays at distance i; the rows are then
+    relabeled at random.  Without m, the table is uniformly random on at
+    most 40 rows.
+    """
+    rng = random.Random(seed)
+    if m is None:
+        n = rng.randint(1, 40)
+        table = [[rng.randrange(n) for _ in range(k)] for _ in range(n)]
+        u, N = rng.randrange(n), rng.randint(0, 6)
+    else:
+        n = m + rng.randint(1, 6)
+        table = [
+            [i + 1] + [rng.randrange(i + 1) for _ in range(k - 1)]
+            if i < m
+            else [rng.randrange(n) for _ in range(k)]
+            for i in range(n)
+        ]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabeled = [None] * n
+        for i, row in enumerate(table):
+            relabeled[perm[i]] = [perm[j] for j in row]
+        table, u, N = relabeled, perm[0], m - 1
+    A = {v for v in range(n) if rng.random() < density}
+    return FunctionalGraph(table), u, A, N
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from([None, None, 63, 64, 65, 129]),
+    shape=st.sampled_from(WITNESS_SHAPES),
+    density=st.sampled_from([0.3, 0.7, 1.0]),
+    block=st.sampled_from([1, 512, combinatorics.WITNESS_BLOCK_BYTES]),
+)
+@example(seed=1, m=63, shape=(2, 2, 3), density=0.7, block=1)
+@example(seed=2, m=64, shape=(3, 2, 2), density=0.7, block=512)
+@example(seed=3, m=65, shape=(2, 3, 2), density=0.7, block=1)
+@example(seed=4, m=129, shape=(1, 5, 3), density=0.3, block=1)
+@example(seed=5, m=129, shape=(3, 1, 3), density=1.0, block=1 << 20)
+def test_witness_search_matches_exhaustive_scan(seed, m, shape, density, block):
+    # block 1 puts every prefix in a block of its own, block 512 a few
+    k, h, l = shape
+    g, u, A, N = _witness_case(seed, m, k, density)
+    with mock.patch.object(combinatorics, "WITNESS_BLOCK_BYTES", block):
+        res = find_witness_words(g, u, A, N, h, l)
+    assert (res.words, res.count) == exhaustive_witness_words(g, u, A, N, h, l)
+    if m is not None:
+        assert res.ball == m
+
+
+def test_witness_search_memory_stays_within_its_block():
+    # 325,500 subsets (k = 2, h = 6, l = 3: C(126, 3)) in 30 blocks of prefixes;
+    # scoring every prefix in one block peaks at about 16 MB
+    rng = random.Random(11)
+    g, u, A, N = _witness_case(rng.randrange(2**32), 64, 2, 0.8)
+    tracemalloc.start()
+    try:
+        res = find_witness_words(g, u, A, N, h=6, l=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert res.count == naive_l_n_count(g, u, A, N, res.words)
 
 
 @st.composite

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from functools import lru_cache
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from semiorbits import (
     omega_distinct_primes,
     small_order_set,
 )
+import semiorbits.ff as ff
 from oracles import (
     all_orders_prime_field,
     irreducible_by_trial_division,
@@ -330,3 +333,34 @@ def test_eval_indices_matches_eval(case):
     got = g.eval_indices(np.array(idx, dtype=np.int64))
     assert got.dtype == np.int64 and got.shape == (len(idx),)
     assert got.tolist() == [g.eval(ctx.from_index(i)).index for i in idx]
+
+
+def test_eval_indices_in_blocks_matches_eval():
+    # F_{2^13} spans two blocks of EVAL_BLOCK points
+    ctx = _field(2, 13)
+    g = FieldPolynomial(ctx, [1, 0, 1, 1])
+    want = [g.eval(ctx.from_index(i)).index for i in range(ctx.q)]
+    assert g.eval_indices(np.arange(ctx.q)).tolist() == want
+    rng = random.Random(5)
+    with mock.patch.object(ff, "EVAL_BLOCK", 5):  # 23 points: 4 full blocks and 3
+        for p, s, coeffs in ((3, 4, [2, 1, 0, 1]), (BIG_PRIME, 1, [5, 0, 3]), (7, 2, [])):
+            ctx = _field(p, s)
+            g = FieldPolynomial(ctx, coeffs)
+            idx = [rng.randrange(ctx.q) for _ in range(23)]
+            got = g.eval_indices(np.array(idx, dtype=np.int64))
+            assert got.tolist() == [g.eval(ctx.from_index(i)).index for i in idx]
+
+
+def test_eval_indices_memory_is_bounded_by_the_block():
+    # all of F_{2^16} in one call: the input and the output take 0.5 MB each,
+    # and one pass over every point at once held about 40 MB of digit arrays
+    ctx = _field(2, 16)
+    g = FieldPolynomial(ctx, [1, 0, 1])
+    xs = np.arange(ctx.q)
+    tracemalloc.start()
+    try:
+        g.eval_indices(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20

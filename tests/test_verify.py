@@ -632,6 +632,36 @@ def test_thm61_row_consistency():
     assert _by_col(rep, row, "bound") == pytest.approx(bound)
 
 
+# thm61 rows with l = 3 on F_{2^8} (h = 4: C(30, 3) = 4060 word triples per start),
+# (t, N) -> [(w, L_N, words)], as the subset-by-subset witness scan reported them
+THM61_WORDS_FROZEN = {
+    (17, 6): [
+        (3, 13, "1-1-2-2|2-1-1-2|2-2-1-1"),
+        (17, 13, "1-1-2-2|2-1-1-2|2-2-1-1"),
+        (100, 7, "1-2-2|1-1-1-2|1-2-1-1"),
+        (200, 8, "1-2|1-1-1-2|1-2-1-1"),
+        (45, 4, "2|2-2|1-1-2"),
+    ],
+    (255, 5): [
+        (3, 18, "1|2|1-2"),
+        (17, 18, "1|2|1-2"),
+        (100, 16, "1|2|2-2"),
+        (200, 18, "1|2|1-2"),
+        (45, 19, "1|2|1-2"),
+    ],
+}
+
+
+@pytest.mark.parametrize("t, N", sorted(THM61_WORDS_FROZEN))
+def test_thm61_frozen_witness_words(t, N):
+    rep = run_experiment(
+        _cfg(experiment="thm61", generators=["X^2 + 1", "X^3 + 2"], primes=[2], s=8,
+             t=t, N=N, h=4, l=3, starts=[3, 17, 100, 200, 45])
+    )
+    got = [tuple(_by_col(rep, row, c) for c in ("w", "L_N", "words")) for row in rep.rows]
+    assert got == THM61_WORDS_FROZEN[t, N]
+
+
 def test_thm61_h_from_n():
     rep = run_experiment(
         _cfg(
