@@ -52,6 +52,7 @@ from .intpoly import (
     composition_height_bound,
     conjugate_linear,
     cyclotomic,
+    cyclotomic_charpoly,
     format_poly,
     height,
     is_special,
@@ -62,17 +63,13 @@ from .intpoly import (
 )
 from .orbits import (
     GeneratorSet,
-    MCountDetail,
     OrbitRecord,
     Word,
     WordStream,
-    apply_word,
     count_small_order_points,
     evaluated_successors,
     greedy_sequence_cover,
-    level_images,
     m_count,
-    m_count_detail,
     orbit,
     reach_table,
     stream_from_config,

@@ -13,6 +13,7 @@ bit-packed pass over the ball and keeps the first maximum in
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice, product
@@ -273,10 +274,12 @@ def find_witness_words(
         raise OutOfRange("need N >= 0")
     if g.k ** (h * l) > WITNESS_SEARCH_GUARD:
         raise ExplosionGuard("k^(h*l) exceeds the witness search guard")
+    W = g.k * b_tree_size(g.k, h)  # the words of length 1..h
+    if math.comb(W, l) > WITNESS_SEARCH_GUARD:  # k^(h*l) is 1 for one generator
+        raise ExplosionGuard("C(#words, l) exceeds the witness search guard")
     words: List[Word] = [
         w for n in range(1, h + 1) for w in product(range(1, g.k + 1), repeat=n)
     ]
-    W = len(words)
     if W < l:
         raise OutOfRange("fewer than l distinct words of length <= h exist")
     r = g._idx(u)

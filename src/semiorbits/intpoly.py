@@ -1,6 +1,7 @@
 """Arbitrary-precision integer polynomials.
 
 Ring operations, composition, cyclotomic polynomials by exact division,
+characteristic polynomials of f(ζ) over the primitive r-th roots of unity,
 resultants via the subresultant polynomial remainder sequence, logarithmic
 Weil heights of primitive integer polynomials, normalized Chebyshev forms,
 and classification of polynomials up to rational linear conjugacy.
@@ -24,7 +25,7 @@ from .errors import (
     PolynomialParseError,
     ZeroPolynomial,
 )
-from .ff import FieldContext, FieldPolynomial
+from .ff import FieldContext, FieldPolynomial, euler_phi, factorize
 
 MAX_CYCLOTOMIC_INDEX = 100000
 
@@ -283,6 +284,42 @@ def cyclotomic(n: int) -> IntPolynomial:
             poly = _exact_div(poly, cyclotomic(d))
     _cyclo_cache[n] = poly
     return poly
+
+
+def cyclotomic_charpoly(f: IntPolynomial, r: int) -> IntPolynomial:
+    """χ_r(Y) = prod (Y - f(ζ)) over the primitive r-th roots of unity ζ.
+
+    Monic of degree n = phi(r), and Res(χ_r, g) = Res(Φ_r, g∘f) for every g:
+    both are the product of g(f(ζ)).  The power sums p_k of the f(ζ) weight
+    f^k mod X^r - 1 by Ramanujan's sums, the sums of ζ^j; Newton's identities
+    k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1) then give the coefficient
+    c_k of Y^(n-k) by exact division.  About n r (deg f + 1) multiplications
+    (composed products: Bostan, Flajolet, Salvy, Schost, JSC 41, 2006).
+    """
+    if not 1 <= r <= MAX_CYCLOTOMIC_INDEX:
+        raise OutOfRange("cyclotomic index must satisfy 1 <= r <= %d" % MAX_CYCLOTOMIC_INDEX)
+    n = euler_phi(r)
+    ramanujan = {}  # m -> mu(m) n / phi(m), the sum of ζ^j when r / gcd(j, r) = m
+    for m in {r // math.gcd(j, r) for j in range(r)}:
+        pairs = factorize(m).pairs
+        ramanujan[m] = 0 if any(e > 1 for _, e in pairs) else (-1) ** len(pairs) * n // euler_phi(m)
+    trace = [ramanujan[r // math.gcd(j, r)] for j in range(r)]
+    fr = [sum(f.coeffs[i::r]) for i in range(r)]  # f mod X^r - 1
+    power, p = [1] + [0] * (r - 1), [n]  # f^k mod X^r - 1, and p_k
+    for _ in range(n):
+        nxt = [0] * r
+        for i, a in enumerate(fr):
+            if a:  # add a X^i power: power rotated by i
+                nxt = [x + a * y for x, y in zip(nxt, power[r - i:] + power[: r - i])]
+        power = nxt
+        p.append(sum(x * t for x, t in zip(power, trace)))
+    c = [1]
+    for k in range(1, n + 1):
+        q, rem = divmod(-p[k] - sum(c[i] * p[k - i] for i in range(1, k)), k)
+        if rem:
+            raise ArithmeticError("Newton's identities gave an inexact division")
+        c.append(q)
+    return IntPolynomial(reversed(c))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -193,15 +193,6 @@ def letter_index(letter: int, k: int) -> int:
     return letter - 1
 
 
-def apply_word(F: GeneratorSet, word: Sequence[int], x: FieldElement) -> FieldElement:
-    """Apply the composition picked by ``word`` (first letter first)."""
-    red = F.reduced(x.ctx)
-    v = x
-    for letter in word:
-        v = red[letter_index(letter, F.k)].eval(v)
-    return v
-
-
 def evaluated_successors(F: GeneratorSet, ctx: FieldContext) -> Successors:
     """Successor source that evaluates the reduced generators, once per point."""
     red = F.reduced(ctx)
@@ -290,16 +281,6 @@ def level_union(table: np.ndarray, r: int, N: int) -> np.ndarray:
     return seen
 
 
-def level_images(F: GeneratorSet, x: FieldElement, N: int) -> List[Set[FieldElement]]:
-    """The value sets {f(x) : f a length-n composition} for n = 1..N."""
-    if N < 1:
-        raise OutOfRange("level_images requires N >= 1")
-    ctx = x.ctx
-    table, row = reach_table(F, ctx, [x.index], N)  # x is row 0
-    points = list(row)
-    return [{ctx.from_index(points[r]) for r in level} for level in _levels(table, 0, N)]
-
-
 @dataclass
 class OrbitRecord:
     """A breadth-first orbit of field indices with their first-discovery
@@ -329,38 +310,20 @@ def orbit(succ: Successors, x: int, cap: int = DEFAULT_ORBIT_CAP) -> OrbitRecord
     return OrbitRecord(x, levels, truncated)
 
 
-@dataclass(frozen=True)
-class MCountDetail:
-    count: int
-    zero_hits: int
-
-
-def m_count_detail(
-    F: GeneratorSet, stream: WordStream, x: FieldElement, t: int, N: int
-) -> MCountDetail:
+def m_count(F: GeneratorSet, stream: WordStream, x: FieldElement, t: int, N: int) -> int:
+    """#{n in [0, N-1] : the n-th iterate along the stream is nonzero and
+    has multiplicative order <= t}.  Zero iterates are skipped."""
     if N < 1:
         raise OutOfRange("m_count requires N >= 1")
     if t < 1:
         raise OutOfRange("m_count requires t >= 1")
     red = F.reduced(x.ctx)
-    v = x
-    count = 0
-    zeros = 0
+    v, count = x, 0
     for n in range(N):
         if n > 0:
             v = red[letter_index(stream.letter(n), F.k)].eval(v)
-        if v.is_zero:
-            zeros += 1
-        elif mul_order(v) <= t:
-            count += 1
-    return MCountDetail(count, zeros)
-
-
-def m_count(F: GeneratorSet, stream: WordStream, x: FieldElement, t: int, N: int) -> int:
-    """#{n in [0, N-1] : the n-th iterate along the stream is nonzero and
-    has multiplicative order <= t}.  Zero iterates are skipped (they are
-    tallied separately by :func:`m_count_detail`)."""
-    return m_count_detail(F, stream, x, t, N).count
+        count += not v.is_zero and mul_order(v) <= t
+    return count
 
 
 def sup_m_over_sequences(

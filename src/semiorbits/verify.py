@@ -41,6 +41,7 @@ from .intpoly import (
     NON_SPECIAL,
     composition_height_bound,
     cyclotomic,
+    cyclotomic_charpoly,
     format_poly,
     height,
     is_special,
@@ -63,7 +64,8 @@ from .orbits import (
 )
 
 COMPOSITION_DEGREE_CAP = 3**5
-CYCLOTOMIC_COMPOSE_CAP = 4000
+CHARPOLY_COST_CAP = 1 << 22  # phi(r) r (deg F + 1): the multiplications behind one χ_r
+RESULTANT_DEGREE_CAP = 4000  # phi(s): the degree of Φ_s in every lemma41 resultant
 
 
 def _fits(value, hint) -> bool:
@@ -572,38 +574,36 @@ def run_thm61(cfg: ExperimentConfig) -> ExperimentReport:
 def run_lemma41(cfg: ExperimentConfig) -> ExperimentReport:
     """log|Res(Phi_r, Phi_s(F))| normalized by r s (h(F) + deg F).
 
-    Zero resultants are flagged, not folded into the ratio; they mark the
-    cyclotomic-preimage coincidences the surrounding theory feeds on.
+    Each value is Res(χ_r, Φ_s), χ_r = ``cyclotomic_charpoly(F, r)`` built once
+    per (F, r).  Zero resultants are flagged, not folded into the ratio; they
+    mark the cyclotomic-preimage coincidences the surrounding theory feeds on.
     """
     gens = [parse_poly(text) for text in cfg.generators]
     if cfg.r_max < 1 or cfg.s_max < 1:
         raise ConfigError("lemma41 needs r_max >= 1 and s_max >= 1")
-    for f in gens:
-        if f.degree < 1:
-            raise ConfigError("lemma41 generators must be nonconstant")
-        for s in range(1, cfg.s_max + 1):
-            if euler_phi(s) * f.degree > CYCLOTOMIC_COMPOSE_CAP:
-                raise TooLarge(
-                    "cyclotomic composite guard: phi(s)*deg F must stay <= %d"
-                    % CYCLOTOMIC_COMPOSE_CAP
-                )
+    if any(f.degree < 1 for f in gens):
+        raise ConfigError("lemma41 generators must be nonconstant")
+    d = max(f.degree for f in gens)
+    if any(euler_phi(s) > RESULTANT_DEGREE_CAP for s in range(1, cfg.s_max + 1)) or any(
+        euler_phi(r) * r * (d + 1) > CHARPOLY_COST_CAP for r in range(1, cfg.r_max + 1)
+    ):
+        raise TooLarge("lemma41 guard: phi(s) must stay <= %d and phi(r)*r*(deg F + 1) <= %d"
+                       % (RESULTANT_DEGREE_CAP, CHARPOLY_COST_CAP))
     columns = ("generator", "r", "s", "zero", "log_abs_res", "constant")
     rows = []
+    phis = [cyclotomic(s) for s in range(1, cfg.s_max + 1)]
     for f in gens:
         text = format_poly(f)
         denom_base = height(f) + f.degree
-        composites = [cyclotomic(s).compose(f) for s in range(1, cfg.s_max + 1)]
         for r in range(1, cfg.r_max + 1):
-            phi_r = cyclotomic(r)
-            for s, phi_s_f in enumerate(composites, 1):
-                value = resultant(phi_r, phi_s_f)
+            chi = cyclotomic_charpoly(f, r)
+            for s, phi_s in enumerate(phis, 1):
+                value = resultant(chi, phi_s)
                 if value == 0:
                     rows.append((text, r, s, 1, None, None))
                 else:
                     log_res = math.log(abs(value))
-                    rows.append(
-                        (text, r, s, 0, log_res, log_res / (r * s * denom_base))
-                    )
+                    rows.append((text, r, s, 0, log_res, log_res / (r * s * denom_base)))
     return _report(cfg, columns, rows, "constant", zero_resultants=sum(r[3] for r in rows))
 
 

@@ -7,9 +7,14 @@ breadth-first search instead of level-at-a-time array evaluation, word
 enumeration instead of table dynamic programming and level-set masks, dict
 BFS instead of level unions, a subset-by-subset scan of per-vertex counts
 instead of the bit-packed witness search, explicit state-space search
-instead of greedy covering, and Z[X] composites with integer resultants
-instead of the field argument behind the collision diagnostic.  They are
-deliberately slow and simple.
+instead of greedy covering, Z[X] composites with integer resultants
+instead of the field argument behind the collision diagnostic, and
+Res(Φ_r, Φ_s∘f) from the composite instead of the characteristic polynomial
+of f(ζ_r).  They are deliberately slow and simple.
+
+``level_images`` is the exception: it reads the library's own level sets
+(``reach_table`` and ``orbits._levels``) as sets of field elements, for the
+tests that compare them with word enumeration.
 """
 
 from __future__ import annotations
@@ -19,7 +24,27 @@ from itertools import combinations, product
 
 import numpy as np
 
-from semiorbits import IntPolynomial, apply_word, cyclotomic, mul_order, resultant
+from semiorbits import IntPolynomial, OutOfRange, cyclotomic, mul_order, reach_table, resultant
+from semiorbits.orbits import _levels, letter_index
+
+
+def apply_word(F, word, x):
+    """Apply the composition picked by ``word`` (first letter first)."""
+    red = F.reduced(x.ctx)
+    v = x
+    for letter in word:
+        v = red[letter_index(letter, F.k)].eval(v)
+    return v
+
+
+def level_images(F, x, N):
+    """The value sets {f(x) : f a length-n composition} for n = 1..N."""
+    if N < 1:
+        raise OutOfRange("level_images requires N >= 1")
+    ctx = x.ctx
+    table, row = reach_table(F, ctx, [x.index], N)  # x is row 0
+    points = list(row)
+    return [{ctx.from_index(points[r]) for r in level} for level in _levels(table, 0, N)]
 
 
 def sylvester_matrix(f, g):
@@ -375,6 +400,12 @@ def collision_resultant_mod_p(phi, m, l, n, p):
         tower.append(phi.compose(tower[-1]))
     diff = tower[m] - tower[l]
     return 0 if diff.is_zero else resultant(diff, cyclotomic(n)) % p
+
+
+def lemma41_by_composites(f, r, s):
+    """Res(Φ_r, Φ_s∘f) by composing Φ_s with f in Z[X], then one resultant of
+    degree phi(r) against phi(s) deg f."""
+    return resultant(cyclotomic(r), cyclotomic(s).compose(f))
 
 
 def max_primitive_coeff(f: IntPolynomial) -> int:

@@ -30,6 +30,8 @@ grids = {
     "thm46": ["--primes", "11", "--diagnostics"],
     "thm61": ["--primes", "11", "--N", "3", "--h", "2", "--l", "1"],
     "lemma41": ["--r-max", "2", "--s-max", "2"],
+    # lemma41 builds no composites; prop21 calls IntPolynomial.compose
+    "prop21": ["--n-max", "2", "--trials", "2"],
 }
 for exp, argv in grids.items():
     path = os.path.join(out, exp + ".json")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 from unittest import mock
@@ -318,6 +319,17 @@ def test_find_witness_words_guard():
         find_witness_words(g, 0, {0}, 2, h=6, l=3)
     with pytest.raises(OutOfRange):
         find_witness_words(g, 0, {0}, 2, h=1, l=9)
+
+
+def test_find_witness_words_guard_with_one_generator():
+    # k^(h*l) is 1 for k = 1, so the subset count C(h, l) must trip the guard
+    cycle = FunctionalGraph([[(v + 1) % 50] for v in range(50)])
+    assert math.comb(300, 3) > combinatorics.WITNESS_SEARCH_GUARD
+    with pytest.raises(ExplosionGuard):
+        find_witness_words(cycle, 0, range(50), 60, h=300, l=3)
+    # h = 294 is the largest under the guard, and runs
+    assert math.comb(294, 3) <= combinatorics.WITNESS_SEARCH_GUARD < math.comb(295, 3)
+    assert find_witness_words(cycle, 0, range(50), 60, h=294, l=3).count == 50
 
 
 def test_vertex_sets_from_index_arrays_and_elements():

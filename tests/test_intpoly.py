@@ -7,7 +7,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import semiorbits.intpoly as intpoly
 from semiorbits import (
     CHEBYSHEV_CONJUGATE,
     MONOMIAL_CONJUGATE,
@@ -22,6 +25,8 @@ from semiorbits import (
     composition_height_bound,
     conjugate_linear,
     cyclotomic,
+    cyclotomic_charpoly,
+    euler_phi,
     format_poly,
     height,
     is_special,
@@ -107,6 +112,24 @@ def test_parse_roundtrip_seeded():
         assert parse_poly(format_poly(f)) == f
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    terms=st.dictionaries(
+        st.integers(0, 40), st.integers(-(10**30), 10**30).filter(bool), max_size=6
+    ),
+    lead=st.integers(-(10**6), -1),
+)
+@example(terms={}, lead=-1)  # the zero polynomial, and -1 alone
+def test_parse_format_roundtrip(terms, lead):
+    # sparse polynomials, the zero one among them, and each with its
+    # leading coefficient made negative
+    f = IntPolynomial([terms.get(i, 0) for i in range(max(terms, default=-1) + 1)])
+    g = f + IntPolynomial.x_power(f.degree + 1, lead)
+    for h in (f, g, -f):
+        assert parse_poly(format_poly(h)) == h
+    assert g.lc < 0
+
+
 def test_parse_error_positions():
     with pytest.raises(PolynomialParseError) as err:
         parse_poly("")
@@ -158,6 +181,78 @@ def test_cyclotomic_degree_is_totient():
 
     for n in (7, 8, 9, 10, 24, 100):
         assert cyclotomic(n).degree == euler_phi(n)
+
+
+def _sympy_poly(f, var):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly(list(reversed(f.coeffs)) or [0], var)
+
+
+def test_cyclotomic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("X")
+    for n in list(range(1, 61)) + [105, 210, 385, 1155]:
+        assert cyclotomic(n) == IntPolynomial(
+            reversed(sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs())
+        ), n
+
+
+def test_resultant_matches_sympy_sylvester_seeded():
+    # sympy's own Sylvester matrix and determinant.  Its ``resultant`` is not
+    # used: sympy 1.14 gives Res(X - 1, -X^3) = 1, where the Sylvester
+    # determinant and lc(f)^3 g(1) are both -1
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.subresultants_qq_zz import sylvester
+
+    x = sympy.Symbol("X")
+    rng = random.Random(77)
+    done = 0
+    while done < 100:
+        f = _random_poly(rng, 7, 20)
+        g = _random_poly(rng, 7, 20)
+        if f.degree < 1 or g.degree < 1:
+            continue
+        expected = sylvester(_sympy_poly(f, x).as_expr(), _sympy_poly(g, x).as_expr(), x, 1).det()
+        assert resultant(f, g) == expected, (f, g)
+        done += 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(coeffs=st.lists(st.integers(-6, 6), max_size=5), r=st.integers(1, 30))
+@example(coeffs=[0, 0, 1], r=1)
+@example(coeffs=[0, 0, 0, -1], r=1)
+@example(coeffs=[], r=7)
+def test_cyclotomic_charpoly_matches_sympy(coeffs, r):
+    # χ_r(Y) = Res_X(Φ_r(X), Y - f(X)), monic as Φ_r is.  sympy's resultant
+    # can be off by a global sign (above), so the comparison is up to sign
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("X Y")
+    f = IntPolynomial(coeffs)
+    chi = cyclotomic_charpoly(f, r)
+    res = sympy.resultant(sympy.cyclotomic_poly(r, x), y - _sympy_poly(f, x).as_expr(), x)
+    expected = IntPolynomial(reversed(sympy.Poly(res, y).all_coeffs()))
+    assert chi in (expected, -expected)
+    assert chi.degree == euler_phi(r) and chi.lc == 1
+
+
+def test_cyclotomic_charpoly_hand_values():
+    # χ_r of X is Φ_r; X^2 + 1 sends ζ_3 to -ζ_3^2, a primitive 6th root
+    for r in (1, 2, 3, 12, 30):
+        assert cyclotomic_charpoly(X, r) == cyclotomic(r)
+    assert cyclotomic_charpoly(parse_poly("X^2"), 1) == parse_poly("X - 1")
+    assert cyclotomic_charpoly(parse_poly("X^2 + 1"), 3) == cyclotomic(6)
+    assert cyclotomic_charpoly(parse_poly("X^2"), 4) == parse_poly("X^2 + 2X + 1")
+    assert cyclotomic_charpoly(IntPolynomial((5,)), 5) == parse_poly("X - 5") ** 4
+    with pytest.raises(OutOfRange):
+        cyclotomic_charpoly(X, 0)
+
+
+def test_cyclotomic_charpoly_raises_on_inexact_division(monkeypatch):
+    # a wrong degree phi(3) = 3 gives traces 3, -1, -1 and power sums
+    # p = (-1, -1, 3) for f = X, so that 3 c_3 = -(p_3 + c_1 p_2 + c_2 p_1) = -1
+    monkeypatch.setattr(intpoly, "euler_phi", lambda m: 3 if m == 3 else euler_phi(m))
+    with pytest.raises(ArithmeticError):
+        cyclotomic_charpoly(X, 3)
 
 
 def test_resultant_hand_values():

@@ -21,14 +21,11 @@ from semiorbits import (
     TooLarge,
     Truncated,
     WordStream,
-    apply_word,
     build_graph,
     count_small_order_points,
     evaluated_successors,
     greedy_sequence_cover,
-    level_images,
     m_count,
-    m_count_detail,
     make_extension_field,
     make_prime_field,
     orbit,
@@ -40,11 +37,13 @@ from semiorbits import (
     theorem46_lhs,
 )
 from oracles import (
+    apply_word,
     bfs_reach_table,
     closure_orbit,
     exhaustive_level_images,
     exhaustive_small_order_count,
     exhaustive_sup_m,
+    level_images,
     minimal_walk_cover,
 )
 
@@ -262,14 +261,24 @@ def test_m_count_examples():
         m_count(SQ, s, F7.element(3), t=3, N=0)
 
 
+def _zero_hits(F, stream, x, N):
+    """How many of the first N iterates along the stream are zero."""
+    v, zeros = x, 0
+    for n in range(N):
+        if n > 0:
+            v = apply_word(F, (stream.letter(n),), v)
+        zeros += v.is_zero
+    return zeros
+
+
 def test_m_count_zero_hits():
     # 0 → 0 under squaring: all iterates are zero, none counted
-    d = m_count_detail(SQ, WordStream.constant(1), F7.element(0), t=6, N=5)
-    assert d.count == 0
-    assert d.zero_hits == 5
+    s = WordStream.constant(1)
+    assert m_count(SQ, s, F7.element(0), t=6, N=5) == 0
+    assert _zero_hits(SQ, s, F7.element(0), 5) == 5
     # big t counts everything nonzero
-    d = m_count_detail(PAIR, WordStream.periodic((1, 2)), F5.element(0), t=4, N=6)
-    assert d.count + d.zero_hits == 6
+    s = WordStream.periodic((1, 2))
+    assert m_count(PAIR, s, F5.element(0), t=4, N=6) + _zero_hits(PAIR, s, F5.element(0), 6) == 6
 
 
 def test_m_count_monotone():

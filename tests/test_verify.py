@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semiorbits import (
     ConfigError,
@@ -22,6 +25,7 @@ from semiorbits import (
     TooLarge,
     b_tree_size,
     build_graph,
+    euler_phi,
     evaluated_successors,
     fit_constants,
     format_poly,
@@ -43,6 +47,7 @@ from oracles import (
     compose_word,
     exhaustive_small_order_count,
     exhaustive_sup_m,
+    lemma41_by_composites,
     naive_l_n_count,
     rational_gcd_is_nonconstant,
 )
@@ -718,12 +723,67 @@ def test_lemma41_frozen_values():
     assert rep.summary["zero_resultants"] == 0
 
 
-def test_lemma41_composes_once_per_generator_and_s(monkeypatch):
+def test_lemma41_builds_one_charpoly_per_generator_and_r(monkeypatch):
     calls = _count_compose(monkeypatch)
-    gens = ["X^2 + 1", "X^3 + 2", "X^2 + 3*X + 5"]
+    builds = []
+    real_charpoly = verify.cyclotomic_charpoly
+
+    def counted(f, r):
+        builds.append((format_poly(f), r))
+        return real_charpoly(f, r)
+
+    monkeypatch.setattr(verify, "cyclotomic_charpoly", counted)
+    gens = ["X^2 + 1", "X^3 + 2", "X^2 + 3X + 5"]
     rep = run_experiment(_cfg(experiment="lemma41", generators=gens, r_max=4, s_max=5))
     assert len(rep.rows) == 3 * 4 * 5
-    assert len(calls) == 3 * 5
+    assert calls == []
+    assert builds == [(g, r) for g in gens for r in range(1, 5)]
+
+
+def _lemma41_values(**grid):
+    """The report on a lemma41 grid, and the resultant behind each of its rows."""
+    values = []
+
+    def recorded(f, g):
+        values.append(real_resultant(f, g))
+        return values[-1]
+
+    real_resultant = verify.resultant
+    with mock.patch.object(verify, "resultant", recorded):
+        rep = run_experiment(_cfg(**{"experiment": "lemma41", **grid}))
+    assert len(values) == len(rep.rows)
+    return rep, values
+
+
+def _assert_rows_match_composites(rep, values, keep=lambda r, s: True):
+    for (text, r, s, zero, log_abs_res, _), value in zip(rep.rows, values):
+        if keep(r, s):
+            expected = lemma41_by_composites(parse_poly(text), r, s)
+            assert value == expected, (text, r, s)
+            assert zero == (1 if expected == 0 else 0)
+            assert log_abs_res == (None if expected == 0 else math.log(abs(expected)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    low=st.lists(st.integers(-6, 6), min_size=1, max_size=4),
+    lead=st.integers(-6, 6).filter(bool),
+    r_max=st.integers(1, 30),
+    s_max=st.integers(1, 30),
+)
+@example(low=[0, 0], lead=1, r_max=1, s_max=1)  # X^2: X = 1 is a root of X - 1 and X^2 - 1
+def test_lemma41_matches_the_composite_route(low, lead, r_max, s_max):
+    f = IntPolynomial(low + [lead])
+    rep, values = _lemma41_values(generators=[format_poly(f)], r_max=r_max, s_max=s_max)
+    assert len(rep.rows) == r_max * s_max
+    # the grid's last row and column, where r or s is largest
+    _assert_rows_match_composites(rep, values, lambda r, s: r == r_max or s == s_max)
+
+
+def test_lemma41_zero_resultant_grid_matches_the_composite_route():
+    rep, values = _lemma41_values(**SUMMARY_CASES["lemma41_zero_resultants"][0])
+    _assert_rows_match_composites(rep, values)
+    assert values.count(0) == rep.summary["zero_resultants"] == 3
 
 
 def test_lemma41_zero_flags_match_gcd():
@@ -754,6 +814,24 @@ def test_lemma41_guards():
     with pytest.raises(TooLarge):
         run_experiment(
             _cfg(experiment="lemma41", generators=["X^2"], r_max=1, s_max=4096)
+        )
+
+
+def test_lemma41_charpoly_guard_bounds_r(monkeypatch):
+    # one χ_r costs about phi(r) r (deg F + 1) multiplications: r = 1187 is
+    # the first index past the cap for a quadratic.  The guard fires before
+    # any χ_r is built, so a missing guard fails here and does not hang
+    def forbidden(f, r):
+        raise AssertionError("a χ_r was built before the guard fired")
+
+    monkeypatch.setattr(verify, "cyclotomic_charpoly", forbidden)
+    cost = lambda r, d: euler_phi(r) * r * (d + 1)
+    assert max(cost(r, 2) for r in range(1, 1187)) <= verify.CHARPOLY_COST_CAP < cost(1187, 2)
+    with pytest.raises(TooLarge):
+        run_experiment(_cfg(experiment="lemma41", generators=["X^2"], r_max=1187, s_max=1))
+    with pytest.raises(TooLarge):  # the costliest generator sets the bound
+        run_experiment(
+            _cfg(experiment="lemma41", generators=["X + 1", "X^4"], r_max=1000, s_max=1)
         )
 
 
