@@ -204,9 +204,8 @@ def evaluated_successors(F: GeneratorSet, ctx: FieldContext) -> Successors:
     return succ
 
 
-def _bfs(
-    seeds: Iterable[int], succ: Successors, cap: int, stop=None
-) -> Tuple[Dict[int, Optional[int]], bool]:
+def _bfs(seeds: Iterable[int], succ: Successors, cap: int,
+         stop=None) -> Tuple[Dict[int, Optional[int]], bool]:
     """Breadth-first search along ``succ`` from the seeds, in FIFO order.
 
     Returns (parent, truncated).  ``parent`` keeps discovery order and maps
@@ -230,9 +229,8 @@ def _bfs(
     return parent, False
 
 
-def reach_table(
-    F: GeneratorSet, ctx: FieldContext, starts: Sequence[int], depth: Optional[int] = None
-) -> Tuple[np.ndarray, Dict[int, int]]:
+def reach_table(F: GeneratorSet, ctx: FieldContext, starts: Sequence[int],
+                depth: Optional[int] = None) -> Tuple[np.ndarray, Dict[int, int]]:
     """Compact successor table over the points within ``depth`` steps of the
     starts, evaluated a BFS level at a time with one array call per generator.
     Returns (table, row), ``row`` mapping each reached field index to its row
@@ -258,26 +256,21 @@ def reach_table(
     return table, dict(zip(points.tolist(), range(len(points))))
 
 
-def _levels(table: np.ndarray, r: int, N: int):
-    """The level sets 1..N of row r (all length-n images), as sorted row
-    arrays.  Each level is marked on one reused mask of len(table) rows."""
-    mask = np.zeros(len(table), dtype=bool)
+def level_union(table: np.ndarray, r: int, N: int) -> np.ndarray:
+    """Mask of the rows in the level sets 1..N of row r: a breadth-first search
+    of depth N that expands each row once, when first reached.  Row r itself
+    is marked only when a word of length 1..N leads back to it."""
+    seen = np.zeros(len(table), dtype=bool)
     frontier = np.array([r], dtype=np.int64)
     for _ in range(N):
-        mask[table[frontier]] = True
-        frontier = np.flatnonzero(mask)
-        mask[frontier] = False
-        yield frontier
-
-
-def level_union(table: np.ndarray, r: int, N: int) -> np.ndarray:
-    """Mask of the rows in the level sets 1..N of row r.  Row r itself is
-    marked only when a word of length 1..N leads back to it."""
-    seen = np.zeros(len(table), dtype=bool)
-    for level in _levels(table, r, N):
-        if seen[level].all():  # then every later level, its image, is seen too
+        img = np.sort(table[frontier], axis=None)
+        fresh = ~seen[img]
+        fresh[1:] &= img[1:] != img[:-1]  # the first of each run of equal rows
+        img = img[fresh]
+        seen[img] = True
+        frontier = img[img != r]
+        if not len(frontier):
             break
-        seen[level] = True
     return seen
 
 
@@ -326,9 +319,8 @@ def m_count(F: GeneratorSet, stream: WordStream, x: FieldElement, t: int, N: int
     return count
 
 
-def sup_m_over_sequences(
-    table: np.ndarray, qual: np.ndarray, rows: Sequence[int], N: int
-) -> List[Tuple[int, Word]]:
+def sup_m_over_sequences(table: np.ndarray, qual: np.ndarray, rows: Sequence[int],
+                         N: int) -> List[Tuple[int, Word]]:
     """Maximum of m_count over all length-N words from each start row, with
     the lexicographically smallest maximizing word.
 
@@ -355,9 +347,8 @@ def sup_m_over_sequences(
     return [(int(m), tuple(w)) for m, w in zip(best, words)]
 
 
-def count_small_order_points(
-    table: np.ndarray, qual: np.ndarray, rows: Sequence[int], N: int, include_start=False
-) -> List[int]:
+def count_small_order_points(table: np.ndarray, qual: np.ndarray, rows: Sequence[int],
+                             N: int, include_start=False) -> List[int]:
     """Per start row, the distinct rows marked by ``qual`` among its level
     sets 1..N (level 0, the start point, is included on request)."""
     if N < 0:

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -65,7 +65,7 @@ from .orbits import (
 
 COMPOSITION_DEGREE_CAP = 3**5
 CHARPOLY_COST_CAP = 1 << 22  # phi(r) r (deg F + 1): the multiplications behind one χ_r
-RESULTANT_DEGREE_CAP = 4000  # phi(s): the degree of Φ_s in every lemma41 resultant
+LEMMA41_COST_CAP = 10**8  # a lemma41 grid's multiplications, over every χ_r and resultant
 
 
 def _fits(value, hint) -> bool:
@@ -320,33 +320,30 @@ def _whole_field(ctx: FieldContext) -> bool:
     return ctx.s == 1 and ctx.q <= MAX_GRAPH_SIZE
 
 
-def _walk_pays(ctx: FieldContext, t: int, steps: int) -> bool:
-    """Whether ``steps`` point evaluations (``m_count``) cost more than the
-    whole-field table and its Γ(t) mask.  Timed on F_p, 10^4 < p < 2^20 and
-    t from 4 to 10^5: a table row costs about 1/160 of an evaluation near
-    2^20 (a larger share on small fields, where both take milliseconds), and
-    each power that ``small_order_set`` lists about 1/8 of one."""
-    listed = sum(l for l in _divisors(ctx.group_order_factorization()) if l <= t)
-    return 160 * steps >= ctx.q + 20 * listed
-
-
 def _tables(F: GeneratorSet, ctx: FieldContext, starts: Sequence[int], depth=None):
     """Successor table over the starts' reach within ``depth`` steps (all when
-    None), and the map field index -> row: the whole graph where
-    ``_whole_field`` allows, else only the reached points, each evaluated once."""
+    None), each row's field index, and the map field index -> row: the whole
+    graph where ``_whole_field`` allows, else only the reached points, each
+    evaluated once."""
     if _whole_field(ctx):
-        return build_graph(F, ctx).table, range(ctx.q)
-    return reach_table(F, ctx, starts, depth)
+        return build_graph(F, ctx).table, np.arange(ctx.q), range(ctx.q)
+    table, row = reach_table(F, ctx, starts, depth)
+    return table, np.fromiter(row, np.int64, len(row)), row
 
 
-def _qual(ctx: FieldContext, t: int, row: Mapping[int, int]) -> np.ndarray:
-    """Γ(t) mask over the table rows: the nonzero points of order <= t, tested
-    one by one on part of the field and listed by ``small_order_set`` on all."""
-    if len(row) < ctx.q:
-        return np.array([i != 0 and mul_order(ctx.from_index(i)) <= t for i in row], dtype=bool)
-    qual = np.zeros(ctx.q, dtype=bool)
-    qual[[row[u.index] for u in small_order_set(ctx, t)]] = True
-    return qual
+def _qual(ctx: FieldContext, t: int, points: np.ndarray) -> np.ndarray:
+    """Γ(t) mask over an array of field indices, of any shape and with repeats:
+    the nonzero points of order <= t.  Γ(t) is listed, one multiplication per
+    power, unless that costs more than testing every point, each a powering of
+    about log2 q multiplications; a whole field always lists (σ(q-1) < q log2 q)."""
+    points = np.asarray(points, dtype=np.int64)
+    listed = sum(l for l in _divisors(ctx.group_order_factorization()) if l <= t)
+    if listed <= points.size * ctx.q.bit_length():
+        members = [u.index for u in small_order_set(ctx, t)]
+    else:
+        members = [i for i in set(points.ravel().tolist())
+                   if i and mul_order(ctx.from_index(i)) <= t]
+    return np.isin(points, np.array(members, dtype=np.int64))
 
 
 def _need(cfg: ExperimentConfig, name: str):
@@ -392,8 +389,8 @@ def run_thm44i(cfg: ExperimentConfig) -> ExperimentReport:
     for p, ctx, ws in _grid(cfg):
         t = _t_for(cfg, math.log(p))
         bound = max(math.sqrt(N), N / _loglog_denom(cfg, p))
-        table, row = _tables(F, ctx, ws, N - 1)
-        found = sup_m_over_sequences(table, _qual(ctx, t, row), [row[w] for w in ws], N)
+        table, points, row = _tables(F, ctx, ws, N - 1)
+        found = sup_m_over_sequences(table, _qual(ctx, t, points), [row[w] for w in ws], N)
         for w, (M, word) in zip(ws, found):
             rows.append((p, cfg.s, w, t, N, M, bound, M / bound, _word_str(word)))
     return _report(cfg, columns, rows, "ratio", **notes)
@@ -416,20 +413,20 @@ def run_thm44ii(cfg: ExperimentConfig) -> ExperimentReport:
     letters = stream.prefix(N - 1)
     for p, ctx, ws in _grid(cfg):
         bound = cfg.C * max(math.sqrt(N), N / _log_denom(cfg, p))
-        if _whole_field(ctx) and _walk_pays(ctx, t, len(ws) * N):
-            # walk all starts together on the table; certify the winner
-            table, qual = build_graph(F, ctx).table, _qual(ctx, t, range(ctx.q))
-            v = np.array(ws, dtype=np.int64)
-            counts = qual[v].astype(np.int64)
+        best = argw = None  # a prime without starts has no maximum: its cells are "."
+        if ws:
+            # every start walks at once; the table costs one evaluation per
+            # row, so it pays once the walk takes at least as many steps
+            if _whole_field(ctx) and len(ws) * N >= ctx.q:
+                steps = [col.take for col in build_graph(F, ctx).table.T]
+            else:
+                steps = [g.eval_indices for g in F.reduced(ctx)]
+            walked = [np.array(ws, dtype=np.int64)]
             for a in letters:
-                v = table[v, letter_index(a, F.k)]
-                counts += qual[v]
+                walked.append(steps[letter_index(a, F.k)](walked[-1]))
+            counts = _qual(ctx, t, np.stack(walked)).sum(axis=0)
             best, argw = int(counts.max()), ws[int(counts.argmax())]
             assert best == m_count(F, stream, ctx.from_index(argw), t, N)
-        else:  # a prime without starts has no maximum: its cells are "."
-            found = [m_count(F, stream, ctx.from_index(w), t, N) for w in ws]
-            best = max(found, default=None)
-            argw = ws[found.index(best)] if found else None
         ratio = None if best is None else best / bound
         flag = 1 if ratio is not None and best > bound else 0
         rows.append((p, t, N, len(ws), best, argw, bound, ratio, flag))
@@ -455,9 +452,9 @@ def run_cor45(cfg: ExperimentConfig) -> ExperimentReport:
         t = _t_for(cfg, math.log(p))
         kN = float(F.k) ** N
         bound = max(math.sqrt(N) * kN, N * kN / _loglog_denom(cfg, p))
-        table, row = _tables(F, ctx, ws, N)
+        table, points, row = _tables(F, ctx, ws, N)
         counts = count_small_order_points(
-            table, _qual(ctx, t, row), [row[w] for w in ws], N, cfg.include_level_0
+            table, _qual(ctx, t, points), [row[w] for w in ws], N, cfg.include_level_0
         )
         for w, cnt in zip(ws, counts):
             rows.append((p, cfg.s, w, t, N, cnt, ctx.q, bound, cnt / bound))
@@ -499,16 +496,14 @@ def run_thm46(cfg: ExperimentConfig) -> ExperimentReport:
     F, notes = _system(cfg)
     if cfg.c <= 0:
         raise ConfigError("thm46 needs c > 0")
-    columns = (
-        "p", "w", "T", "tau", "s_cover", "lhs", "rhs", "exception",
-        "coll_m", "coll_l", "ord_n", "res_mod_p",
-    )
+    columns = ("p", "w", "T", "tau", "s_cover", "lhs", "rhs", "exception",
+               "coll_m", "coll_l", "ord_n", "res_mod_p")
     rows = []
     zeros = 0
     for p, ctx, ws in _grid(cfg):
         # above the cap each start gets its own table, the size of its orbit
         for group in [ws] if ctx.q <= MAX_GRAPH_SIZE else [[w] for w in ws]:
-            table, row = _tables(F, ctx, [w for w in group if w])
+            table, _, row = _tables(F, ctx, [w for w in group if w])
             succ = lambda v: table[v].tolist()  # per row: all rows take 180 MB at 2^20
             for w in group:
                 if w == 0:
@@ -545,30 +540,38 @@ def run_thm61(cfg: ExperimentConfig) -> ExperimentReport:
     else:
         raise ConfigError("experiment thm61 needs 'h' (or h_from_n)")
     B = b_tree_size(F.k, h)
-    columns = (
-        "p", "w", "t", "N", "h", "l", "B", "hypothesis", "count", "bound",
-        "ratio", "L_N", "target", "eq61_ratio", "words",
-    )
+    columns = ("p", "w", "t", "N", "h", "l", "B", "hypothesis", "count", "bound",
+               "ratio", "L_N", "target", "eq61_ratio", "words")
     rows = []
     for p, ctx, ws in _grid(cfg):
         t = _t_for(cfg, math.log(p))
         graph = build_graph(F, ctx)
         bound = max(B ** (l + 1) / h, B ** (l + 1) / _loglog_denom(cfg, p))
-        qual = _qual(ctx, t, range(ctx.q))
+        qual = _qual(ctx, t, np.arange(ctx.q))
         counts = count_small_order_points(graph.table, qual, ws, N, cfg.include_level_0)
         for w, cnt in zip(ws, counts):
             u = ctx.from_index(w)
             res = find_witness_words(graph, u, np.flatnonzero(qual), N, h, l, c=cfg.c1)
             hyp = 1 if (res.hypothesis_met and h >= 3 * l) else 0
             eq61 = res.count / res.target if res.target > 0 else None
-            rows.append(
-                (
-                    p, w, t, N, h, l, B, hyp, cnt, bound, cnt / bound,
-                    res.count, res.target, eq61,
-                    "|".join(_word_str(word) for word in res.words),
-                )
-            )
+            rows.append((p, w, t, N, h, l, B, hyp, cnt, bound, cnt / bound, res.count,
+                         res.target, eq61, "|".join(_word_str(word) for word in res.words)))
     return _report(cfg, columns, rows, "ratio", hypothesis_met=sum(r[7] for r in rows), **notes)
+
+
+def _lemma41_cost(degrees: Sequence[int], r_max: int, s_max: int) -> int:
+    """Multiplications behind a lemma41 grid, about: phi(r) r (deg F + 1) per
+    χ_r, and phi(r) phi(s) (phi(r) + phi(s)) per resultant of those degrees.
+    Every index n <= max(r_max, s_max) adds at least phi(n)^2, so phi is taken
+    only until that sum passes the cap, and a huge grid counts no further."""
+    phi, squares = [], 0
+    while len(phi) < max(r_max, s_max) and squares <= LEMMA41_COST_CAP:
+        phi.append(euler_phi(len(phi) + 1))
+        squares += phi[-1] ** 2
+    pr, ps = phi[:r_max], phi[:s_max]
+    charpolys = sum(x * r for r, x in enumerate(pr, 1)) * sum(d + 1 for d in degrees)
+    pairs = sum(x * x for x in pr) * sum(ps) + sum(pr) * sum(x * x for x in ps)
+    return charpolys + len(degrees) * pairs
 
 
 def run_lemma41(cfg: ExperimentConfig) -> ExperimentReport:
@@ -584,11 +587,11 @@ def run_lemma41(cfg: ExperimentConfig) -> ExperimentReport:
     if any(f.degree < 1 for f in gens):
         raise ConfigError("lemma41 generators must be nonconstant")
     d = max(f.degree for f in gens)
-    if any(euler_phi(s) > RESULTANT_DEGREE_CAP for s in range(1, cfg.s_max + 1)) or any(
+    if _lemma41_cost([f.degree for f in gens], cfg.r_max, cfg.s_max) > LEMMA41_COST_CAP or any(
         euler_phi(r) * r * (d + 1) > CHARPOLY_COST_CAP for r in range(1, cfg.r_max + 1)
     ):
-        raise TooLarge("lemma41 guard: phi(s) must stay <= %d and phi(r)*r*(deg F + 1) <= %d"
-                       % (RESULTANT_DEGREE_CAP, CHARPOLY_COST_CAP))
+        raise TooLarge("lemma41 guard: the grid's cost must stay <= %d and phi(r)*r*(deg F + 1)"
+                       " <= %d" % (LEMMA41_COST_CAP, CHARPOLY_COST_CAP))
     columns = ("generator", "r", "s", "zero", "log_abs_res", "constant")
     rows = []
     phis = [cyclotomic(s) for s in range(1, cfg.s_max + 1)]
@@ -614,13 +617,9 @@ def run_prop21(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.n_max < 1 or cfg.trials < 0:
         raise ConfigError("prop21 needs n_max >= 1 and trials >= 0")
     if F.d**cfg.n_max > COMPOSITION_DEGREE_CAP:
-        raise TooLarge(
-            "composition degree guard: d^n_max must stay <= %d"
-            % COMPOSITION_DEGREE_CAP
-        )
-    coeff_cap = max(
-        max(abs(c) for c in f.primitive().coeffs) for f in F.polys
-    )
+        raise TooLarge("composition degree guard: d^n_max must stay <= %d"
+                       % COMPOSITION_DEGREE_CAP)
+    coeff_cap = max(max(abs(c) for c in f.primitive().coeffs) for f in F.polys)
     rng = random.Random(cfg.seed)
     columns = ("trial", "n", "word", "degree", "height", "bound", "ratio")
     rows = []

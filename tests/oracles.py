@@ -12,9 +12,10 @@ instead of the field argument behind the collision diagnostic, and
 Res(Φ_r, Φ_s∘f) from the composite instead of the characteristic polynomial
 of f(ζ_r).  They are deliberately slow and simple.
 
-``level_images`` is the exception: it reads the library's own level sets
-(``reach_table`` and ``orbits._levels``) as sets of field elements, for the
-tests that compare them with word enumeration.
+``level_images`` is the exception: it reads the library's own reach table
+(``reach_table``), marks its level sets one whole-table mask at a time with
+``table_levels``, and returns them as sets of field elements, for the tests
+that compare them with word enumeration.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import combinations, product
 import numpy as np
 
 from semiorbits import IntPolynomial, OutOfRange, cyclotomic, mul_order, reach_table, resultant
-from semiorbits.orbits import _levels, letter_index
+from semiorbits.orbits import letter_index
 
 
 def apply_word(F, word, x):
@@ -37,6 +38,18 @@ def apply_word(F, word, x):
     return v
 
 
+def table_levels(table, r, N):
+    """The level sets 1..N of row r (all length-n images), as sorted row
+    arrays.  Each level is marked on one reused mask of len(table) rows."""
+    mask = np.zeros(len(table), dtype=bool)
+    frontier = np.array([r], dtype=np.int64)
+    for _ in range(N):
+        mask[table[frontier]] = True
+        frontier = np.flatnonzero(mask)
+        mask[frontier] = False
+        yield frontier
+
+
 def level_images(F, x, N):
     """The value sets {f(x) : f a length-n composition} for n = 1..N."""
     if N < 1:
@@ -44,7 +57,7 @@ def level_images(F, x, N):
     ctx = x.ctx
     table, row = reach_table(F, ctx, [x.index], N)  # x is row 0
     points = list(row)
-    return [{ctx.from_index(points[r]) for r in level} for level in _levels(table, 0, N)]
+    return [{ctx.from_index(points[r]) for r in level} for level in table_levels(table, 0, N)]
 
 
 def sylvester_matrix(f, g):

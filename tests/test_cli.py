@@ -327,6 +327,13 @@ def test_verify_guard_violation_exit_4(tmp_path, capsys):
     assert "guard" in err
 
 
+def test_verify_lemma41_grid_budget_exit_4(tmp_path, capsys):
+    code, _, err = _run(capsys, "verify", "lemma41", "--generators", "X^2 + 3*X + 5",
+                        "--r-max", "100", "--s-max", "100", "--out", str(tmp_path / "x.csv"))
+    assert code == 4
+    assert "guard" in err and not (tmp_path / "x.csv").exists()
+
+
 def test_verify_special_precondition_exit_3(tmp_path, capsys):
     argv = [
         "verify",

@@ -7,6 +7,7 @@ import math
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,7 @@ from semiorbits import (
     fit_constants,
     format_poly,
     height,
+    is_prime,
     m_count,
     make_extension_field,
     make_prime_field,
@@ -49,6 +51,7 @@ from oracles import (
     exhaustive_sup_m,
     lemma41_by_composites,
     naive_l_n_count,
+    order_by_powering,
     rational_gcd_is_nonconstant,
 )
 
@@ -348,11 +351,11 @@ def test_thm44ii_walk_matches_m_count():
     grids = [
         dict(stream=random_stream, prime_max=60, t=4, N=12),
         dict(stream=periodic, prime_max=60, t=3, N=9),
-        # 0 and a duplicate; 4 starts * 16 steps take the walk on every field up to 60
+        # 0 and a duplicate; 4 starts * 16 steps take the table on every field up to 60
         dict(stream=random_stream, prime_max=60, t=6, N=16, starts=[0, 5, 3, 5]),
         dict(stream=periodic, prime_max=60, t=4, N=1),
         dict(stream=random_stream, prime_max=60, t=4, N=8, starts=[]),
-        dict(stream=periodic, prime_max=7, s=2, t=3, N=7),  # per-start path
+        dict(stream=periodic, prime_max=7, s=2, t=3, N=7),  # extension fields: array walk
     ]
     for grid in grids:
         cfg = _cfg(experiment="thm44ii", generators=gens, **grid)
@@ -389,19 +392,31 @@ def test_thm44ii_prime_fields_walk_all_starts_at_once(monkeypatch):
     rep = run_experiment(cfg)
     assert len(rep.rows) == 17
     assert len(calls) == (N - 1) * len(rep.rows)
-    # 50 sampled starts * 40 steps on F_65537 pay for the table at t = 4 ...
+    # 50 sampled starts * 40 steps cover the 1009 rows of F_1009: one table ...
+    graphs = []
+    real_graph = verify.build_graph
+    monkeypatch.setattr(verify, "build_graph", lambda *a: graphs.append(a) or real_graph(*a))
+    stream = {"kind": "random", "k": 2, "seed": 3}
+    small = dict(experiment="thm44ii", generators=["X^2 + 1", "X^3 + 2"], primes=[1009],
+                 prime_max=1009, sample=50, t=4, N=40, stream=stream)
+    calls.clear()
+    rep = run_experiment(_cfg(**small))
+    assert (len(graphs), len(calls)) == (1, 39)
+    _per_start_thm44ii(_cfg(**small), rep)
+    # ... but on F_65537 they take 2000 < q steps: an array walk, again with
+    # no point-by-point evaluation but the certificate's
     calls.clear()
     big = dict(experiment="thm44ii", generators=["X^2 + 1", "X^3 + 2"], primes=[65537],
-               prime_max=65537, sample=50, N=40, stream={"kind": "random", "k": 2, "seed": 3})
+               prime_max=65537, sample=50, N=40, stream=stream)
     run_experiment(_cfg(t=4, **big))
-    assert len(calls) == 39
+    assert (len(graphs), len(calls)) == (1, 39)
     monkeypatch.undo()
 
     def refuse(*args):
         raise AssertionError("whole-field table for a few starts")
 
-    # ... but not at t = 2^16, where the mask lists all 2^16 units one by one,
-    # and 4 starts on F_1048573 are walked one by one too
+    # so does t = 2^16, where the walked points are tested, not the 2^16 units
+    # listed, and 4 starts on F_1048573
     monkeypatch.setattr(verify, "build_graph", refuse)
     for cfg in (
         _cfg(t=65536, **big),
@@ -411,6 +426,23 @@ def test_thm44ii_prime_fields_walk_all_starts_at_once(monkeypatch):
         rep = run_experiment(cfg)
         assert _by_col(rep, rep.rows[0], "starts") == cfg.sample
         _per_start_thm44ii(cfg, rep)
+
+
+def test_thm44ii_extension_field_walks_all_starts_at_once(monkeypatch):
+    # all 81 starts of F_{3^4} walk as arrays: only the certificate evaluates
+    # point by point, N - 1 times
+    calls = []
+    real_eval = FieldPolynomial.eval
+    counted = lambda self, x: calls.append(x) or real_eval(self, x)
+    monkeypatch.setattr(FieldPolynomial, "eval", counted)
+    N = 8
+    cfg = _cfg(experiment="thm44ii", generators=["X^2 + 1", "X^3 + 2"], primes=[3], s=4,
+               prime_max=3, t=5, N=N, stream={"kind": "random", "k": 2, "seed": 5})
+    rep = run_experiment(cfg)
+    assert len(calls) == N - 1
+    assert _by_col(rep, rep.rows[0], "starts") == 81
+    monkeypatch.undo()
+    _per_start_thm44ii(cfg, rep)
 
 
 # -- cor45 -------------------------------------------------------------------
@@ -817,6 +849,43 @@ def test_lemma41_guards():
         )
 
 
+def test_lemma41_cost_matches_the_grid_sum(monkeypatch):
+    # the closed form against the sum over every (generator, r) and (r, s)
+    def direct(degrees, r_max, s_max):
+        chis = sum(euler_phi(r) * r * (d + 1) for d in degrees for r in range(1, r_max + 1))
+        return chis + sum(
+            euler_phi(r) * euler_phi(s) * (euler_phi(r) + euler_phi(s))
+            for _ in degrees for r in range(1, r_max + 1) for s in range(1, s_max + 1))
+
+    for grid in (([2], 1, 1), ([1, 4], 7, 3), ([2, 3, 2], 40, 40), ([5], 2, 60), ([2], 60, 60)):
+        assert verify._lemma41_cost(*grid) == direct(*grid) <= verify.LEMMA41_COST_CAP
+    # sweep's three generators at 40 x 40 and one at 60 x 60 run; 70 x 70 and
+    # 100 x 100 do not, and the count stops short on a huge index
+    assert verify._lemma41_cost([2, 3, 2], 40, 40) == 26_220_670
+    assert verify._lemma41_cost([2], 70, 70) == direct([2], 70, 70) > verify.LEMMA41_COST_CAP
+    for grid in (([2], 100, 100), ([2], 10**12, 1), ([2], 1, 10**12)):
+        assert verify._lemma41_cost(*grid) > verify.LEMMA41_COST_CAP
+    # the sum of phi(n)^2 passes 10^8 at n = 887: no phi is taken past it
+    calls = []
+    real_phi = verify.euler_phi
+    monkeypatch.setattr(verify, "euler_phi", lambda n: calls.append(n) or real_phi(n))
+    verify._lemma41_cost([2], 10**12, 10**12)
+    assert max(calls) == 887
+
+
+def test_lemma41_budget_fires_before_any_work(monkeypatch):
+    # each χ_r and each Φ_s of a quadratic at 100 x 100 is small; the grid is not
+    def forbidden(*args):
+        raise AssertionError("lemma41 work before the budget check")
+
+    for name in ("cyclotomic", "cyclotomic_charpoly", "resultant"):
+        monkeypatch.setattr(verify, name, forbidden)
+    for r_max, s_max in ((100, 100), (10**12, 1), (1, 10**12)):
+        with pytest.raises(TooLarge, match="cost"):
+            run_experiment(_cfg(experiment="lemma41", generators=["X^2 + 3*X + 5"],
+                                r_max=r_max, s_max=s_max))
+
+
 def test_lemma41_charpoly_guard_bounds_r(monkeypatch):
     # one χ_r costs about phi(r) r (deg F + 1) multiplications: r = 1187 is
     # the first index past the cap for a quadratic.  The guard fires before
@@ -1106,3 +1175,62 @@ def test_sampled_starts_evaluate_only_their_reach(monkeypatch):
             )
             for w, row in zip(starts, rep.rows):
                 assert _by_col(rep, row, "T") == len(closure_orbit(frob, ctx.from_index(w)))
+
+
+# -- the Γ(t) mask -------------------------------------------------------------
+
+SMALL_FIELDS = [(p, s) for s in range(1, 5) for p in range(2, 1 << 12)
+                if is_prime(p) and p**s <= 1 << 12]
+
+
+def test_qual_matches_order_by_powering(monkeypatch):
+    # Γ(t) is listed or its points tested, whichever costs fewer multiplications;
+    # both branches must give the powering oracle's mask, shape and repeats kept
+    listed = []
+    real = verify.small_order_set
+    monkeypatch.setattr(verify, "small_order_set", lambda ctx, t: listed.append(t) or real(ctx, t))
+    branches = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def check(data):
+        p, s = data.draw(st.sampled_from(SMALL_FIELDS))
+        ctx = make_extension_field(p, s)
+        t = data.draw(st.integers(1, ctx.q))
+        pool = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=6))
+        shape = data.draw(st.sampled_from([(1,), (7,), (12,), (2, 3), (3, 4)]))
+        size = math.prod(shape)
+        cells = data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+        points = np.array(cells, dtype=np.int64).reshape(shape)
+        listed.clear()
+        got = verify._qual(ctx, t, points)
+        branches.add(bool(listed))
+        order = {i: order_by_powering(ctx.from_index(i)) for i in set(cells) if i}
+        want = [i != 0 and order[i] <= t for i in cells]
+        assert got.dtype == bool and got.shape == shape
+        assert got.ravel().tolist() == want
+
+    check()
+    assert branches == {False, True}
+
+
+def test_extension_reach_lists_small_orders(monkeypatch):
+    # a few starts on F_{2^12} reach far more points than Γ(15) has powers:
+    # the mask lists Γ(t) and never tests a point's order
+    def refuse(*args):
+        raise AssertionError("mul_order on a reach row")
+
+    monkeypatch.setattr(verify, "mul_order", refuse)
+    gens = ["X^2 + 1", "X^3 + 2"]
+    F = GeneratorSet([parse_poly(g) for g in gens])
+    ctx = make_extension_field(2, 12)
+    t, N, starts = 15, 5, [1, 5, ctx.q - 2]
+    base = dict(generators=gens, primes=[2], s=12, starts=starts, t=t, N=N)
+    sup = run_experiment(_cfg(experiment="thm44i", **base))
+    cnt = run_experiment(_cfg(experiment="cor45", **base))
+    for w, row_m, row_c in zip(starts, sup.rows, cnt.rows):
+        x = ctx.from_index(w)
+        M, word = exhaustive_sup_m(F, x, t, N)
+        assert _by_col(sup, row_m, "M") == M
+        assert _by_col(sup, row_m, "word") == "-".join(map(str, word))
+        assert _by_col(cnt, row_c, "count") == exhaustive_small_order_count(F, x, t, N)
