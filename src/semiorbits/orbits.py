@@ -21,7 +21,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -204,31 +204,6 @@ def evaluated_successors(F: GeneratorSet, ctx: FieldContext) -> Successors:
     return succ
 
 
-def _bfs(seeds: Iterable[int], succ: Successors, cap: int,
-         stop=None) -> Tuple[Dict[int, Optional[int]], bool]:
-    """Breadth-first search along ``succ`` from the seeds, in FIFO order.
-
-    Returns (parent, truncated).  ``parent`` keeps discovery order and maps
-    each seed to None.  The search ends at the first discovered vertex with
-    ``stop(v)`` true, and is truncated when it would exceed ``cap`` vertices.
-    """
-    parent: Dict[int, Optional[int]] = dict.fromkeys(seeds)
-    frontier = list(parent)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in succ(v):
-                if w not in parent:
-                    if len(parent) >= cap:
-                        return parent, True
-                    parent[w] = v
-                    if stop is not None and stop(w):
-                        return parent, False
-                    nxt.append(w)
-        frontier = nxt
-    return parent, False
-
-
 def reach_table(F: GeneratorSet, ctx: FieldContext, starts: Sequence[int],
                 depth: Optional[int] = None) -> Tuple[np.ndarray, Dict[int, int]]:
     """Compact successor table over the points within ``depth`` steps of the
@@ -296,11 +271,17 @@ def orbit(succ: Successors, x: int, cap: int = DEFAULT_ORBIT_CAP) -> OrbitRecord
     """
     if cap < 1:
         raise OutOfRange("orbit cap must be >= 1")
-    parent, truncated = _bfs((x,), succ, cap)
-    levels: Dict[int, int] = {}
-    for w, v in parent.items():  # discovery order: a parent precedes its children
-        levels[w] = 0 if v is None else levels[v] + 1
-    return OrbitRecord(x, levels, truncated)
+    levels = {x: 0}
+    queue = [x]
+    for v in queue:  # also visits the vertices appended below, in FIFO order
+        n = levels[v] + 1
+        for w in succ(v):
+            if w not in levels:
+                if len(levels) >= cap:
+                    return OrbitRecord(x, levels, True)
+                levels[w] = n
+                queue.append(w)
+    return OrbitRecord(x, levels, False)
 
 
 def m_count(F: GeneratorSet, stream: WordStream, x: FieldElement, t: int, N: int) -> int:
@@ -378,14 +359,23 @@ def greedy_sequence_cover(succ: Successors, rec: OrbitRecord) -> int:
         walks += 1
         cur = rec.start
         uncovered.discard(cur)
-        while uncovered:
-            parent, _ = _bfs((cur,), succ, rec.T, stop=uncovered.__contains__)
-            v = cur = next(reversed(parent))
-            if cur not in uncovered:
-                break
-            while v is not None:
-                uncovered.discard(v)
-                v = parent[v]
+        while cur is not None and uncovered:
+            # breadth-first from cur, in FIFO order, to the first uncovered
+            # vertex.  Every vertex before it was found covered, so the walk
+            # to it covers just that one; cur stays None when none is
+            # reachable, and the walk ends.
+            seen, queue, cur = {cur}, [cur], None
+            for v in queue:  # also visits the vertices appended below
+                for w in succ(v):
+                    if w not in seen:
+                        if w in uncovered:
+                            cur = w
+                            break
+                        seen.add(w)
+                        queue.append(w)
+                if cur is not None:
+                    break
+            uncovered.discard(cur)
     return walks
 
 

@@ -15,6 +15,7 @@ config reproduces byte-identical bodies.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -504,7 +505,8 @@ def run_thm46(cfg: ExperimentConfig) -> ExperimentReport:
         # above the cap each start gets its own table, the size of its orbit
         for group in [ws] if ctx.q <= MAX_GRAPH_SIZE else [[w] for w in ws]:
             table, _, row = _tables(F, ctx, [w for w in group if w])
-            succ = lambda v: table[v].tolist()  # per row: all rows take 180 MB at 2^20
+            # each row's successor list once, when first reached: never all 2^20 rows
+            succ = functools.cache(lambda v: table[v].tolist())
             for w in group:
                 if w == 0:
                     zeros += 1

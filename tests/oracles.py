@@ -7,7 +7,9 @@ breadth-first search instead of level-at-a-time array evaluation, word
 enumeration instead of table dynamic programming and level-set masks, dict
 BFS instead of level unions, a subset-by-subset scan of per-vertex counts
 instead of the bit-packed witness search, explicit state-space search
-instead of greedy covering, Z[X] composites with integer resultants
+instead of greedy covering, a generic breadth-first search with a stop
+callback, whose parent chain each greedy step covers, instead of the inline
+orbit and cover searches, Z[X] composites with integer resultants
 instead of the field argument behind the collision diagnostic, and
 Res(Φ_r, Φ_s∘f) from the composite instead of the characteristic polynomial
 of f(ζ_r).  They are deliberately slow and simple.
@@ -25,7 +27,16 @@ from itertools import combinations, product
 
 import numpy as np
 
-from semiorbits import IntPolynomial, OutOfRange, cyclotomic, mul_order, reach_table, resultant
+from semiorbits import (
+    IntPolynomial,
+    OrbitRecord,
+    OutOfRange,
+    Truncated,
+    cyclotomic,
+    mul_order,
+    reach_table,
+    resultant,
+)
 from semiorbits.orbits import letter_index
 
 
@@ -185,6 +196,64 @@ def closure_orbit(F, x):
         seen |= nxt
         frontier = nxt
     return seen
+
+
+def _bfs(seeds, succ, cap, stop=None):
+    """Breadth-first search along ``succ`` from the seeds, in FIFO order.
+
+    Returns (parent, truncated).  ``parent`` keeps discovery order and maps
+    each seed to None.  The search ends at the first discovered vertex with
+    ``stop(v)`` true, and is truncated when it would exceed ``cap`` vertices.
+    """
+    parent = dict.fromkeys(seeds)
+    frontier = list(parent)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in succ(v):
+                if w not in parent:
+                    if len(parent) >= cap:
+                        return parent, True
+                    parent[w] = v
+                    if stop is not None and stop(w):
+                        return parent, False
+                    nxt.append(w)
+        frontier = nxt
+    return parent, False
+
+
+def bfs_orbit(succ, x, cap):
+    """The orbit of x as ``orbit`` returns it, with levels derived from the
+    parent map of one ``_bfs``."""
+    if cap < 1:
+        raise OutOfRange("orbit cap must be >= 1")
+    parent, truncated = _bfs((x,), succ, cap)
+    levels = {}
+    for w, v in parent.items():  # discovery order: a parent precedes its children
+        levels[w] = 0 if v is None else levels[v] + 1
+    return OrbitRecord(x, levels, truncated)
+
+
+def greedy_cover_by_bfs(succ, rec):
+    """The greedy walk cover of ``greedy_sequence_cover``, each step a fresh
+    ``_bfs`` from the walk's end that stops at the first uncovered vertex."""
+    if rec.truncated:
+        raise Truncated("orbit hit its cap; cover count would not be exact")
+    uncovered = set(rec.levels)
+    walks = 0
+    while uncovered:
+        walks += 1
+        cur = rec.start
+        uncovered.discard(cur)
+        while uncovered:
+            parent, _ = _bfs((cur,), succ, rec.T, stop=uncovered.__contains__)
+            v = cur = next(reversed(parent))
+            if cur not in uncovered:
+                break
+            while v is not None:
+                uncovered.discard(v)
+                v = parent[v]
+    return walks
 
 
 def bfs_reach_table(F, ctx, starts, depth=None):

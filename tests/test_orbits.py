@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semiorbits.orbits as orbits
 from semiorbits import (
@@ -38,11 +40,13 @@ from semiorbits import (
 )
 from oracles import (
     apply_word,
+    bfs_orbit,
     bfs_reach_table,
     closure_orbit,
     exhaustive_level_images,
     exhaustive_small_order_count,
     exhaustive_sup_m,
+    greedy_cover_by_bfs,
     level_images,
     minimal_walk_cover,
 )
@@ -374,6 +378,70 @@ def test_greedy_cover_dominates_exact_minimum():
         got = _cover(F, x)
         assert got >= max(1, minimal_walk_cover(F, x))
         checked += 1
+
+
+def _against_bfs_oracles(adj, x, cap=orbits.DEFAULT_ORBIT_CAP):
+    """orbit and greedy_sequence_cover on adjacency lists, against the
+    per-step BFS oracles: levels item by item in discovery order, truncation,
+    and the cover count (None once the cap is hit, where both raise)."""
+    succ = adj.__getitem__
+    rec, want = orbit(succ, x, cap), bfs_orbit(succ, x, cap)
+    assert list(rec.levels.items()) == list(want.levels.items())
+    assert (rec.start, rec.truncated) == (want.start, want.truncated)
+    if rec.truncated:
+        with pytest.raises(Truncated):
+            greedy_sequence_cover(succ, rec)
+        with pytest.raises(Truncated):
+            greedy_cover_by_bfs(succ, want)
+        return rec, None
+    s = greedy_sequence_cover(succ, rec)
+    assert s == greedy_cover_by_bfs(succ, want)
+    return rec, s
+
+
+def test_orbit_and_cover_match_bfs_oracles():
+    covers = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 60))
+        k = data.draw(st.integers(1, 3))
+        # forward edges only (v -> w >= v) make branching DAGs with many sinks,
+        # whose covers need several walks; random edges mostly need one
+        forward = data.draw(st.booleans())
+        adj = [data.draw(st.lists(st.integers(v if forward else 0, n - 1), min_size=k,
+                                  max_size=k)) for v in range(n)]
+        x = data.draw(st.integers(0, n - 1))
+        cap = data.draw(st.sampled_from([orbits.DEFAULT_ORBIT_CAP, n]) | st.integers(1, n))
+        covers.append(_against_bfs_oracles(adj, x, cap)[1])
+
+    check()
+    # truncated orbits, single walks and multi-walk covers all occurred
+    assert {None, 1, 2} <= set(covers) and max(c for c in covers if c) >= 3
+
+
+def test_orbit_and_cover_small_graphs():
+    # a self-loop: the start is the whole orbit
+    rec, s = _against_bfs_oracles([[0]], 0)
+    assert (rec.levels, s) == ({0: 0}, 1)
+    # two sink cycles, 1 <-> 2 and 3 <-> 4, reached from 0: one walk each
+    rec, s = _against_bfs_oracles([[1, 3], [2, 2], [1, 1], [4, 4], [3, 3]], 0)
+    assert list(rec.levels.items()) == [(0, 0), (1, 1), (3, 1), (2, 2), (4, 2)]
+    assert s == 2
+    # a start on the cycle 0 -> 1 -> 2 -> 0 with the exit 0 -> 3: one walk
+    # goes round the cycle and back through the start to leave it
+    rec, s = _against_bfs_oracles([[1, 3], [2, 2], [0, 0], [3, 3]], 0)
+    assert list(rec.levels.items()) == [(0, 0), (1, 1), (3, 1), (2, 2)]
+    assert s == 1
+    rec, s = _against_bfs_oracles([[1, 3], [2, 2], [0, 0], [3, 3]], 2)
+    assert list(rec.levels.items()) == [(2, 0), (0, 1), (1, 2), (3, 2)]
+    assert s == 1
+    # the cap: three of the five points on a cycle, then Truncated
+    rec, s = _against_bfs_oracles([[1], [2], [3], [4], [0]], 0, cap=3)
+    assert (list(rec.levels), rec.truncated, s) == ([0, 1, 2], True, None)
+    rec, s = _against_bfs_oracles([[1], [2], [3], [4], [0]], 0, cap=5)
+    assert (rec.T, rec.truncated, s) == (5, False, 1)
 
 
 def test_theorem46_lhs():

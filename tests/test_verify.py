@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from semiorbits import (
     LetterOutOfRange,
     SpecialGenerator,
     TooLarge,
+    Truncated,
     b_tree_size,
     build_graph,
     euler_phi,
@@ -625,6 +627,56 @@ def test_thm46_diagnostic_on_f3_6():
     assert _by_col(rep, row, "coll_l") == 0
     assert _by_col(rep, row, "ord_n") == 728
     assert _by_col(rep, row, "res_mod_p") == 0
+
+
+# (w, T, tau, s_cover) on F_{3^6} under X^2 + 1, X^3 + 2: covers of one to
+# four walks, each a greedy walk steered by breadth-first search
+THM46_F3_6_COVERS = [
+    (1, 3, 1, 1),
+    (2, 3, 2, 1),
+    (129, 9, 4, 2),
+    (207, 21, 13, 1),
+    (144, 24, 26, 2),
+    (3, 636, 728, 3),
+    (5, 636, 364, 3),
+    (66, 638, 728, 3),
+    (51, 642, 728, 4),
+    (165, 642, 728, 4),
+]
+
+
+def test_thm46_frozen_covers():
+    rep = run_experiment(
+        _cfg(experiment="thm46", generators=["X^2 + 1", "X^3 + 2"], primes=[3], s=6,
+             starts=[w for w, *_ in THM46_F3_6_COVERS])
+    )
+    got = [tuple(_by_col(rep, r, c) for c in ("w", "T", "tau", "s_cover")) for r in rep.rows]
+    assert got == THM46_F3_6_COVERS
+
+
+def test_thm46_orbit_cap_raises_truncated():
+    with pytest.raises(Truncated):
+        run_experiment(
+            _cfg(experiment="thm46", generators=["X^2 + 1", "X^3 + 2"], primes=[3], s=6,
+                 starts=[3], orbit_cap=100)
+        )
+
+
+def test_thm46_small_reach_reads_few_table_rows():
+    # F_65537 takes its whole graph, but the orbit of 1 under X^2, X^3 is {1}:
+    # the orbit and cover read that row alone.  Lists of all 2^16 rows would
+    # add about 8 MB to the peak.
+    gens = ["X^2", "X^3"]
+    table = build_graph(GeneratorSet([parse_poly(g) for g in gens]), make_prime_field(65537)).table
+    tracemalloc.start()
+    try:
+        rep = run_experiment(_cfg(experiment="thm46", generators=gens, primes=[65537], starts=[1]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (row,) = rep.rows
+    assert (_by_col(rep, row, "T"), _by_col(rep, row, "s_cover")) == (1, 1)
+    assert peak - table.nbytes < 6 << 20
 
 
 # -- thm61 -------------------------------------------------------------------
