@@ -135,13 +135,13 @@ def pair_step_count(
 class FunctionalGraph:
     """A k-labeled functional graph: every vertex has out-edges 1..k.
 
-    Vertices are indices 0..n-1; when built from a field, index i is the
-    element ctx.from_index(i), and field elements are accepted as vertices.
+    Vertices are row indices 0..n-1; built from a field, row i is the point
+    of field index i.
     """
 
-    __slots__ = ("table", "n", "k", "ctx")
+    __slots__ = ("table", "n", "k")
 
-    def __init__(self, table, ctx: FieldContext = None):
+    def __init__(self, table):
         arr = np.asarray(table, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise OutOfRange("edge table must be a nonempty (n, k) array")
@@ -150,11 +150,8 @@ class FunctionalGraph:
         self.table = arr
         self.n = int(arr.shape[0])
         self.k = int(arr.shape[1])
-        self.ctx = ctx
 
     def _idx(self, v) -> int:
-        if isinstance(v, FieldElement):
-            return v.index
         i = int(v)
         if not 0 <= i < self.n:
             raise OutOfRange("vertex index %d outside [0, %d)" % (i, self.n))
@@ -177,15 +174,14 @@ def build_graph(F: GeneratorSet, ctx: FieldContext) -> FunctionalGraph:
         raise TooLarge("graph needs q <= 2^20, got q=%d" % ctx.q)
     xs = np.arange(ctx.q, dtype=np.int64)
     table = np.stack([g.eval_indices(xs) for g in F.reduced(ctx)], axis=1)
-    return FunctionalGraph(table, ctx)
+    return FunctionalGraph(table)
 
 
 def _vertex_mask(g: FunctionalGraph, vertices: Iterable) -> np.ndarray:
-    """Boolean mask of a vertex set: an integer index array, or any iterable
-    of indices and field elements."""
-    if not (isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iu"):
-        vertices = [v.index if isinstance(v, FieldElement) else int(v) for v in vertices]
-    idx = np.asarray(vertices, dtype=np.int64)
+    """Boolean mask of a vertex set: an index array, or any iterable of indices."""
+    if not isinstance(vertices, np.ndarray):
+        vertices = np.fromiter(vertices, np.int64)
+    idx = vertices.astype(np.int64, copy=False)
     bad = idx[(idx < 0) | (idx >= g.n)]
     if len(bad):
         raise OutOfRange("vertex index %d outside [0, %d)" % (bad[0], g.n))

@@ -17,6 +17,7 @@ or ``reach_table`` over the starts' reach.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import random
@@ -84,25 +85,23 @@ class WordStream:
     """An infinite word over {1, ..., k}: eventually periodic or seeded
     pseudorandom.  Letters are 1-indexed; ``shift(n)`` drops the first n."""
 
-    def __init__(self, kind, preperiod=(), period=(), k=0, seed=0, _shared=None, _offset=0):
+    def __init__(self, kind, preperiod=(), period=(), k=0, seed=0):
         self.kind = kind
         self.preperiod = tuple(preperiod)
         self.period = tuple(period)
         self.k = k
         self.seed = seed
+        self.offset = 0
         if kind == "periodic":
             if not self.period:
                 raise OutOfRange("a periodic stream needs a nonempty period")
         elif kind == "random":
             if k < 1:
                 raise OutOfRange("a random stream needs k >= 1")
-            self._rng = random.Random(seed) if _shared is None else None
-            self._letters: List[int] = [] if _shared is None else _shared[0]
-            if _shared is not None:
-                self._rng = _shared[1]
+            self._rng = random.Random(seed)
+            self._letters: List[int] = []
         else:
             raise OutOfRange("unknown stream kind %r" % (kind,))
-        self._offset = _offset
 
     @classmethod
     def periodic(cls, period: Sequence[int], preperiod: Sequence[int] = ()) -> "WordStream":
@@ -120,7 +119,7 @@ class WordStream:
         """The i-th letter, 1-indexed."""
         if i < 1:
             raise OutOfRange("stream letters are 1-indexed")
-        i += self._offset
+        i += self.offset
         if self.kind == "periodic":
             if i <= len(self.preperiod):
                 return self.preperiod[i - 1]
@@ -133,24 +132,15 @@ class WordStream:
         return tuple(self.letter(i) for i in range(1, n + 1))
 
     def shift(self, n: int) -> "WordStream":
-        """The stream with the first n letters removed."""
+        """The stream with the first n letters removed: a copy whose offset
+        is n more.  A random stream's copies share one letter tape."""
         if n < 0:
             raise OutOfRange("shift requires n >= 0")
         if n == 0:
             return self
-        if self.kind == "random":
-            return WordStream(
-                "random",
-                k=self.k,
-                seed=self.seed,
-                _shared=(self._letters, self._rng),
-                _offset=self._offset + n,
-            )
-        pre, per = self.preperiod, self.period
-        if n <= len(pre):
-            return WordStream("periodic", preperiod=pre[n:], period=per)
-        r = (n - len(pre)) % len(per)
-        return WordStream("periodic", period=per[r:] + per[:r])
+        out = copy.copy(self)
+        out.offset += n
+        return out
 
     def describe(self) -> dict:
         if self.kind == "periodic":
@@ -159,31 +149,37 @@ class WordStream:
                 out["preperiod"] = list(self.preperiod)
         else:
             out = {"kind": "random", "k": self.k, "seed": self.seed}
-        if self._offset:
-            out["offset"] = self._offset
+        if self.offset:
+            out["offset"] = self.offset
         return out
 
 
 def stream_from_config(desc: dict) -> WordStream:
-    """Build a stream from its ``describe()`` dictionary."""
+    """Build a stream from its ``describe()`` dictionary; a malformed or
+    out-of-range one raises ConfigError naming the offending key."""
     if not isinstance(desc, dict):
         raise ConfigError("a stream is a JSON object, got %r" % (desc,))
     kind = desc.get("kind")
     if kind not in ("periodic", "random"):
-        raise OutOfRange("unknown stream kind %r" % (kind,))
+        raise ConfigError("stream 'kind' must be 'periodic' or 'random', got %r" % (kind,))
     period, pre = desc.get("period"), desc.get("preperiod", [])
-    if kind == "periodic" and not (isinstance(period, list) and isinstance(pre, list)):
-        raise ConfigError("a periodic stream needs 'period' (and any 'preperiod') as a list")
+    if kind == "periodic" and not (isinstance(period, list) and isinstance(pre, list) and period):
+        raise ConfigError("a periodic stream needs lists 'period' (nonempty) and 'preperiod'")
     ints = period + pre if kind == "periodic" else [desc.get("k")]
-    if not all(type(v) is int for v in ints + [desc.get("offset", 0)]):  # excludes bool
+    offset = desc.get("offset", 0)
+    if not all(type(v) is int for v in ints + [offset]):  # excludes bool
         raise ConfigError("a %s stream needs integer letters, k and offset" % kind)
     if type(desc.get("seed", 0)) not in (int, str):  # null would seed from the OS
         raise ConfigError("a stream seed is an integer or a string")
+    if kind == "random" and desc["k"] < 1:
+        raise ConfigError("a random stream needs 'k' >= 1")
+    if offset < 0:
+        raise ConfigError("a stream 'offset' must be >= 0")
     if kind == "periodic":
         s = WordStream.periodic(period, pre)
     else:
         s = WordStream.random(desc["k"], desc.get("seed", 0))
-    return s.shift(desc.get("offset", 0))
+    return s.shift(offset)
 
 
 def letter_index(letter: int, k: int) -> int:
@@ -205,13 +201,14 @@ def evaluated_successors(F: GeneratorSet, ctx: FieldContext) -> Successors:
 
 
 def reach_table(F: GeneratorSet, ctx: FieldContext, starts: Sequence[int],
-                depth: Optional[int] = None) -> Tuple[np.ndarray, Dict[int, int]]:
+                depth: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Compact successor table over the points within ``depth`` steps of the
     starts, evaluated a BFS level at a time with one array call per generator.
-    Returns (table, row), ``row`` mapping each reached field index to its row
-    in FIFO discovery order.  Rows on the depth limit are not evaluated and
-    loop to themselves; a kernel that runs at most ``depth`` steps never reads
-    them.  Raises TooLarge once the reach passes MAX_GRAPH_SIZE points."""
+    Returns (table, points), ``points[r]`` the field index of row r in FIFO
+    discovery order: the distinct starts first, in first-occurrence order.
+    Rows on the depth limit are not evaluated and loop to themselves; a kernel
+    that runs at most ``depth`` steps never reads them.  Raises TooLarge once
+    the reach passes MAX_GRAPH_SIZE points."""
     levels = [np.array(list(dict.fromkeys(starts)), dtype=np.int64)]
     seen = np.sort(levels[0])  # every point found so far
     images = [np.empty(0, np.int64)]  # each evaluated level's rows, flattened
@@ -228,7 +225,7 @@ def reach_table(F: GeneratorSet, ctx: FieldContext, starts: Sequence[int],
     points, done = np.concatenate(levels), np.concatenate(images)  # seen is points, sorted
     table = np.repeat(np.arange(len(points))[:, None], F.k, axis=1)
     table[: len(done) // F.k] = np.argsort(points)[np.searchsorted(seen, done)].reshape(-1, F.k)
-    return table, dict(zip(points.tolist(), range(len(points))))
+    return table, points
 
 
 def level_union(table: np.ndarray, r: int, N: int) -> np.ndarray:

@@ -151,8 +151,9 @@ class ExperimentConfig:
             self.starts = tuple(self.starts)
         if self.sample is not None and self.sample < 0:
             raise ConfigError("sample must be >= 0")
-        if self.t is not None and self.t < 1:
-            raise ConfigError("t must be >= 1")
+        for name in ("t", "h", "l", "orbit_cap"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ConfigError("%s must be >= 1" % name)
         if self.N is not None and self.N < 1 and self.experiment in ("thm44i", "thm44ii", "cor45"):
             raise ConfigError("%s needs N >= 1" % self.experiment)
         if self.stream is not None:
@@ -323,13 +324,14 @@ def _whole_field(ctx: FieldContext) -> bool:
 
 def _tables(F: GeneratorSet, ctx: FieldContext, starts: Sequence[int], depth=None):
     """Successor table over the starts' reach within ``depth`` steps (all when
-    None), each row's field index, and the map field index -> row: the whole
-    graph where ``_whole_field`` allows, else only the reached points, each
-    evaluated once."""
+    None), each row's field index, and each start's row: the whole graph where
+    ``_whole_field`` allows, else only the reached points, each evaluated once."""
     if _whole_field(ctx):
-        return build_graph(F, ctx).table, np.arange(ctx.q), range(ctx.q)
-    table, row = reach_table(F, ctx, starts, depth)
-    return table, np.fromiter(row, np.int64, len(row)), row
+        return build_graph(F, ctx).table, np.arange(ctx.q), starts
+    table, points = reach_table(F, ctx, starts, depth)
+    first = points[: len(set(starts))]  # the distinct starts, in first-occurrence order
+    order = np.argsort(first)
+    return table, points, order[np.searchsorted(first, starts, sorter=order)].tolist()
 
 
 def _qual(ctx: FieldContext, t: int, points: np.ndarray) -> np.ndarray:
@@ -390,8 +392,8 @@ def run_thm44i(cfg: ExperimentConfig) -> ExperimentReport:
     for p, ctx, ws in _grid(cfg):
         t = _t_for(cfg, math.log(p))
         bound = max(math.sqrt(N), N / _loglog_denom(cfg, p))
-        table, points, row = _tables(F, ctx, ws, N - 1)
-        found = sup_m_over_sequences(table, _qual(ctx, t, points), [row[w] for w in ws], N)
+        table, points, start_rows = _tables(F, ctx, ws, N - 1)
+        found = sup_m_over_sequences(table, _qual(ctx, t, points), start_rows, N)
         for w, (M, word) in zip(ws, found):
             rows.append((p, cfg.s, w, t, N, M, bound, M / bound, _word_str(word)))
     return _report(cfg, columns, rows, "ratio", **notes)
@@ -453,10 +455,9 @@ def run_cor45(cfg: ExperimentConfig) -> ExperimentReport:
         t = _t_for(cfg, math.log(p))
         kN = float(F.k) ** N
         bound = max(math.sqrt(N) * kN, N * kN / _loglog_denom(cfg, p))
-        table, points, row = _tables(F, ctx, ws, N)
-        counts = count_small_order_points(
-            table, _qual(ctx, t, points), [row[w] for w in ws], N, cfg.include_level_0
-        )
+        table, points, start_rows = _tables(F, ctx, ws, N)
+        counts = count_small_order_points(table, _qual(ctx, t, points), start_rows, N,
+                                          cfg.include_level_0)
         for w, cnt in zip(ws, counts):
             rows.append((p, cfg.s, w, t, N, cnt, ctx.q, bound, cnt / bound))
     return _report(cfg, columns, rows, "ratio", **notes,
@@ -502,16 +503,15 @@ def run_thm46(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     zeros = 0
     for p, ctx, ws in _grid(cfg):
+        nonzero = [w for w in ws if w]
+        zeros += len(ws) - len(nonzero)
         # above the cap each start gets its own table, the size of its orbit
-        for group in [ws] if ctx.q <= MAX_GRAPH_SIZE else [[w] for w in ws]:
-            table, _, row = _tables(F, ctx, [w for w in group if w])
+        for group in [nonzero] if ctx.q <= MAX_GRAPH_SIZE else [[w] for w in nonzero]:
+            table, _, start_rows = _tables(F, ctx, group)
             # each row's successor list once, when first reached: never all 2^20 rows
             succ = functools.cache(lambda v: table[v].tolist())
-            for w in group:
-                if w == 0:
-                    zeros += 1
-                    continue
-                rec = orbit(succ, row[w], cfg.orbit_cap)
+            for w, r in zip(group, start_rows):
+                rec = orbit(succ, r, cfg.orbit_cap)
                 tau = mul_order(ctx.from_index(w))
                 s_cover = greedy_sequence_cover(succ, rec)
                 lhs = theorem46_lhs(F.d, rec.T, tau, s_cover)
@@ -519,7 +519,7 @@ def run_thm46(cfg: ExperimentConfig) -> ExperimentReport:
                 flag = 1 if lhs < rhs else 0
                 diag = (None, None, None, None)
                 if cfg.diagnostics:
-                    diag = _collision_diagnostic(cfg, F, ctx, succ, row[w], w, tau)
+                    diag = _collision_diagnostic(cfg, F, ctx, succ, r, w, tau)
                 rows.append((p, w, rec.T, tau, s_cover, lhs, rhs, flag) + diag)
     if rows:
         notes["min_margin"] = min(r[5] - r[6] for r in rows)
@@ -551,9 +551,8 @@ def run_thm61(cfg: ExperimentConfig) -> ExperimentReport:
         bound = max(B ** (l + 1) / h, B ** (l + 1) / _loglog_denom(cfg, p))
         qual = _qual(ctx, t, np.arange(ctx.q))
         counts = count_small_order_points(graph.table, qual, ws, N, cfg.include_level_0)
-        for w, cnt in zip(ws, counts):
-            u = ctx.from_index(w)
-            res = find_witness_words(graph, u, np.flatnonzero(qual), N, h, l, c=cfg.c1)
+        for w, cnt in zip(ws, counts):  # on the whole-field graph, w is its own row
+            res = find_witness_words(graph, w, np.flatnonzero(qual), N, h, l, c=cfg.c1)
             hyp = 1 if (res.hypothesis_met and h >= 3 * l) else 0
             eq61 = res.count / res.target if res.target > 0 else None
             rows.append((p, w, t, N, h, l, B, hyp, cnt, bound, cnt / bound, res.count,

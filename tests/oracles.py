@@ -28,6 +28,7 @@ from itertools import combinations, product
 import numpy as np
 
 from semiorbits import (
+    FieldElement,
     IntPolynomial,
     OrbitRecord,
     OutOfRange,
@@ -66,8 +67,8 @@ def level_images(F, x, N):
     if N < 1:
         raise OutOfRange("level_images requires N >= 1")
     ctx = x.ctx
-    table, row = reach_table(F, ctx, [x.index], N)  # x is row 0
-    points = list(row)
+    table, points = reach_table(F, ctx, [x.index], N)  # x is row 0
+    points = points.tolist()
     return [{ctx.from_index(points[r]) for r in level} for level in table_levels(table, 0, N)]
 
 
@@ -260,8 +261,8 @@ def bfs_reach_table(F, ctx, starts, depth=None):
     """The successor table over the starts' reach within ``depth`` steps, by a
     per-point FIFO breadth-first search that evaluates one point at a time.
 
-    Rows follow discovery order; rows on the depth limit loop to themselves.
-    No size guard.
+    Returns (table, points) as ``reach_table`` does: rows follow discovery
+    order, and rows on the depth limit loop to themselves.  No size guard.
     """
     red = F.reduced(ctx)
     level = dict.fromkeys(starts, 0)
@@ -277,7 +278,7 @@ def bfs_reach_table(F, ctx, starts, depth=None):
                 queue.append(w)
     row = {v: r for r, v in enumerate(level)}
     table = [[row[w] for w in images[v]] if v in images else [r] * F.k for v, r in row.items()]
-    return np.array(table, dtype=np.int64).reshape(-1, F.k), row
+    return np.array(table, dtype=np.int64).reshape(-1, F.k), np.array(list(row), dtype=np.int64)
 
 
 def exhaustive_level_images(F, x, N):
@@ -391,11 +392,18 @@ def bfs_distances(table, r):
     return dist
 
 
+def _row(v):
+    """A vertex as a row index: a field element names its field index, which
+    is its row on a whole-field graph."""
+    return v.index if isinstance(v, FieldElement) else int(v)
+
+
 def naive_l_n_count(graph, u, members, N, words):
-    """Triple loop: BFS distances as a dict, then per-vertex word checks."""
+    """Triple loop: BFS distances as a dict, then per-vertex word checks.
+    Vertices are row indices, or field elements of a whole-field graph."""
     rows = graph.table.tolist()
-    dist = bfs_distances(graph.table, graph._idx(u))
-    member_idx = {graph._idx(a) for a in members}
+    dist = bfs_distances(graph.table, _row(u))
+    member_idx = {_row(a) for a in members}
     count = 0
     for v in range(graph.n):
         if dist.get(v, N + 1) > N:

@@ -382,6 +382,21 @@ def test_verify_unknown_config_field_exit(tmp_path, capsys):
     ):
         code, _, err = _run(capsys, "verify", *argv, *base)
         assert code == 4, err
+    # out-of-range values exit 4 at load, and the message names the field
+    thm44ii = ["thm44ii", "--prime-max", "20", "--N", "5", "--stream"]
+    thm61 = ["thm61", "--primes", "11", "--N", "3"]
+    for argv, name in (
+        (thm44ii + ['{"kind": "nope"}'], "kind"),
+        (thm44ii + ['{"kind": "periodic", "period": []}'], "period"),
+        (thm44ii + ['{"kind": "random", "k": 0}'], "k"),
+        (thm44ii + ['{"kind": "periodic", "period": [1], "offset": -1}'], "offset"),
+        (thm61 + ["--h", "0", "--l", "1"], "h"),
+        (thm61 + ["--h", "3", "--l", "0"], "l"),
+        (["thm46", "--primes", "11", "--orbit-cap", "0"], "orbit_cap"),
+    ):
+        code, _, err = _run(capsys, "verify", *argv, *base)
+        assert code == 4, err
+        assert "'%s'" % name in err or err.startswith(name + " "), err
 
 
 def _check_console_script(exe, env=None):

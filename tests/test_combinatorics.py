@@ -200,7 +200,7 @@ def test_ball_examples():
     assert bfs_distances(g.table, 3) == {3: 0, 2: 1, 4: 2}
     assert set(np.flatnonzero(level_union(g.table, 3, 2))) == {2, 4}
     for N, ball in ((0, 1), (1, 2), (2, 3), (9, 3)):
-        res = find_witness_words(g, F7.element(3), {4, 5}, N, h=1, l=1)
+        res = find_witness_words(g, 3, {4, 5}, N, h=1, l=1)
         assert (res.ball, res.ball_in_a) == (ball, int(N >= 2))
 
 
@@ -248,7 +248,7 @@ def test_word_images_matches_walk():
 
 def test_l_n_count_example():
     g = build_graph(PAIR, F5)
-    assert l_n_count(g, F5.element(2), {0, 1, 4}, 1, [(1,)]) == 2
+    assert l_n_count(g, 2, {0, 1, 4}, 1, [(1,)]) == 2
     # N=0: only v = u can qualify, and only when the word images fix u
     assert l_n_count(g, 1, {1}, 0, [(1,)]) == 1
     assert l_n_count(g, 2, range(5), 0, [(1,)]) == 0
@@ -277,7 +277,7 @@ def test_l_n_count_matches_naive_seeded():
 
 def test_find_witness_words_small():
     g = build_graph(PAIR, F5)
-    res = find_witness_words(g, F5.element(2), {0, 1, 4}, 1, h=1, l=1)
+    res = find_witness_words(g, 2, {0, 1, 4}, 1, h=1, l=1)
     words, count = res
     assert words in (((1,),), ((2,),))
     assert count == max(
@@ -333,9 +333,11 @@ def test_find_witness_words_guard_with_one_generator():
 
 
 def test_vertex_sets_from_index_arrays_and_elements():
+    # vertices are row indices only: field elements are refused, even on a
+    # whole-field graph where an element's index is its row
     g = build_graph(PAIR, F7)
     arr = np.array([6, 0, 3, 3])
-    mixed = [F7.element(6), 0, np.int64(3)]
+    mixed = [np.int64(6), 0, np.int32(3)]
     for A in (arr, arr.astype(np.int32), mixed, {0, 3, 6}, range(0, 7, 3)):
         assert np.flatnonzero(combinatorics._vertex_mask(g, A)).tolist() == [0, 3, 6]
     assert not combinatorics._vertex_mask(g, np.array([], dtype=np.int64)).any()
@@ -347,6 +349,11 @@ def test_vertex_sets_from_index_arrays_and_elements():
             l_n_count(g, 2, bad, 2, [(1,)])
         with pytest.raises(OutOfRange):
             find_witness_words(g, 2, bad, 2, h=1, l=1)
+    for u, A in ((F7.element(2), arr), (2, [F7.element(6), 0])):
+        with pytest.raises(TypeError):
+            l_n_count(g, u, A, 2, [(1,)])
+        with pytest.raises(TypeError):
+            find_witness_words(g, u, A, 2, h=1, l=1)
 
 
 # (k, h, l): every l <= 3 for k = 1, 2, 3, and l equal to the number of words

@@ -81,6 +81,18 @@ def test_factorize_known_values():
         factorize(1 << 96)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 2**64))
+@example(n=1)
+@example(n=2**10)
+@example(n=600851475143)
+@example(n=2147483647 * 2147483629)  # two close 31-bit primes: the rho stage
+@example(n=2**96 - 1)
+def test_factorize_matches_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    assert dict(factorize(n).pairs) == sympy.factorint(n)
+
+
 def test_euler_phi_and_omega():
     assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
     assert omega_distinct_primes(360) == 3
@@ -172,24 +184,45 @@ def test_field_size_guards():
         make_extension_field(65537, 3)  # 65537^3 > 2^48
 
 
-def test_element_arithmetic_properties_seeded():
-    rng = random.Random(7)
-    for ctx in (make_prime_field(101), make_extension_field(3, 3), make_extension_field(2, 4)):
-        elems = [ctx.from_index(rng.randrange(ctx.q)) for _ in range(12)]
-        for a in elems:
-            for b in elems:
-                assert a + b == b + a
-                assert a * b == b * a
-                assert (a - b) + b == a
-                if not b.is_zero:
-                    assert (a / b) * b == a
-        a, b, c = elems[:3]
-        assert a * (b + c) == a * b + a * c
-        for a in elems:
-            if not a.is_zero:
-                assert (a * a.inverse()).is_one
-                assert a ** (ctx.q - 1) == ctx.one()
-                assert a**-1 == a.inverse()
+SMALL_PRIMES = [p for p in range(2, 1 << 12) if is_prime(p)]
+
+
+@st.composite
+def _small_fields(draw):
+    """(p, s) with p^s <= 2^12; the degree is drawn first, so that extension
+    fields are as common as prime ones."""
+    s = draw(st.integers(1, 12))
+    return draw(st.sampled_from([p for p in SMALL_PRIMES if p**s <= 1 << 12])), s
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(field=_small_fields(), seed=st.integers(0, 2**32 - 1))
+@example(field=(101, 1), seed=7)
+@example(field=(3, 3), seed=7)
+@example(field=(2, 4), seed=7)
+def test_element_arithmetic_axioms(field, seed):
+    ctx = make_extension_field(*field)
+    rng = random.Random(seed)
+    zero, one = ctx.zero(), ctx.one()
+    elems = [ctx.from_index(rng.randrange(ctx.q)) for _ in range(8)] + [zero, one]
+    for a in elems:
+        assert a + zero == a and a * one == a and (a * zero).is_zero
+        assert (a + (-a)).is_zero
+        if not a.is_zero:
+            assert (a * a.inverse()).is_one
+            assert a ** (ctx.q - 1) == one
+            assert a**-1 == a.inverse()
+        for b in elems:
+            assert a + b == b + a
+            assert a * b == b * a
+            assert (a - b) + b == a
+            assert (a + b) ** ctx.p == a**ctx.p + b**ctx.p  # characteristic p
+            if not b.is_zero:
+                assert (a / b) * b == a
+            for c in elems[:4]:
+                assert (a + b) + c == a + (b + c)
+                assert (a * b) * c == a * (b * c)
+                assert a * (b + c) == a * b + a * c
 
 
 def test_pow_makes_one_mul_per_bit(monkeypatch):

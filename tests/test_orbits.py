@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import semiorbits.orbits as orbits
 from semiorbits import (
+    ConfigError,
     DegenerateGenerator,
     DegreeTooSmall,
     EmptySystem,
@@ -71,10 +72,10 @@ def _tables(F, x, t, depth):
     """(table, Γ(t) mask, [row of x]) from both table builders: the whole
     field's graph, and the compact table over x's reach within depth steps."""
     ctx = x.ctx
-    gamma = {u.index for u in small_order_set(ctx, t)}
-    whole = (build_graph(F, ctx).table, range(ctx.q))
-    for table, row in (whole, reach_table(F, ctx, [x.index], depth)):
-        yield table, np.array([i in gamma for i in row], dtype=bool), [row[x.index]]
+    gamma = [u.index for u in small_order_set(ctx, t)]
+    whole = (build_graph(F, ctx).table, np.arange(ctx.q))
+    for table, points in (whole, reach_table(F, ctx, [x.index], depth)):
+        yield table, np.isin(points, gamma), [int(np.flatnonzero(points == x.index)[0])]
 
 
 def _sup_m(F, x, t, N):
@@ -159,9 +160,10 @@ def test_stream_config_roundtrip():
         WordStream.periodic((1, 2), preperiod=(3, 3)),
         WordStream.random(2, seed=5),
         WordStream.random(4, seed=0).shift(7),
+        WordStream.periodic((1, 2), preperiod=(3, 3)).shift(1).shift(4),
     ):
         assert stream_from_config(s.describe()).prefix(20) == s.prefix(20)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ConfigError):
         stream_from_config({"kind": "nope"})
 
 
@@ -461,8 +463,9 @@ REACH_FIELDS = ((5, 1), (7, 1), (2, 4), (3, 3), (2, 8), (5, 3), (2, 13), (104858
 
 
 def _assert_same_reach(got, want):
-    (table, row), (want_table, want_row) = got, want
-    assert list(row.items()) == list(want_row.items())  # same rows, same order
+    (table, points), (want_table, want_points) = got, want
+    assert points.dtype == np.int64
+    assert points.tolist() == want_points.tolist()  # same rows, same order
     assert table.dtype == np.int64 and table.shape == want_table.shape
     assert (table == want_table).all()
 
@@ -492,8 +495,8 @@ def test_reach_table_matches_per_point_bfs_seeded():
                 _assert_same_reach(reach_table(F, ctx, starts, depth), want)
                 checked += 1
     assert checked == 184  # 4 systems per field; whole reach on the 6 below 2^12
-    table, row = reach_table(PAIR, F7, [])
-    assert table.shape == (0, 2) and row == {}
+    table, points = reach_table(PAIR, F7, [])
+    assert table.shape == (0, 2) and points.shape == (0,)
 
 
 def test_successor_tables_evaluate_no_point_alone(monkeypatch):
@@ -521,10 +524,10 @@ def test_reach_table_guard_trips_exactly_above_the_cap(monkeypatch):
         for depth in (None, 0, 1, 3):
             F = _system_on(rng, ctx, 2)
             starts = [rng.randrange(ctx.q) for _ in range(3)]
-            table, row = bfs_reach_table(F, ctx, starts, depth)
-            reach = len(row)
+            want = bfs_reach_table(F, ctx, starts, depth)
+            reach = len(want[1])
             monkeypatch.setattr(orbits, "MAX_GRAPH_SIZE", reach)
-            _assert_same_reach(reach_table(F, ctx, starts, depth), (table, row))
+            _assert_same_reach(reach_table(F, ctx, starts, depth), want)
             monkeypatch.setattr(orbits, "MAX_GRAPH_SIZE", reach - 1)
             with pytest.raises(TooLarge):
                 reach_table(F, ctx, starts, depth)

@@ -1229,6 +1229,55 @@ def test_sampled_starts_evaluate_only_their_reach(monkeypatch):
                 assert _by_col(rep, row, "T") == len(closure_orbit(frob, ctx.from_index(w)))
 
 
+# -- runner rows against the exhaustive oracles --------------------------------
+
+# prime fields take the whole-field table, extension fields the starts' reach
+RUNNER_FIELDS = [(11, 1), (13, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]
+
+
+@st.composite
+def _runner_cases(draw):
+    """(p, s, monic generators of degree 2 or 3, starts, t, N); the starts
+    hold a repeated start and the zero start, in a drawn order."""
+    p, s = draw(st.sampled_from(RUNNER_FIELDS))
+    q = p**s
+    coeffs = st.lists(st.integers(-3, 3), min_size=2, max_size=3).map(lambda c: c + [1])
+    gens = [format_poly(IntPolynomial(c)) for c in draw(st.lists(coeffs, min_size=1, max_size=2))]
+    some = draw(st.lists(st.integers(1, q - 1), min_size=1, max_size=4))
+    starts = draw(st.permutations(some + [some[0], 0]))
+    return p, s, gens, starts, draw(st.integers(1, q - 1)), draw(st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=_runner_cases())
+@example(case=(13, 1, ["X^2 + 1", "X^3 + 2"], [5, 0, 7, 5], 4, 4))
+@example(case=(3, 3, ["X^2 + 1", "X^3 + 2"], [20, 5, 0, 17, 5], 6, 4))
+def test_runner_rows_match_exhaustive_oracles(case):
+    # thm44i, cor45 and thm46 read each start's row from _tables; a wrong row
+    # for any start, the repeated one included, changes that start's cells
+    p, s, gens, starts, t, N = case
+    ctx = make_extension_field(p, s)
+    F = GeneratorSet([parse_poly(g) for g in gens])
+    base = dict(generators=gens, primes=[p], s=s, starts=starts, t=t, N=N, allow_special=True)
+    sup = run_experiment(_cfg(experiment="thm44i", **base))
+    cnt = run_experiment(_cfg(experiment="cor45", **base))
+    assert len(sup.rows) == len(cnt.rows) == len(starts)
+    for w, row_m, row_c in zip(starts, sup.rows, cnt.rows):
+        x = ctx.from_index(w)
+        M, word = exhaustive_sup_m(F, x, t, N)
+        assert (_by_col(sup, row_m, "w"), _by_col(cnt, row_c, "w")) == (w, w)
+        assert _by_col(sup, row_m, "M") == M
+        assert _by_col(sup, row_m, "word") == "-".join(map(str, word))
+        assert _by_col(cnt, row_c, "count") == exhaustive_small_order_count(F, x, t, N)
+    rep = run_experiment(_cfg(experiment="thm46", generators=gens, primes=[p], s=s,
+                              starts=starts))
+    nonzero = [w for w in starts if w]
+    assert [_by_col(rep, row, "w") for row in rep.rows] == nonzero
+    assert rep.summary["zeros_skipped"] == len(starts) - len(nonzero)
+    for w, row in zip(nonzero, rep.rows):
+        assert _by_col(rep, row, "T") == len(closure_orbit(F, ctx.from_index(w)))
+
+
 # -- the Γ(t) mask -------------------------------------------------------------
 
 SMALL_FIELDS = [(p, s) for s in range(1, 5) for p in range(2, 1 << 12)
