@@ -53,6 +53,7 @@ from .intpoly import (
     conjugate_linear,
     cyclotomic,
     cyclotomic_charpoly,
+    cyclotomic_resultants,
     format_poly,
     height,
     is_special,

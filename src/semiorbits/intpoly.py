@@ -13,19 +13,24 @@ variable and arbitrary whitespace; printing and parsing round-trip.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import (
     DegreeTooSmall,
     EmptySystem,
     OutOfRange,
     PolynomialParseError,
+    TooLarge,
     ZeroPolynomial,
 )
-from .ff import FieldContext, FieldPolynomial, euler_phi, factorize
+from .ff import FieldContext, FieldPolynomial, _miller_rabin, _sieve, euler_phi, factorize
 
 MAX_CYCLOTOMIC_INDEX = 100000
 
@@ -384,6 +389,139 @@ def resultant(f: IntPolynomial, g: IntPolynomial) -> int:
     da = len(A) - 1
     res = B[0] ** da // h ** (da - 1)
     return sign * scale * res
+
+
+# ---------------------------------------------------------------------------
+# resultants against every Φ_s at once (split primes and the CRT)
+
+_LIMB = 30  # split primes lie in (2^30, 2^31): a product of two residues fits int64
+_BLOCK = 8  # residues in (-ℓ/2, ℓ/2) have products below 2^60: eight sum within int64
+_SIEVE = _sieve(100)
+
+
+def _split_primes(s: int, count: int) -> List[int]:
+    """The first ``count`` primes ℓ ≡ 1 (mod s) above 2^30; Φ_s splits into
+    linear factors mod each.  Candidates 1 + k s come in blocks of about
+    22 per prime still needed (primes have density >= 1/ln 2^31 among them),
+    sieved by the primes below 100; Miller-Rabin to the bases 2, 7 and 61
+    is deterministic below 4,759,123,141 (Jaeschke, Math. Comp. 61, 1993)."""
+    primes: List[int] = []
+    k = (1 << _LIMB) // s + 1
+    while len(primes) < count:
+        block = 1 + s * np.arange(k, k + 22 * (count - len(primes)), dtype=np.int64)
+        block = block[block < 1 << (_LIMB + 1)]
+        if not block.size:
+            raise TooLarge("fewer than %d primes = 1 mod %d lie below 2^31" % (count, s))
+        keep = np.ones(block.size, dtype=bool)
+        for p in _SIEVE:
+            keep &= block % p != 0
+        tested = (l for l in block[keep].tolist() if _miller_rabin(l, (2, 7, 61)))
+        primes += itertools.islice(tested, count - len(primes))
+        k += block.size
+    return primes
+
+
+def _cyclotomic_roots(s: int, primes: Sequence[int]) -> np.ndarray:
+    """The phi(s) roots of Φ_s mod each prime ℓ ≡ 1 (mod s), one row per
+    prime: the powers ζ^k, gcd(k, s) = 1, of a primitive s-th root ζ."""
+    checks = [s // q for q in factorize(s).primes()]
+    zeta = []
+    for l in primes:
+        for a in range(2, l):  # ζ = a^((ℓ-1)/s) is primitive unless some ζ^(s/q) = 1
+            z = pow(a, (l - 1) // s, l)
+            if all(pow(z, e, l) != 1 for e in checks):
+                zeta.append(z)
+                break
+    ell = np.array(primes, dtype=np.int64)[:, None]
+    zeta = np.array(zeta, dtype=np.int64)[:, None]
+    powers = np.ones((len(primes), 1), dtype=np.int64)  # ζ^0, ..., ζ^(n-1) by doubling n
+    while powers.shape[1] < s:
+        powers = np.concatenate([powers, powers * (powers[:, -1:] * zeta % ell) % ell], axis=1)
+    return powers[:, [k for k in range(s) if math.gcd(k, s) == 1]]
+
+
+def _symmetric(x: np.ndarray, ell: np.ndarray) -> np.ndarray:
+    """Residues in [0, ℓ) moved into (-ℓ/2, ℓ/2)."""
+    return np.where(x > ell // 2, x - ell, x)
+
+
+def cyclotomic_resultants(polys: Sequence[IntPolynomial], s_max: int) -> List[List[int]]:
+    """Res(P, Φ_s) for every nonzero P of ``polys`` and every s <= s_max, as
+    ``out[i][s - 1]`` for ``polys[i]``; equal to ``resultant(P, cyclotomic(s))``.
+
+    Φ_s is monic, so Res(P, Φ_s) = (-1)^(deg P phi(s)) prod P(β) over its
+    roots β.  Mod a prime ℓ ≡ 1 (mod s) the β are phi(s) residues, and all
+    P of a degree are evaluated at once, for every ℓ and β, in int64.
+    |prod P(β)| <= |P|_1^phi(s) < 2^(phi(s) b), b the bit length of the sum
+    of |coefficients|, so ceil((phi(s) b + 1) / 30) primes above 2^30
+    recover it by the CRT as a symmetric residue (Collins, JACM 18, 1971).
+
+    A coefficient is reduced mod ℓ from its signed 30-bit limbs, and P(β)
+    by Horner over blocks of coefficients: each sum of eight products is a
+    matrix product, reduced once.
+    """
+    if any(P.is_zero for P in polys):
+        raise ZeroPolynomial("resultants require nonzero polynomials")
+    if not 1 <= s_max <= MAX_CYCLOTOMIC_INDEX:
+        raise OutOfRange("cyclotomic index must satisfy 1 <= s <= %d" % MAX_CYCLOTOMIC_INDEX)
+    groups = {}  # degree -> (indices, norm bits, limbs as (P, coefficient, limb))
+    for i, P in enumerate(polys):
+        groups.setdefault(P.degree, []).append(i)
+    width = min(_BLOCK, max(groups, default=0) + 1)  # coefficients per Horner block
+    for deg, idx in groups.items():  # zero-padded to whole blocks
+        coeffs = [polys[i].coeffs + (0,) * (-len(polys[i].coeffs) % width) for i in idx]
+        n = -(-max(abs(c) for cs in coeffs for c in cs).bit_length() // _LIMB) or 1
+        limbs = np.array([[[(abs(c) >> (_LIMB * j) & (1 << _LIMB) - 1) * (-1 if c < 0 else 1)
+                            for j in range(n)] for c in cs] for cs in coeffs], dtype=np.int64)
+        groups[deg] = (idx, max(sum(map(abs, cs)).bit_length() for cs in coeffs), limbs)
+    most_limbs = max((g[2].shape[2] for g in groups.values()), default=0)
+    out = [[0] * s_max for _ in polys]
+    for s in range(1, s_max + 1):
+        phi = euler_phi(s)
+        need = {deg: (phi * g[1] + _LIMB) // _LIMB for deg, g in groups.items()}
+        primes = _split_primes(s, max(need.values(), default=0))
+        # CRT weights over all the primes; reduced mod a prefix's product they
+        # serve the prefix, as each is still 1 mod its own prime, 0 mod the others
+        whole = math.prod(primes)
+        weights = [whole // l * pow(whole // l, -1, l) for l in primes]
+        products = {k: m for k, m in enumerate(itertools.accumulate(primes, operator.mul), 1)
+                    if k in need.values()}
+        ell = np.array(primes, dtype=np.int64)
+        radix = [np.ones_like(ell)]  # 2^(30 j) mod ℓ
+        while len(radix) < most_limbs:
+            radix.append((radix[-1] << _LIMB) % ell)
+        radix = _symmetric(np.stack(radix), ell)  # (limb, ℓ)
+        ell = ell[:, None, None]  # against (ℓ, P or block, β)
+        roots = _cyclotomic_roots(s, primes)[:, None]
+        powers = [np.ones_like(roots), roots]  # β^0, ..., β^width
+        while len(powers) <= width:
+            powers.append(powers[-1] * roots % ell)
+        step = powers.pop()
+        table = _symmetric(np.concatenate(powers, axis=1), ell)  # (ℓ, power, β)
+        for deg, (idx, _, limbs) in groups.items():
+            K = need[deg]
+            m = ell[:K]
+            r = radix[:limbs.shape[2], :K]  # eight limbs at a time
+            coeffs = sum(limbs[:, :, j:j + _BLOCK] @ r[j:j + _BLOCK] % m[:, 0, 0]
+                         for j in range(0, len(r), _BLOCK)) % m[:, 0, 0]
+            coeffs = _symmetric(coeffs.transpose(2, 0, 1), m).reshape(K, -1, width)
+            # each block's value at every β, then Horner over the blocks by β^width
+            blocks = (coeffs @ table[:K] % m).reshape(K, len(idx), -1, phi)
+            values = blocks[:, :, -1]
+            for b in range(blocks.shape[2] - 2, -1, -1):
+                values = (values * step[:K] + blocks[:, :, b]) % m
+            while values.shape[2] > 1:  # the product over β, halving the axis
+                half = values.shape[2] // 2
+                values = np.concatenate([values[:, :, :half] * values[:, :, half:2 * half] % m,
+                                         values[:, :, 2 * half:]], axis=2)
+            residues = values[:, :, 0].T  # (P, ℓ)
+            if deg * phi % 2:
+                residues = (m[:, 0, 0] - residues) % m[:, 0, 0]
+            modulus = products[K]
+            for i, row in zip(idx, residues.tolist()):
+                x = sum(map(operator.mul, row, weights)) % modulus
+                out[i][s - 1] = x - modulus if 2 * x > modulus else x
+    return out
 
 
 # ---------------------------------------------------------------------------

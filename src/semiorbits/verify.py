@@ -43,6 +43,7 @@ from .intpoly import (
     composition_height_bound,
     cyclotomic,
     cyclotomic_charpoly,
+    cyclotomic_resultants,
     format_poly,
     height,
     is_special,
@@ -164,6 +165,11 @@ class ExperimentConfig:
             raise ConfigError("s must be >= 1")
         if not self.generators:
             raise ConfigError("config needs at least one generator")
+        least = 1 if self.experiment == "lemma41" else 2
+        low = [text for text in self.generators if parse_poly(text).degree < least]
+        if low:
+            raise ConfigError("%s generators need degree >= %d, got: %s"
+                              % (self.experiment, least, "; ".join(low)))
         if self.loglog_floor <= 0:
             raise ConfigError("loglog_floor must be positive")
 
@@ -338,7 +344,9 @@ def _qual(ctx: FieldContext, t: int, points: np.ndarray) -> np.ndarray:
     """Γ(t) mask over an array of field indices, of any shape and with repeats:
     the nonzero points of order <= t.  Γ(t) is listed, one multiplication per
     power, unless that costs more than testing every point, each a powering of
-    about log2 q multiplications; a whole field always lists (σ(q-1) < q log2 q)."""
+    about log2 q multiplications; a whole field always lists (σ(q-1) < q log2 q).
+    With at least q points a q-entry mask is indexed by them; q may reach 2^48,
+    so fewer points are matched with ``np.isin``."""
     points = np.asarray(points, dtype=np.int64)
     listed = sum(l for l in _divisors(ctx.group_order_factorization()) if l <= t)
     if listed <= points.size * ctx.q.bit_length():
@@ -346,6 +354,10 @@ def _qual(ctx: FieldContext, t: int, points: np.ndarray) -> np.ndarray:
     else:
         members = [i for i in set(points.ravel().tolist())
                    if i and mul_order(ctx.from_index(i)) <= t]
+    if ctx.q <= points.size:
+        mask = np.zeros(ctx.q, dtype=bool)
+        mask[members] = True
+        return mask[points]
     return np.isin(points, np.array(members, dtype=np.int64))
 
 
@@ -579,30 +591,33 @@ def run_lemma41(cfg: ExperimentConfig) -> ExperimentReport:
     """log|Res(Phi_r, Phi_s(F))| normalized by r s (h(F) + deg F).
 
     Each value is Res(χ_r, Φ_s), χ_r = ``cyclotomic_charpoly(F, r)`` built once
-    per (F, r).  Zero resultants are flagged, not folded into the ratio; they
-    mark the cyclotomic-preimage coincidences the surrounding theory feeds on.
+    per (F, r), and every Res(χ_r, Φ_s) of the grid comes from one
+    ``cyclotomic_resultants`` pass.  The pair that needs the most primes is
+    checked against the subresultant PRS.  Zero resultants are flagged, not
+    folded into the ratio; they mark the cyclotomic-preimage coincidences the
+    surrounding theory feeds on.
     """
     gens = [parse_poly(text) for text in cfg.generators]
     if cfg.r_max < 1 or cfg.s_max < 1:
         raise ConfigError("lemma41 needs r_max >= 1 and s_max >= 1")
-    if any(f.degree < 1 for f in gens):
-        raise ConfigError("lemma41 generators must be nonconstant")
     d = max(f.degree for f in gens)
     if _lemma41_cost([f.degree for f in gens], cfg.r_max, cfg.s_max) > LEMMA41_COST_CAP or any(
         euler_phi(r) * r * (d + 1) > CHARPOLY_COST_CAP for r in range(1, cfg.r_max + 1)
     ):
         raise TooLarge("lemma41 guard: the grid's cost must stay <= %d and phi(r)*r*(deg F + 1)"
                        " <= %d" % (LEMMA41_COST_CAP, CHARPOLY_COST_CAP))
+    chis = [cyclotomic_charpoly(f, r) for f in gens for r in range(1, cfg.r_max + 1)]
+    values = cyclotomic_resultants(chis, cfg.s_max)
+    i = max(range(len(chis)), key=lambda i: sum(map(abs, chis[i].coeffs)))
+    s = max(range(1, cfg.s_max + 1), key=euler_phi)
+    assert values[i][s - 1] == resultant(chis[i], cyclotomic(s)), "split-prime resultant disagrees"
     columns = ("generator", "r", "s", "zero", "log_abs_res", "constant")
     rows = []
-    phis = [cyclotomic(s) for s in range(1, cfg.s_max + 1)]
-    for f in gens:
+    for k, f in enumerate(gens):
         text = format_poly(f)
         denom_base = height(f) + f.degree
         for r in range(1, cfg.r_max + 1):
-            chi = cyclotomic_charpoly(f, r)
-            for s, phi_s in enumerate(phis, 1):
-                value = resultant(chi, phi_s)
+            for s, value in enumerate(values[k * cfg.r_max + r - 1], 1):
                 if value == 0:
                     rows.append((text, r, s, 1, None, None))
                 else:

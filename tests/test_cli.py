@@ -334,6 +334,24 @@ def test_verify_lemma41_grid_budget_exit_4(tmp_path, capsys):
     assert "guard" in err and not (tmp_path / "x.csv").exists()
 
 
+def test_verify_low_degree_generator_exit_4_at_load(tmp_path, capsys):
+    # refused when the config loads, before any field or table is built:
+    # degree < 2 everywhere but lemma41, which takes degree >= 1
+    out = str(tmp_path / "x.csv")
+    for exp in sorted(semiorbits.EXPERIMENTS):
+        low = "7" if exp == "lemma41" else "3X + 1"
+        code, _, err = _run(capsys, "verify", exp, "--generators", "X^2 + 1, " + low,
+                            "--out", out)
+        assert code == 4, (exp, err)
+        assert "degree >= %d" % (1 if exp == "lemma41" else 2) in err and low in err
+        assert not os.path.exists(out)
+    code, _, err = _run(capsys, "verify", "lemma41", "--generators", "3X + 1",
+                        "--r-max", "2", "--s-max", "2", "--out", out)
+    assert code == 0, err
+    code, _, err = _run(capsys, "verify", "thm44i", "--generators", "X^2 + + 1", "--out", out)
+    assert code == 2 and "position" in err
+
+
 def test_verify_special_precondition_exit_3(tmp_path, capsys):
     argv = [
         "verify",

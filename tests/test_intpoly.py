@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semiorbits.intpoly as intpoly
+import semiorbits.verify as verify
 from semiorbits import (
     CHEBYSHEV_CONJUGATE,
     MONOMIAL_CONJUGATE,
@@ -26,9 +27,11 @@ from semiorbits import (
     conjugate_linear,
     cyclotomic,
     cyclotomic_charpoly,
+    cyclotomic_resultants,
     euler_phi,
     format_poly,
     height,
+    is_prime,
     is_special,
     make_prime_field,
     parse_poly,
@@ -278,6 +281,62 @@ def test_resultant_matches_determinant_seeded():
             continue
         assert resultant(f, g) == resultant_by_determinant(f, g)
         done += 1
+
+
+# -- every Res(P, Φ_s) by split primes and the CRT ----------------------------
+
+
+def _coefficients(bits):
+    return st.integers(-(1 << bits), 1 << bits)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    polys=st.lists(
+        st.lists(st.one_of(_coefficients(6), _coefficients(70)), min_size=1, max_size=7)
+        .map(IntPolynomial).filter(lambda P: not P.is_zero),
+        min_size=1, max_size=4),
+    s_max=st.integers(1, 12),
+    factor=st.booleans(),
+)
+@example(polys=[IntPolynomial((5,)), IntPolynomial((-3, 0, 2))], s_max=2, factor=False)
+@example(polys=[IntPolynomial((1 << 61, -(1 << 65) - 1, 3 << 62))], s_max=3, factor=False)
+def test_cyclotomic_resultants_match_prs_and_determinant(polys, s_max, factor):
+    # non-monic, negative and three-limb (>= 2^60) coefficients, constants,
+    # and P = Φ_s g, whose resultant with Φ_s is 0
+    if factor:
+        polys = polys + [cyclotomic(s) * polys[0] for s in range(1, s_max + 1)]
+    table = cyclotomic_resultants(polys, s_max)
+    assert len(table) == len(polys) and all(len(row) == s_max for row in table)
+    for P, row in zip(polys, table):
+        for s, value in enumerate(row, 1):
+            phi = cyclotomic(s)
+            assert value == resultant(P, phi) == resultant_by_determinant(P, phi), (P, s)
+    if factor:
+        assert [table[len(table) - s_max + s - 1][s - 1] for s in range(1, s_max + 1)] == [0] * s_max
+
+
+def test_cyclotomic_resultants_edges():
+    assert cyclotomic_resultants([IntPolynomial((3,))], 2) == [[3, 3]]  # c^phi(s)
+    assert cyclotomic_resultants([parse_poly("X - 1"), parse_poly("X + 1")], 2) == [[0, 2], [-2, 0]]
+    assert cyclotomic_resultants([], 3) == []
+    with pytest.raises(ZeroPolynomial):
+        cyclotomic_resultants([X, IntPolynomial(())], 2)
+    for s_max in (0, intpoly.MAX_CYCLOTOMIC_INDEX + 1):
+        with pytest.raises(OutOfRange):
+            cyclotomic_resultants([X], s_max)
+
+
+def test_cyclotomic_resultants_at_the_largest_single_r_grid():
+    # lemma41's guard takes r_max = 1 with s_max = 610; χ_1 = Y - F(1), and
+    # s = 607 alone needs 81 primes = 1 mod 607
+    assert verify._lemma41_cost([2], 1, 610) <= verify.LEMMA41_COST_CAP
+    chi = cyclotomic_charpoly(parse_poly("X^2 + 3X + 5"), 1)
+    (row,) = cyclotomic_resultants([chi], 610)
+    primes = intpoly._split_primes(607, 81)
+    assert all(l % 607 == 1 and 1 << 30 < l < 1 << 31 and is_prime(l) for l in primes)
+    for s in random.Random(0).sample(range(1, 611), 12) + [1, 2, 607, 610]:
+        assert row[s - 1] == resultant(chi, cyclotomic(s)), s
 
 
 def test_resultant_antisymmetry_and_multiplicativity():

@@ -828,12 +828,13 @@ def _lemma41_values(**grid):
     """The report on a lemma41 grid, and the resultant behind each of its rows."""
     values = []
 
-    def recorded(f, g):
-        values.append(real_resultant(f, g))
-        return values[-1]
+    def recorded(polys, s_max):
+        table = real_kernel(polys, s_max)
+        values.extend(value for row in table for value in row)
+        return table
 
-    real_resultant = verify.resultant
-    with mock.patch.object(verify, "resultant", recorded):
+    real_kernel = verify.cyclotomic_resultants
+    with mock.patch.object(verify, "cyclotomic_resultants", recorded):
         rep = run_experiment(_cfg(**{"experiment": "lemma41", **grid}))
     assert len(values) == len(rep.rows)
     return rep, values
@@ -1313,6 +1314,31 @@ def test_qual_matches_order_by_powering(monkeypatch):
 
     check()
     assert branches == {False, True}
+
+
+def test_qual_mask_and_isin_paths_agree_with_isin():
+    # at least q points index a q-entry mask of Γ(t), fewer go through
+    # np.isin: both must give np.isin's mask, shape and repeats kept
+    paths = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def check(data):
+        p, s = data.draw(st.sampled_from([(p, s) for p, s in SMALL_FIELDS if p**s <= 64]))
+        ctx = make_extension_field(p, s)
+        t = data.draw(st.integers(1, ctx.q))
+        pool = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=6))
+        size = 2 * data.draw(st.integers(1, ctx.q))
+        cells = data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+        points = np.array(cells, dtype=np.int64).reshape(2, -1)
+        gamma = np.array([u.index for u in small_order_set(ctx, t)], dtype=np.int64)
+        got = verify._qual(ctx, t, points)
+        assert got.shape == points.shape
+        assert got.tolist() == np.isin(points, gamma).tolist()
+        paths.add(ctx.q <= size)
+
+    check()
+    assert paths == {False, True}
 
 
 def test_extension_reach_lists_small_orders(monkeypatch):
