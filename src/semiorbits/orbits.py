@@ -328,15 +328,67 @@ def sup_m_over_sequences(table: np.ndarray, qual: np.ndarray, rows: Sequence[int
 def count_small_order_points(table: np.ndarray, qual: np.ndarray, rows: Sequence[int],
                              N: int, include_start=False) -> List[int]:
     """Per start row, the distinct rows marked by ``qual`` among its level
-    sets 1..N (level 0, the start point, is included on request)."""
+    sets 1..N (level 0, the start point, is included on request): the rows
+    ``level_union`` marks.  Starts walk in chunks of at most 64, each start
+    one bit of the narrowest unsigned word that holds its chunk, and the
+    counts are a popcount of the marked rows' words."""
     if N < 0:
         raise OutOfRange("need N >= 0")
-    out = []
-    for r in rows:
-        seen = level_union(table, r, N)
-        seen[r] |= include_start
-        out.append(int(np.count_nonzero(seen & qual)))
+    rows = np.asarray(rows, dtype=np.int64)
+    out: List[int] = []
+    for lo in range(0, len(rows), 64):
+        chunk = rows[lo:lo + 64]
+        # start j owns bit j of a little-endian word, so bytes unpack in bit order
+        word = np.dtype("<u%d" % next(w for w in (1, 2, 4, 8) if 8 * w >= len(chunk)))
+        bits = np.ones(len(chunk), word) << np.arange(len(chunk)).astype(word)
+        seen = _level_words(table, chunk, bits, N)
+        if include_start:
+            np.bitwise_or.at(seen, chunk, bits)
+        hits = seen[qual]
+        hits = hits[hits != 0].view(np.uint8).reshape(-1, word.itemsize)
+        counts = np.unpackbits(hits, axis=1, bitorder="little").sum(axis=0)
+        out.extend(counts[: len(chunk)].tolist())
     return out
+
+
+def _level_words(table: np.ndarray, rows: np.ndarray, bits: np.ndarray, N: int) -> np.ndarray:
+    """Multi-source ``level_union``: bit j of word v is set when row v lies in
+    the level sets 1..N of ``rows[j]``, whose bit is ``bits[j]``.
+
+    Each level pushes the frontier's words to their images: a plain scatter
+    leaves each image row one writer's word, and ``np.bitwise_or.at`` ORs in
+    the writers it overwrote.  A row's new bits are those it had not seen,
+    and only they go on.  A start needs no special case when a word returns
+    to it: its images carry its bit since level 1, so it adds nothing.  The
+    deduplication is chosen per level from counts: while the images are under
+    1/8 of the rows, only the touched rows are read, each taken once through
+    its last writer; past that, whole-row array ops cost less.
+    """
+    n_rows, k = table.shape
+    seen = np.zeros(n_rows, bits.dtype)
+    nxt = np.zeros(n_rows, bits.dtype)  # never cleared: what a level leaves in it is seen
+    last = np.empty(n_rows, np.min_scalar_type(n_rows))  # per row, its last writer's position
+    front, words = rows, bits
+    for _ in range(N):
+        if not len(front):
+            break
+        img, words = table[front].ravel(), np.repeat(words, k)
+        nxt[img] = words  # each row holds one writer's word; OR in the others
+        lost = np.flatnonzero(nxt[img] != words)
+        np.bitwise_or.at(nxt, img[lost], words[lost])
+        if 8 * len(img) < n_rows:
+            at = np.arange(len(img), dtype=last.dtype)
+            last[img] = at
+            front = img[np.flatnonzero(last[img] == at)]
+            words = nxt[front] & ~seen[front]
+            fresh = np.flatnonzero(words != 0)
+            front, words = front[fresh], words[fresh]
+        else:
+            nxt &= ~seen
+            front = np.flatnonzero(nxt != 0)
+            words = nxt[front]
+        seen[front] |= words
+    return seen
 
 
 def greedy_sequence_cover(succ: Successors, rec: OrbitRecord) -> int:

@@ -130,7 +130,7 @@ class ExperimentConfig:
             raise ConfigError("unknown config fields: %s" % ", ".join(unknown))
         if "experiment" not in data:
             raise ConfigError("config needs an 'experiment' field")
-        hints = get_type_hints(cls)
+        hints = _config_hints()
         for f in fields(cls):
             if f.name in data and not _fits(data[f.name], hints[f.name]):
                 raise ConfigError("config field %r must be %s, got %r"
@@ -157,14 +157,18 @@ class ExperimentConfig:
                 raise ConfigError("%s must be >= 1" % name)
         if self.N is not None and self.N < 1 and self.experiment in ("thm44i", "thm44ii", "cor45"):
             raise ConfigError("%s needs N >= 1" % self.experiment)
-        if self.stream is not None:
-            stream_from_config(self.stream)  # rejects a malformed stream at load
         if self.t_exponent is not None and not 0 < self.t_exponent < 0.5:
             raise ConfigError("t_exponent must lie strictly in (0, 1/2)")
         if self.s < 1:
             raise ConfigError("s must be >= 1")
         if not self.generators:
             raise ConfigError("config needs at least one generator")
+        if self.stream is not None:
+            stream = stream_from_config(self.stream)  # rejects a malformed stream at load
+            letters = (1, stream.k) if stream.kind == "random" else stream.period + stream.preperiod
+            if not 1 <= min(letters) <= max(letters) <= len(self.generators):
+                raise ConfigError("stream letters (and a random stream's 'k') must lie in"
+                                  " [1, %d], one per generator" % len(self.generators))
         least = 1 if self.experiment == "lemma41" else 2
         low = [text for text in self.generators if parse_poly(text).degree < least]
         if low:
@@ -179,6 +183,12 @@ class ExperimentConfig:
             if out[key] is not None:
                 out[key] = list(out[key])
         return out
+
+
+@functools.cache
+def _config_hints() -> dict:
+    """ExperimentConfig's field types, resolved once, on the first load."""
+    return get_type_hints(ExperimentConfig)
 
 
 def _canon(value):
@@ -316,8 +326,16 @@ def _starts(cfg: ExperimentConfig, q: int) -> List[int]:
 
 
 def _grid(cfg: ExperimentConfig):
-    """Yield (p, field, starts) for each prime of the grid, in order."""
-    for p in _resolve_primes(cfg):
+    """Yield (p, field, starts) for each prime of the grid, in order.  Starts
+    that the config does not list are refused past MAX_GRAPH_SIZE per field,
+    before any field is built."""
+    primes = _resolve_primes(cfg)
+    q = max(primes, default=1) ** cfg.s
+    implicit = q if cfg.sample is None else min(q, cfg.sample)
+    if cfg.starts is None and implicit > MAX_GRAPH_SIZE:
+        raise TooLarge("starts guard: %d starts in one field, more than %d; give 'starts'"
+                       " or a smaller 'sample'" % (implicit, MAX_GRAPH_SIZE))
+    for p in primes:
         ctx = make_prime_field(p) if cfg.s == 1 else make_extension_field(p, cfg.s)
         yield p, ctx, _starts(cfg, ctx.q)
 

@@ -12,7 +12,8 @@ callback, whose parent chain each greedy step covers, instead of the inline
 orbit and cover searches, Z[X] composites with integer resultants
 instead of the field argument behind the collision diagnostic, and
 Res(Φ_r, Φ_s∘f) from the composite instead of the characteristic polynomial
-of f(ζ_r).  They are deliberately slow and simple.
+of f(ζ_r), and one ``level_union`` walk per start instead of the
+bit-parallel multi-source walk.  They are deliberately slow and simple.
 
 ``level_images`` is the exception: it reads the library's own reach table
 (``reach_table``), marks its level sets one whole-table mask at a time with
@@ -38,7 +39,7 @@ from semiorbits import (
     reach_table,
     resultant,
 )
-from semiorbits.orbits import letter_index
+from semiorbits.orbits import letter_index, level_union
 
 
 def apply_word(F, word, x):
@@ -373,6 +374,17 @@ def level_sets_by_words(table, r, N):
                 v = rows[v][i]
             ends.add(v)
         out.append(ends)
+    return out
+
+
+def count_by_level_union(table, qual, rows, N, include_start=False):
+    """``count_small_order_points`` one start at a time: the ``qual`` rows
+    among each start's ``level_union`` mask, plus its own row on request."""
+    out = []
+    for r in rows:
+        seen = level_union(table, r, N)
+        seen[r] |= include_start
+        out.append(int(np.count_nonzero(seen & qual)))
     return out
 
 

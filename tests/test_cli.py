@@ -352,6 +352,41 @@ def test_verify_low_degree_generator_exit_4_at_load(tmp_path, capsys):
     assert code == 2 and "position" in err
 
 
+def test_verify_stream_letters_past_the_generators_exit_4_at_load(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    base = ["verify", "thm44ii", "--generators", "X^2 + 1,X^3 + 2", "--prime-max", "30",
+            "--t", "2", "--N", "8", "--out", str(out), "--stream"]
+    for stream in ('{"kind": "periodic", "period": [3]}',
+                   '{"kind": "periodic", "period": [1], "preperiod": [0]}',
+                   '{"kind": "random", "k": 3, "seed": 1}'):
+        code, _, err = _run(capsys, *base, stream)
+        assert code == 4, err
+        assert "stream letters" in err and "[1, 2]" in err
+        assert not out.exists()
+    for stream in ('{"kind": "periodic", "period": [2, 1]}', '{"kind": "random", "k": 2}'):
+        code, _, err = _run(capsys, *base, stream)
+        assert code == 0, err
+
+
+def test_verify_starts_guard_exit_4(tmp_path, capsys, monkeypatch):
+    # without 'starts', every point of a field is a start, up to the cap; past
+    # it the grid is refused before any field is built
+    monkeypatch.setattr(semiorbits.verify, "MAX_GRAPH_SIZE", 8)
+    out = tmp_path / "x.csv"
+    base = ["verify", "cor45", "--generators", "X^2 + 1", "--t", "2", "--N", "3",
+            "--out", str(out)]
+    for extra in (["--primes", "7"], ["--primes", "11", "--sample", "8"],
+                  ["--primes", "11", "--starts", "1,2,3"]):
+        code, _, err = _run(capsys, *base, *extra)
+        assert code == 0, err
+    out.unlink()
+    monkeypatch.setattr(semiorbits.verify, "make_prime_field", None)  # never called
+    for extra in (["--primes", "11"], ["--primes", "5,11"], ["--primes", "11", "--sample", "9"]):
+        code, _, err = _run(capsys, *base, *extra)
+        assert code == 4, err
+        assert "starts guard" in err and not out.exists()
+
+
 def test_verify_special_precondition_exit_3(tmp_path, capsys):
     argv = [
         "verify",

@@ -37,6 +37,7 @@ from semiorbits.orbits import level_union
 from oracles import (
     bfs_distances,
     build_tree_nodes,
+    count_by_level_union,
     exhaustive_witness_words,
     level_sets_by_words,
     naive_l_n_count,
@@ -216,6 +217,25 @@ def test_start_on_a_cycle():
         res = find_witness_words(g, 0, {0}, N, h=1, l=1)
         assert (res.ball, res.ball_in_a) == (min(N + 1, 3), 1)
         assert l_n_count(g, 0, {0}, N, [(1, 1, 1)]) == 1  # v = 0 returns to 0
+
+
+def test_multi_source_count_fixed_cases():
+    # rows 0 -> 1 -> 2 -> 0 on a cycle, 3 -> 0 and 4 -> 3: each start lies in
+    # the ball of the one before it, and words return to the start row 0
+    table = np.array([[1], [2], [0], [0], [3]])
+    qual = np.array([True, False, True, True, False])
+    rows = [4, 3, 0]
+    for N, bare, with_start in ((0, [0, 0, 0], [0, 1, 1]), (2, [2, 1, 1], [2, 2, 2]),
+                                (3, [2, 2, 2], [2, 3, 2]), (4, [3, 2, 2], [3, 3, 2])):
+        assert count_small_order_points(table, qual, rows, N) == bare
+        assert count_small_order_points(table, qual, rows, N, True) == with_start
+        assert count_small_order_points(table, qual, rows[::-1], N) == bare[::-1]
+    # an empty Γ(t) selection counts nothing, with or without the starts
+    none = np.zeros(len(table), dtype=bool)
+    for N in (0, 1, 6):
+        for include_start in (False, True):
+            assert count_small_order_points(table, none, rows, N, include_start) == [0, 0, 0]
+    assert count_small_order_points(table, qual, [], 3) == []
 
 
 def test_ball_matches_bfs_seeded():
@@ -462,3 +482,19 @@ def test_level_kernel_matches_word_enumeration(table, data):
     word = st.lists(st.integers(1, k), min_size=1, max_size=3).map(tuple)
     words = data.draw(st.lists(word, min_size=1, max_size=3))
     assert l_n_count(g, r, A, N, words) == naive_l_n_count(g, r, A, N, words)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(table=_tables(), data=st.data())
+def test_multi_source_count_matches_per_start_oracle(table, data):
+    # 0-150 starts with repeats: chunks of 1-8, 9-16, 17-32 and 33-64 starts
+    # take 8-, 16-, 32- and 64-bit words, and 65 or more cross a chunk boundary
+    n = len(table)
+    edges = st.sampled_from((1, 8, 9, 16, 17, 32, 33, 64, 65, 128, 129, 150))
+    size = data.draw(st.one_of(edges, st.integers(0, 150)))
+    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
+    qual = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    N = data.draw(st.integers(0, 6))
+    for include_start in (False, True):
+        assert (count_small_order_points(table, qual, rows, N, include_start)
+                == count_by_level_union(table, qual, rows, N, include_start))

@@ -367,14 +367,17 @@ def test_thm44ii_walk_matches_m_count():
         if grid.get("starts") == []:
             assert {(_by_col(rep, r, "starts"), _by_col(rep, r, "max_M"),
                      _by_col(rep, r, "argmax_w")) for r in rep.rows} == {(0, None, None)}
-    # a letter naming no generator fails once a start is walked, not before
+    # a letter naming no generator is refused when the config loads, whether
+    # or not a start would walk it
     bad = dict(experiment="thm44ii", generators=gens, t=2, N=5,
                stream={"kind": "periodic", "period": [1, 3]})
+    for extra in (dict(prime_max=13), dict(prime_max=1), dict(prime_max=13, starts=[])):
+        with pytest.raises(ConfigError, match=r"\[1, 2\]"):
+            _cfg(**extra, **bad)
+    # a config made without loading it still fails once a start is walked
     with pytest.raises(LetterOutOfRange) as err:
-        run_experiment(_cfg(prime_max=13, **bad))
+        run_experiment(ExperimentConfig(prime_max=13, **bad))
     assert str(err.value) == "letter 3 outside [1, 2]"
-    assert run_experiment(_cfg(prime_max=1, **bad)).rows == []
-    assert run_experiment(_cfg(prime_max=13, starts=[], **bad)).rows[0][3:6] == (0, None, None)
 
 
 def test_thm44ii_prime_fields_walk_all_starts_at_once(monkeypatch):
