@@ -26,7 +26,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .combinatorics import b_tree_size, build_graph, find_witness_words
+from .combinatorics import FunctionalGraph, b_tree_size, build_graph, find_witness_words
 from .errors import ConfigError, EmptyReport, SpecialGenerator, TooLarge
 from .ff import (
     FieldContext,
@@ -306,6 +306,14 @@ def _resolve_primes(cfg: ExperimentConfig) -> List[int]:
     return [p for p in range(max(2, cfg.prime_min), cfg.prime_max + 1) if is_prime(p)]
 
 
+def _largest_prime(cfg: ExperimentConfig) -> int:
+    """The grid's largest prime, 1 when it has none.  A range is scanned down
+    from ``prime_max`` and stops at its first prime, not tested whole."""
+    if cfg.primes is not None or cfg.prime_max is None:
+        return max(_resolve_primes(cfg), default=1)
+    return next(filter(is_prime, range(cfg.prime_max, max(2, cfg.prime_min) - 1, -1)), 1)
+
+
 def _t_for(cfg: ExperimentConfig, base: float) -> int:
     """Resolve the t-rule as floor(base^t_exponent), at least 1; base is
     log p, or P itself for the fixed-P scan."""
@@ -328,14 +336,14 @@ def _starts(cfg: ExperimentConfig, q: int) -> List[int]:
 def _grid(cfg: ExperimentConfig):
     """Yield (p, field, starts) for each prime of the grid, in order.  Starts
     that the config does not list are refused past MAX_GRAPH_SIZE per field,
-    before any field is built."""
-    primes = _resolve_primes(cfg)
-    q = max(primes, default=1) ** cfg.s
-    implicit = q if cfg.sample is None else min(q, cfg.sample)
-    if cfg.starts is None and implicit > MAX_GRAPH_SIZE:
-        raise TooLarge("starts guard: %d starts in one field, more than %d; give 'starts'"
-                       " or a smaller 'sample'" % (implicit, MAX_GRAPH_SIZE))
-    for p in primes:
+    before a prime range is resolved or any field is built."""
+    if cfg.starts is None:
+        q = _largest_prime(cfg) ** cfg.s
+        implicit = q if cfg.sample is None else min(q, cfg.sample)
+        if implicit > MAX_GRAPH_SIZE:
+            raise TooLarge("starts guard: %d starts in one field, more than %d; give 'starts'"
+                           " or a smaller 'sample'" % (implicit, MAX_GRAPH_SIZE))
+    for p in _resolve_primes(cfg):
         ctx = make_prime_field(p) if cfg.s == 1 else make_extension_field(p, cfg.s)
         yield p, ctx, _starts(cfg, ctx.q)
 
@@ -577,12 +585,16 @@ def run_thm61(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     for p, ctx, ws in _grid(cfg):
         t = _t_for(cfg, math.log(p))
-        graph = build_graph(F, ctx)
+        if not ws:
+            continue  # no rows, and an empty table is no graph
         bound = max(B ** (l + 1) / h, B ** (l + 1) / _loglog_denom(cfg, p))
-        qual = _qual(ctx, t, np.arange(ctx.q))
-        counts = count_small_order_points(graph.table, qual, ws, N, cfg.include_level_0)
-        for w, cnt in zip(ws, counts):  # on the whole-field graph, w is its own row
-            res = find_witness_words(graph, w, np.flatnonzero(qual), N, h, l, c=cfg.c1)
+        # words of length <= h from the N-ball read rows up to depth N + h - 1
+        table, points, start_rows = _tables(F, ctx, ws, N + h)
+        qual = _qual(ctx, t, points)
+        counts = count_small_order_points(table, qual, start_rows, N, cfg.include_level_0)
+        graph, members = FunctionalGraph(table), np.flatnonzero(qual)
+        for w, r, cnt in zip(ws, start_rows, counts):
+            res = find_witness_words(graph, r, members, N, h, l, c=cfg.c1)
             hyp = 1 if (res.hypothesis_met and h >= 3 * l) else 0
             eq61 = res.count / res.target if res.target > 0 else None
             rows.append((p, w, t, N, h, l, B, hyp, cnt, bound, cnt / bound, res.count,

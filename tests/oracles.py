@@ -140,6 +140,18 @@ def order_by_powering(u):
     return n
 
 
+def order_at_most(u, t):
+    """Whether u is nonzero of order <= t, by at most t literal multiplications."""
+    if u.is_zero:
+        return False
+    one, acc = u.ctx.one(), u
+    for _ in range(t):
+        if acc == one:
+            return True
+        acc = acc * u
+    return False
+
+
 def all_orders_prime_field(p):
     """Orders of 1..p-1 by batched simultaneous powering."""
     vals = np.arange(1, p, dtype=np.int64)

@@ -19,6 +19,15 @@ from semiorbits.cli import OUT_DIR_ENV, build_parser, main
 from semiorbits.verify import ExperimentConfig, ExperimentReport
 
 
+def _source_env():
+    """The environment for a child interpreter that imports the package the
+    suite imported."""
+    pythonpath = [str(Path(semiorbits.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        pythonpath.append(os.environ["PYTHONPATH"])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+
+
 def _run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
@@ -387,6 +396,31 @@ def test_verify_starts_guard_exit_4(tmp_path, capsys, monkeypatch):
         assert "starts guard" in err and not out.exists()
 
 
+def test_verify_starts_guard_fires_before_the_prime_range_is_scanned(tmp_path):
+    # the guard reads only the range's largest prime, found by a downward scan;
+    # testing every integer up to 3 * 10^8 would run for minutes
+    out = tmp_path / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "semiorbits.cli", "verify", "cor45", "--generators", "X^2 + 1",
+         "--prime-max", "300000000", "--t", "2", "--N", "3", "--out", str(out)],
+        capture_output=True, text=True, env=_source_env(), timeout=5)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("starts guard: 299999977 starts in one field")
+    assert not out.exists()
+
+
+def test_verify_thm61_field_without_starts_writes_no_rows(tmp_path, capsys):
+    # no starts give an empty reach table, which is no graph: no search runs
+    out = tmp_path / "x.csv"
+    code, stdout, err = _run(capsys, "verify", "thm61", "--generators", "X^2 + 1, X^3 + 2",
+                             "--primes", "2", "--field-degree", "8", "--sample", "0",
+                             "--t", "4", "--N", "3", "--h", "2", "--l", "1", "--out", str(out))
+    assert code == 0, err
+    assert "rows=0" in stdout
+    assert out.read_text().splitlines() == [
+        "p,w,t,N,h,l,B,hypothesis,count,bound,ratio,L_N,target,eq61_ratio,words"]
+
+
 def test_verify_special_precondition_exit_3(tmp_path, capsys):
     argv = [
         "verify",
@@ -480,9 +514,4 @@ def test_console_script_installed(tmp_path):
         % (sys.executable, module, func, func)
     )
     launcher.chmod(0o755)
-    pythonpath = [str(Path(semiorbits.__file__).resolve().parents[1])]
-    if os.environ.get("PYTHONPATH"):
-        pythonpath.append(os.environ["PYTHONPATH"])
-    _check_console_script(
-        str(launcher), dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
-    )
+    _check_console_script(str(launcher), _source_env())

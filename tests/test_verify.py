@@ -26,6 +26,7 @@ from semiorbits import (
     SpecialGenerator,
     TooLarge,
     Truncated,
+    FunctionalGraph,
     b_tree_size,
     build_graph,
     euler_phi,
@@ -46,13 +47,18 @@ from semiorbits import (
 import semiorbits.verify as verify
 from semiorbits.orbits import MAX_GRAPH_SIZE
 from oracles import (
+    bfs_distances,
+    bfs_reach_table,
     closure_orbit,
     collision_resultant_mod_p,
     compose_word,
+    count_by_level_union,
     exhaustive_small_order_count,
     exhaustive_sup_m,
+    exhaustive_witness_words,
     lemma41_by_composites,
     naive_l_n_count,
+    order_at_most,
     order_by_powering,
     rational_gcd_is_nonconstant,
 )
@@ -173,6 +179,19 @@ def test_config_rejects_composite_primes():
     with pytest.raises(ConfigError) as err:
         run_experiment(cfg)
     assert "12" in str(err.value)
+
+
+def test_starts_guard_reads_only_the_largest_prime():
+    # a listed non-prime is a config error before the guard reads the largest
+    # prime; a range's largest prime is the last one the full scan keeps
+    cfg = _cfg(experiment="cor45", generators=["X^2 + 1"], primes=[2**31 - 1, 12], t=2, N=3)
+    with pytest.raises(ConfigError, match="not prime: 12"):
+        run_experiment(cfg)
+    with pytest.raises(TooLarge, match="starts guard"):
+        run_experiment(_cfg(**dict(cfg.to_dict(), primes=[2**31 - 1])))
+    for low, high in [(2, 2), (0, 1), (14, 16), (8, 7), (90, 100), (1, 1000), (7919, 7919)]:
+        cfg = _cfg(experiment="cor45", generators=["X^2 + 1"], prime_min=low, prime_max=high)
+        assert verify._largest_prime(cfg) == max(verify._resolve_primes(cfg), default=1)
 
 
 def test_config_needs_prime_range():
@@ -448,6 +467,47 @@ def test_thm44ii_extension_field_walks_all_starts_at_once(monkeypatch):
     assert _by_col(rep, rep.rows[0], "starts") == 81
     monkeypatch.undo()
     _per_start_thm44ii(cfg, rep)
+
+
+THM44II_POOL = ["X^2 + 1", "X^3 + 2", "X^2 + X + 1", "X^3 + X"]  # none special
+THM44II_FIELDS = [(5, 1), (7, 1), (11, 1), (13, 1), (31, 1), (2, 3), (2, 4), (3, 2), (5, 2)]
+
+
+def test_thm44ii_rows_match_m_count(monkeypatch):
+    # a prime field walks its whole table once the starts take at least q steps
+    # in all, and every other field evaluates the walked points; both give
+    # per-start m_count's maximum and its first maximizing start
+    graphs = []
+    real_graph = verify.build_graph
+    monkeypatch.setattr(verify, "build_graph", lambda *a: graphs.append(a) or real_graph(*a))
+    walks = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def check(data):
+        p, s = data.draw(st.sampled_from(THM44II_FIELDS))
+        q = p**s
+        gens = data.draw(st.lists(st.sampled_from(THM44II_POOL), min_size=1, max_size=2,
+                                  unique=True))
+        letters = st.lists(st.integers(1, len(gens)), min_size=1, max_size=3)
+        stream = data.draw(st.one_of(
+            st.builds(lambda seed: {"kind": "random", "k": len(gens), "seed": seed},
+                      st.integers(0, 99)),
+            st.builds(lambda pre, period: {"kind": "periodic", "preperiod": pre,
+                                           "period": period}, letters, letters)))
+        N = data.draw(st.integers(1, 12))
+        starts = data.draw(st.lists(st.integers(0, q - 1), max_size=8))
+        cfg = _cfg(experiment="thm44ii", generators=gens, primes=[p], prime_max=p, s=s,
+                   starts=starts, t=data.draw(st.integers(1, q - 1)), N=N, stream=stream)
+        graphs.clear()
+        rep = run_experiment(cfg)
+        table_walk = bool(starts) and s == 1 and len(starts) * N >= q
+        assert len(graphs) == table_walk
+        walks.add(table_walk)
+        _per_start_thm44ii(cfg, rep)
+
+    check()
+    assert walks == {False, True}
 
 
 # -- cor45 -------------------------------------------------------------------
@@ -752,6 +812,87 @@ def test_thm61_frozen_witness_words(t, N):
     )
     got = [tuple(_by_col(rep, row, c) for c in ("w", "L_N", "words")) for row in rep.rows]
     assert got == THM61_WORDS_FROZEN[t, N]
+
+
+def test_thm61_extension_fields_build_no_whole_graph(monkeypatch):
+    # F_{2^8} takes the starts' reach within N + h steps, and the frozen words
+    # hold on it
+    def refuse(*args):
+        raise AssertionError("whole-field graph for a few starts")
+
+    monkeypatch.setattr(verify, "build_graph", refuse)
+    for t, N in sorted(THM61_WORDS_FROZEN):
+        test_thm61_frozen_witness_words(t, N)
+
+
+def test_thm61_above_the_graph_cap_matches_oracles():
+    # p = 2^31 - 1 was refused while thm61 built the whole-field graph
+    p, gens, starts, t, N, h, l = 2**31 - 1, ["X^2 + 1", "X^3 + 2"], [0, 1, 3], 62, 6, 3, 2
+    rep = run_experiment(_cfg(experiment="thm61", generators=gens, primes=[p], starts=starts,
+                              t=t, N=N, h=h, l=l))
+    F = GeneratorSet([parse_poly(g) for g in gens])
+    ctx = make_prime_field(p)
+    counts = [_by_col(rep, row, "count") for row in rep.rows]
+    assert counts == [exhaustive_small_order_count(F, ctx.element(w), t, N) for w in starts]
+    assert counts == [2, 1, 0]
+    for w, row in zip(starts, rep.rows):
+        # the start's own reach: row 0 is w
+        table, points = bfs_reach_table(F, ctx, [w], N + h)
+        graph = FunctionalGraph(table)
+        members = [r for r, v in enumerate(points.tolist())
+                   if order_at_most(ctx.from_index(v), t)]
+        words, L_N = exhaustive_witness_words(graph, 0, members, N, h, l)
+        assert _by_col(rep, row, "words") == "|".join(map(verify._word_str, words))
+        assert _by_col(rep, row, "L_N") == L_N == naive_l_n_count(graph, 0, members, N, words)
+
+
+THM61_POOL = ["X^2 + 1", "X^3 + 2", "X^2", "X^2 + X + 1", "X^3 + X"]
+# prime fields take the whole-field table, extension fields the reach within N + h
+THM61_FIELDS = [(5, 1), (7, 1), (11, 1), (13, 1), (31, 1),
+                (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3)]
+
+
+@st.composite
+def _thm61_cases(draw):
+    """(p, s, generators, starts, t, N, h, l, include_level_0); the 0-4 starts
+    are drawn from two points and 0, so repeats and the zero start are common."""
+    p, s = draw(st.sampled_from(THM61_FIELDS))
+    q = p**s
+    gens = draw(st.lists(st.sampled_from(THM61_POOL), min_size=1, max_size=2, unique=True))
+    pool = draw(st.lists(st.integers(1, q - 1), min_size=1, max_size=2)) + [0]
+    starts = draw(st.lists(st.sampled_from(pool), max_size=4))
+    l = draw(st.integers(1, 2))
+    h = draw(st.integers(1 if len(gens) > 1 or l == 1 else 2, 3))  # l words of length <= h
+    return (p, s, gens, starts, draw(st.integers(1, q - 1)), draw(st.integers(0, 4)), h, l,
+            draw(st.booleans()))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_thm61_cases())
+@example(case=(13, 1, ["X^2 + 1", "X^3 + 2"], [5, 0, 7, 5], 4, 4, 3, 2, True))
+@example(case=(3, 3, ["X^2 + 1", "X^3 + 2"], [20, 5, 0, 20], 6, 4, 3, 2, False))
+@example(case=(2, 6, ["X^3 + X"], [], 9, 3, 2, 1, False))
+def test_thm61_rows_match_exhaustive_oracles(case):
+    # each start's count, witness words and L_N read its row of the _tables
+    # table; the oracles read the whole-field graph, where row i is field index i
+    p, s, gens, starts, t, N, h, l, level_0 = case
+    rep = run_experiment(_cfg(experiment="thm61", generators=gens, primes=[p], s=s,
+                              starts=starts, t=t, N=N, h=h, l=l, include_level_0=level_0))
+    ctx = make_prime_field(p) if s == 1 else make_extension_field(p, s)
+    F = GeneratorSet([parse_poly(g) for g in gens])
+    graph = build_graph(F, ctx)
+    qual = np.array([order_at_most(ctx.from_index(i), t) for i in range(ctx.q)])
+    members = np.flatnonzero(qual)
+    assert [_by_col(rep, row, "w") for row in rep.rows] == starts
+    assert ([_by_col(rep, row, "count") for row in rep.rows]
+            == count_by_level_union(graph.table, qual, starts, N, level_0))
+    B = b_tree_size(F.k, h)
+    for w, row in zip(starts, rep.rows):
+        words, L_N = exhaustive_witness_words(graph, w, members, N, h, l)
+        assert _by_col(rep, row, "words") == "|".join(map(verify._word_str, words))
+        assert _by_col(rep, row, "L_N") == L_N == naive_l_n_count(graph, w, members, N, words)
+        ball = sum(d <= N for d in bfs_distances(graph.table, w).values())
+        assert _by_col(rep, row, "target") == pytest.approx(h / B ** (l + 1) * ball)
 
 
 def test_thm61_h_from_n():
