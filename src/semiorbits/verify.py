@@ -295,25 +295,6 @@ def _system(cfg: ExperimentConfig, strict: bool = False) -> Tuple[GeneratorSet, 
     return F, {"special_generators": "; ".join(notes)} if notes else {}
 
 
-def _resolve_primes(cfg: ExperimentConfig) -> List[int]:
-    if cfg.primes is not None:
-        bad = [p for p in cfg.primes if not is_prime(p)]
-        if bad:
-            raise ConfigError("not prime: %s" % ", ".join(map(str, bad)))
-        return list(cfg.primes)
-    if cfg.prime_max is None:
-        raise ConfigError("config needs 'primes' or 'prime_max'")
-    return [p for p in range(max(2, cfg.prime_min), cfg.prime_max + 1) if is_prime(p)]
-
-
-def _largest_prime(cfg: ExperimentConfig) -> int:
-    """The grid's largest prime, 1 when it has none.  A range is scanned down
-    from ``prime_max`` and stops at its first prime, not tested whole."""
-    if cfg.primes is not None or cfg.prime_max is None:
-        return max(_resolve_primes(cfg), default=1)
-    return next(filter(is_prime, range(cfg.prime_max, max(2, cfg.prime_min) - 1, -1)), 1)
-
-
 def _t_for(cfg: ExperimentConfig, base: float) -> int:
     """Resolve the t-rule as floor(base^t_exponent), at least 1; base is
     log p, or P itself for the fixed-P scan."""
@@ -336,14 +317,25 @@ def _starts(cfg: ExperimentConfig, q: int) -> List[int]:
 def _grid(cfg: ExperimentConfig):
     """Yield (p, field, starts) for each prime of the grid, in order.  Starts
     that the config does not list are refused past MAX_GRAPH_SIZE per field,
-    before a prime range is resolved or any field is built."""
+    before a prime range is resolved or any field is built: a range's largest
+    prime comes from a scan down from ``prime_max``."""
+    if cfg.primes is not None:
+        bad = [p for p in cfg.primes if not is_prime(p)]
+        if bad:
+            raise ConfigError("not prime: %s" % ", ".join(map(str, bad)))
+        primes, largest = cfg.primes, max(cfg.primes, default=1)
+    elif cfg.prime_max is None:
+        raise ConfigError("config needs 'primes' or 'prime_max'")
+    else:
+        span = range(max(2, cfg.prime_min), cfg.prime_max + 1)
+        primes, largest = filter(is_prime, span), next(filter(is_prime, reversed(span)), 1)
     if cfg.starts is None:
-        q = _largest_prime(cfg) ** cfg.s
+        q = largest ** cfg.s
         implicit = q if cfg.sample is None else min(q, cfg.sample)
         if implicit > MAX_GRAPH_SIZE:
             raise TooLarge("starts guard: %d starts in one field, more than %d; give 'starts'"
                            " or a smaller 'sample'" % (implicit, MAX_GRAPH_SIZE))
-    for p in _resolve_primes(cfg):
+    for p in primes:
         ctx = make_prime_field(p) if cfg.s == 1 else make_extension_field(p, cfg.s)
         yield p, ctx, _starts(cfg, ctx.q)
 

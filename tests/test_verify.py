@@ -181,17 +181,20 @@ def test_config_rejects_composite_primes():
     assert "12" in str(err.value)
 
 
-def test_starts_guard_reads_only_the_largest_prime():
+def test_starts_guard_reads_only_the_largest_prime(monkeypatch):
     # a listed non-prime is a config error before the guard reads the largest
-    # prime; a range's largest prime is the last one the full scan keeps
+    # prime; a range's largest prime is the last one a full scan would keep
     cfg = _cfg(experiment="cor45", generators=["X^2 + 1"], primes=[2**31 - 1, 12], t=2, N=3)
     with pytest.raises(ConfigError, match="not prime: 12"):
         run_experiment(cfg)
     with pytest.raises(TooLarge, match="starts guard"):
         run_experiment(_cfg(**dict(cfg.to_dict(), primes=[2**31 - 1])))
+    monkeypatch.setattr(verify, "MAX_GRAPH_SIZE", 0)  # the guard fires and names q
     for low, high in [(2, 2), (0, 1), (14, 16), (8, 7), (90, 100), (1, 1000), (7919, 7919)]:
         cfg = _cfg(experiment="cor45", generators=["X^2 + 1"], prime_min=low, prime_max=high)
-        assert verify._largest_prime(cfg) == max(verify._resolve_primes(cfg), default=1)
+        primes = [p for p in range(max(2, low), high + 1) if all(p % d for d in range(2, p))]
+        with pytest.raises(TooLarge, match=r"guard: %d starts " % max(primes, default=1)):
+            next(verify._grid(cfg))
 
 
 def test_config_needs_prime_range():
