@@ -18,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,10 +27,9 @@ from .errors import (
     EmptySystem,
     OutOfRange,
     PolynomialParseError,
-    TooLarge,
     ZeroPolynomial,
 )
-from .ff import FieldContext, FieldPolynomial, _miller_rabin, _sieve, euler_phi, factorize
+from .ff import FieldContext, FieldPolynomial, _sieve, euler_phi, factorize
 
 MAX_CYCLOTOMIC_INDEX = 100000
 
@@ -394,55 +393,145 @@ def resultant(f: IntPolynomial, g: IntPolynomial) -> int:
 # ---------------------------------------------------------------------------
 # resultants against every Φ_s at once (split primes and the CRT)
 
-_LIMB = 30  # split primes lie in (2^30, 2^31): a product of two residues fits int64
-_BLOCK = 8  # residues in (-ℓ/2, ℓ/2) have products below 2^60: eight sum within int64
-_SIEVE = _sieve(100)
+_LIMB = 24  # coefficients are cut into 24-bit limbs; split primes lie below 2^25
+_BLOCK = 8  # products summed before one reduction (see _reduce)
+_CRT_BLOCK = 256  # primes whose CRT weights are held at once
+_SIEVE_BASE = _sieve(math.isqrt(1 << (_LIMB + 1)))  # every composite below 2^25 has a factor here
+# the window's bottom, above every prime of _SIEVE_BASE: the sieve strikes
+# out no base prime itself, and every base a of _cyclotomic_roots is a unit
+_FLOOR = 1 << 13
 
 
-def _split_primes(s: int, count: int) -> List[int]:
-    """The first ``count`` primes ℓ ≡ 1 (mod s) above 2^30; Φ_s splits into
-    linear factors mod each.  Candidates 1 + k s come in blocks of about
-    22 per prime still needed (primes have density >= 1/ln 2^31 among them),
-    sieved by the primes below 100; Miller-Rabin to the bases 2, 7 and 61
-    is deterministic below 4,759,123,141 (Jaeschke, Math. Comp. 61, 1993)."""
-    primes: List[int] = []
-    k = (1 << _LIMB) // s + 1
-    while len(primes) < count:
-        block = 1 + s * np.arange(k, k + 22 * (count - len(primes)), dtype=np.int64)
-        block = block[block < 1 << (_LIMB + 1)]
-        if not block.size:
-            raise TooLarge("fewer than %d primes = 1 mod %d lie below 2^31" % (count, s))
-        keep = np.ones(block.size, dtype=bool)
-        for p in _SIEVE:
-            keep &= block % p != 0
-        tested = (l for l in block[keep].tolist() if _miller_rabin(l, (2, 7, 61)))
-        primes += itertools.islice(tested, count - len(primes))
-        k += block.size
-    return primes
+def _reduce(x: np.ndarray, ell: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """x mod ℓ as a symmetric residue, of magnitude at most (ℓ + 1)/2 <= 2^24,
+    for integers |x| < 2^52 held in doubles, odd ℓ < 2^25 and ``inv`` the
+    doubles nearest 1/ℓ.
+
+    x * inv has a relative error below 2^-52 + 2^-106, so it misses x/ℓ by
+    less than 1/ℓ, and rint gives a q with |x - q ℓ| < ℓ/2 + 1; |q ℓ| < 2^53,
+    so q ℓ and x - q ℓ are exact.  Every operand of the kernel is such a
+    residue or a 24-bit limb, so a product is at most 2^48, and a sum of at
+    most _BLOCK + 1 products is below 2^52: every integer the kernel forms
+    is exact in a double, in whatever order BLAS sums a matrix product.
+    """
+    q = x * inv
+    np.rint(q, out=q)
+    q *= ell
+    return np.subtract(x, q, out=q)
 
 
-def _cyclotomic_roots(s: int, primes: Sequence[int]) -> np.ndarray:
-    """The phi(s) roots of Φ_s mod each prime ℓ ≡ 1 (mod s), one row per
-    prime: the powers ζ^k, gcd(k, s) = 1, of a primitive s-th root ζ."""
-    checks = [s // q for q in factorize(s).primes()]
-    zeta = []
-    for l in primes:
-        for a in range(2, l):  # ζ = a^((ℓ-1)/s) is primitive unless some ζ^(s/q) = 1
-            z = pow(a, (l - 1) // s, l)
-            if all(pow(z, e, l) != 1 for e in checks):
-                zeta.append(z)
+def _held_bits(primes) -> np.ndarray:
+    """0, then the bits the product of each prefix of ``primes`` surely
+    holds: the sum of bit_length(ℓ) - 1 over the prefix."""
+    return np.cumsum(np.frexp(np.concatenate([[1], primes]))[1] - 1)
+
+
+def _segments():
+    """(lo, hi, 1 or -1): the window of split primes in segments, each
+    twice as long as the last, [2^24, 2^25) upward, then [2^13, 2^24)
+    downward, so that the largest primes come first."""
+    lo, width = 1 << _LIMB, 1 << 16
+    while lo < 1 << (_LIMB + 1):
+        yield lo, min(lo + width, 1 << (_LIMB + 1)), 1
+        lo, width = lo + width, 2 * width
+    hi, width = 1 << _LIMB, 1 << 16
+    while hi > _FLOOR:
+        yield max(hi - width, _FLOOR), hi, -1
+        hi, width = hi - width, 2 * width
+
+
+def _split_primes(bits: Dict[int, int]) -> Dict[int, List[int]]:
+    """Primes ℓ ≡ 1 (mod s), for every s, in the order of _segments, until
+    their product holds ``bits[s]`` bits (see _held_bits); an s falls short
+    when the window below 2^25 holds too few.  Φ_s splits into linear
+    factors mod each ℓ.  One sieve of Eratosthenes by the primes below
+    2^12.5 serves every s: it covers the window a segment at a time, until
+    every s has its primes, and an s reads its class 1 + k s off a segment
+    as a strided view."""
+    found: Dict[int, List[int]] = {s: [] for s in bits}
+    held = dict.fromkeys(bits, 0)
+    segments = _segments()
+    while (short := [s for s in bits if held[s] < bits[s]]) and (seg := next(segments, None)):
+        lo, hi, step = seg
+        prime = np.ones(hi - lo, dtype=bool)
+        for p in _SIEVE_BASE:
+            prime[-lo % p :: p] = False
+        for s in short:
+            first = (1 - lo) % s  # the offset of the segment's first 1 + k s
+            ells = (lo + first + s * np.flatnonzero(prime[first::s]))[::step]
+            have = held[s] + _held_bits(ells)
+            take = int(np.searchsorted(have, bits[s]))  # the primes that reach bits[s]
+            found[s] += ells[:take].tolist()
+            held[s] = int(have[min(take, len(ells))])
+    return found
+
+
+def _cyclotomic_roots(order: np.ndarray, ell: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """For each prime ℓ ≡ 1 (mod s), s its ``order``, the powers ζ^0, ...,
+    ζ^(n-1), n the largest order, of a primitive s-th root of unity ζ; its
+    powers ζ^k, gcd(k, s) = 1, are the phi(s) roots of Φ_s mod ℓ.
+
+    ζ = a^((ℓ-1)/s) is an s-th root of unity, primitive unless one of
+    ζ^1, ..., ζ^(s-1) is 1, which the table of its powers shows.  Eight
+    prime a are raised at once, and tried in turn on the primes still
+    without a root."""
+    order, ell, inv = order[:, None], ell[:, None], inv[:, None]
+    n = int(order.max())
+    table = np.empty((len(ell), n))
+    todo, tried = np.arange(len(ell)), 0
+    while todo.size:
+        a = np.array(_SIEVE_BASE[tried : tried + 8], dtype=float)
+        tried += len(a)
+        m, mi = ell[todo], inv[todo]
+        zeta, base = np.ones((len(todo), len(a))), a + np.zeros_like(m)
+        e = (m.astype(np.int64) - 1) // order[todo]
+        while e.any():  # each a^((ℓ-1)/s), by squaring
+            zeta = np.where(e & 1, _reduce(zeta * base, m, mi), zeta)
+            base, e = _reduce(base * base, m, mi), e >> 1
+        for j in range(len(a)):
+            powers, w = np.ones((len(todo), n)), 1  # ζ^0, ..., ζ^(w-1) by doubling w
+            while w < n:
+                top = _reduce(powers[:, w - 1 : w] * zeta[:, j : j + 1], m, mi)
+                powers[:, w : 2 * w] = _reduce(powers[:, : min(w, n - w)] * top, m, mi)
+                w *= 2
+            unit = ((powers[:, 1:] == 1) & (np.arange(1, n) < order[todo])).any(axis=1)
+            table[todo[~unit]] = powers[~unit]
+            todo, zeta, m, mi = todo[unit], zeta[unit], m[unit], mi[unit]
+            if not todo.size:
                 break
-    ell = np.array(primes, dtype=np.int64)[:, None]
-    zeta = np.array(zeta, dtype=np.int64)[:, None]
-    powers = np.ones((len(primes), 1), dtype=np.int64)  # ζ^0, ..., ζ^(n-1) by doubling n
-    while powers.shape[1] < s:
-        powers = np.concatenate([powers, powers * (powers[:, -1:] * zeta % ell) % ell], axis=1)
-    return powers[:, [k for k in range(s) if math.gcd(k, s) == 1]]
+    return table
 
 
-def _symmetric(x: np.ndarray, ell: np.ndarray) -> np.ndarray:
-    """Residues in [0, ℓ) moved into (-ℓ/2, ℓ/2)."""
-    return np.where(x > ell // 2, x - ell, x)
+def _crt_blocks(primes: Sequence[int]) -> List[Tuple[List[int], List[int], int]]:
+    """Per block of _CRT_BLOCK primes: the products of its prefixes, the
+    weights that are 1 mod one of its primes and 0 mod the others, and the
+    inverse mod the block's product of the product of the primes before it."""
+    out, before = [], 1
+    for lo in range(0, len(primes), _CRT_BLOCK):
+        block = primes[lo : lo + _CRT_BLOCK]
+        products = list(itertools.accumulate(block, operator.mul))
+        m = products[-1]
+        out.append((products, [m // l * pow(m // l, -1, l) for l in block], pow(before, -1, m)))
+        before *= m
+    return out
+
+
+def _crt(rows: Sequence[Sequence[int]], primes: Sequence[int], blocks) -> List[int]:
+    """The symmetric integer with a row's residues mod ``primes``, for each
+    row (Collins, JACM 18, 1971); ``blocks`` are the _crt_blocks of primes
+    that ``primes`` begins.  A block's weights give a y with its residues,
+    and x + M ((y - x) M^-1 mod m), M the product of the primes before the
+    block, lifts x from mod M to mod M m.  Held one block at a time, the
+    weights take memory linear in the primes; a block's weights, and its
+    inverse, still serve a prefix of it, mod the prefix's product."""
+    xs, M = [0] * len(rows), 1
+    for lo, (products, weights, inv) in zip(range(0, len(primes), _CRT_BLOCK), blocks):
+        m = products[min(len(primes) - lo, _CRT_BLOCK) - 1]
+        for i, row in enumerate(rows):
+            y = sum(map(operator.mul, row[lo : lo + _CRT_BLOCK], weights))
+            xs[i] += M * ((y - xs[i]) * inv % m)
+        M *= m
+    return [x - M if 2 * x > M else x for x in xs]
 
 
 def cyclotomic_resultants(polys: Sequence[IntPolynomial], s_max: int) -> List[List[int]]:
@@ -451,76 +540,100 @@ def cyclotomic_resultants(polys: Sequence[IntPolynomial], s_max: int) -> List[Li
 
     Φ_s is monic, so Res(P, Φ_s) = (-1)^(deg P phi(s)) prod P(β) over its
     roots β.  Mod a prime ℓ ≡ 1 (mod s) the β are phi(s) residues, and all
-    P of a degree are evaluated at once, for every ℓ and β, in int64.
-    |prod P(β)| <= |P|_1^phi(s) < 2^(phi(s) b), b the bit length of the sum
-    of |coefficients|, so ceil((phi(s) b + 1) / 30) primes above 2^30
-    recover it by the CRT as a symmetric residue (Collins, JACM 18, 1971).
+    P of a degree are evaluated at once, for every ℓ and β of every s with
+    the same phi(s), in doubles that hold each integer formed exactly (see
+    _reduce).  |prod P(β)| <= |P|_1^phi(s) < 2^(phi(s) b), b the bit length
+    of the sum of |coefficients|, so primes below 2^25 whose product holds
+    phi(s) b + 1 bits recover it by the CRT as a symmetric residue: about
+    (phi(s) b + 1) / 24 primes above 2^24, and smaller ones after them.
+    An s for which the primes below 2^25 hold too few bits takes the
+    subresultant PRS.
 
-    A coefficient is reduced mod ℓ from its signed 30-bit limbs, and P(β)
-    by Horner over blocks of coefficients: each sum of eight products is a
-    matrix product, reduced once.
+    A coefficient is reduced mod ℓ from its signed 24-bit limbs, and P(β)
+    by Horner over blocks of coefficients: each block's sum of eight
+    products is a matrix product, reduced by the Horner step that takes it.
     """
     if any(P.is_zero for P in polys):
         raise ZeroPolynomial("resultants require nonzero polynomials")
     if not 1 <= s_max <= MAX_CYCLOTOMIC_INDEX:
         raise OutOfRange("cyclotomic index must satisfy 1 <= s <= %d" % MAX_CYCLOTOMIC_INDEX)
+    if not polys:
+        return []
     groups = {}  # degree -> (indices, norm bits, limbs as (P, coefficient, limb))
     for i, P in enumerate(polys):
         groups.setdefault(P.degree, []).append(i)
-    width = min(_BLOCK, max(groups, default=0) + 1)  # coefficients per Horner block
+    width = min(_BLOCK, max(groups) + 1)  # coefficients per Horner block
     for deg, idx in groups.items():  # zero-padded to whole blocks
         coeffs = [polys[i].coeffs + (0,) * (-len(polys[i].coeffs) % width) for i in idx]
         n = -(-max(abs(c) for cs in coeffs for c in cs).bit_length() // _LIMB) or 1
         limbs = np.array([[[(abs(c) >> (_LIMB * j) & (1 << _LIMB) - 1) * (-1 if c < 0 else 1)
-                            for j in range(n)] for c in cs] for cs in coeffs], dtype=np.int64)
+                            for j in range(n)] for c in cs] for cs in coeffs], dtype=float)
         groups[deg] = (idx, max(sum(map(abs, cs)).bit_length() for cs in coeffs), limbs)
-    most_limbs = max((g[2].shape[2] for g in groups.values()), default=0)
-    out = [[0] * s_max for _ in polys]
+    most_limbs = max(g[2].shape[2] for g in groups.values())
+    classes = {}  # phi(s) -> each s <= s_max of it, batched along the prime axis
     for s in range(1, s_max + 1):
-        phi = euler_phi(s)
-        need = {deg: (phi * g[1] + _LIMB) // _LIMB for deg, g in groups.items()}
-        primes = _split_primes(s, max(need.values(), default=0))
-        # CRT weights over all the primes; reduced mod a prefix's product they
-        # serve the prefix, as each is still 1 mod its own prime, 0 mod the others
-        whole = math.prod(primes)
-        weights = [whole // l * pow(whole // l, -1, l) for l in primes]
-        products = {k: m for k, m in enumerate(itertools.accumulate(primes, operator.mul), 1)
-                    if k in need.values()}
-        ell = np.array(primes, dtype=np.int64)
-        radix = [np.ones_like(ell)]  # 2^(30 j) mod ℓ
+        classes.setdefault(euler_phi(s), []).append(s)
+    need = {phi: {deg: phi * g[1] + 1 for deg, g in groups.items()} for phi in classes}  # bits
+    primes = _split_primes({s: max(need[phi].values()) for phi, ss in classes.items() for s in ss})
+    held = {s: _held_bits(ls) for s, ls in primes.items()}
+    out = [[0] * s_max for _ in polys]
+    for phi, ss in classes.items():
+        for s in [s for s in ss if held[s][-1] < max(need[phi].values())]:
+            ss.remove(s)  # past the window
+            for i, P in enumerate(polys):
+                out[i][s - 1] = resultant(P, cyclotomic(s))
+        if not ss:
+            continue
+        at = np.cumsum([0] + [len(primes[s]) for s in ss])  # the rows of each s
+        ell = np.array([l for s in ss for l in primes[s]], dtype=float)
+        inv = 1 / ell
+        powers = _cyclotomic_roots(np.repeat(ss, np.diff(at)), ell, inv)
+        coprime = [[k for k in range(s) if math.gcd(k, s) == 1] for s in ss]
+        roots = np.concatenate([powers[at[j] : at[j + 1], ks] for j, ks in enumerate(coprime)])
+        roots = roots[:, None]
+        radix = [np.ones_like(ell)]  # 2^(24 j) mod ℓ
         while len(radix) < most_limbs:
-            radix.append((radix[-1] << _LIMB) % ell)
-        radix = _symmetric(np.stack(radix), ell)  # (limb, ℓ)
-        ell = ell[:, None, None]  # against (ℓ, P or block, β)
-        roots = _cyclotomic_roots(s, primes)[:, None]
+            radix.append(_reduce(radix[-1] * (1 << _LIMB), ell, inv))
+        radix = np.stack(radix)  # (limb, ℓ)
         powers = [np.ones_like(roots), roots]  # β^0, ..., β^width
         while len(powers) <= width:
-            powers.append(powers[-1] * roots % ell)
+            powers.append(_reduce(powers[-1] * roots, ell[:, None, None], inv[:, None, None]))
         step = powers.pop()
-        table = _symmetric(np.concatenate(powers, axis=1), ell)  # (ℓ, power, β)
+        table = np.concatenate(powers, axis=1)  # (ℓ, power, β)
+        residues = {}  # degree -> per s, (P, ℓ)
         for deg, (idx, _, limbs) in groups.items():
-            K = need[deg]
-            m = ell[:K]
-            r = radix[:limbs.shape[2], :K]  # eight limbs at a time
-            coeffs = sum(limbs[:, :, j:j + _BLOCK] @ r[j:j + _BLOCK] % m[:, 0, 0]
-                         for j in range(0, len(r), _BLOCK)) % m[:, 0, 0]
-            coeffs = _symmetric(coeffs.transpose(2, 0, 1), m).reshape(K, -1, width)
-            # each block's value at every β, then Horner over the blocks by β^width
-            blocks = (coeffs @ table[:K] % m).reshape(K, len(idx), -1, phi)
-            values = blocks[:, :, -1]
+            # the first primes of each s whose product holds this degree's bits
+            ks = [int(np.searchsorted(held[s], need[phi][deg])) for s in ss]
+            rows = np.concatenate([np.arange(a, a + k) for a, k in zip(at, ks)])
+            m, mi = ell[rows], inv[rows]
+            r = radix[: limbs.shape[2], rows]
+            coeffs = limbs[:, :, :_BLOCK] @ r[:_BLOCK]
+            for j in range(_BLOCK, len(r), _BLOCK):  # eight limbs more at a time
+                coeffs = _reduce(coeffs, m, mi) + limbs[:, :, j : j + _BLOCK] @ r[j : j + _BLOCK]
+            coeffs = _reduce(coeffs, m, mi)
+            coeffs = coeffs.transpose(2, 0, 1).reshape(len(rows), -1, width)
+            m, mi = m[:, None, None], mi[:, None, None]  # against (ℓ, P or block, β)
+            # each block's value at every β, a sum of eight products that the
+            # next Horner step by β^width reduces with one product more
+            blocks = (coeffs @ table[rows]).reshape(len(rows), len(idx), -1, phi)
+            values, lift = _reduce(blocks[:, :, -1], m, mi), step[rows]
             for b in range(blocks.shape[2] - 2, -1, -1):
-                values = (values * step[:K] + blocks[:, :, b]) % m
+                values = values * lift
+                values += blocks[:, :, b]
+                values = _reduce(values, m, mi)
             while values.shape[2] > 1:  # the product over β, halving the axis
                 half = values.shape[2] // 2
-                values = np.concatenate([values[:, :, :half] * values[:, :, half:2 * half] % m,
-                                         values[:, :, 2 * half:]], axis=2)
-            residues = values[:, :, 0].T  # (P, ℓ)
-            if deg * phi % 2:
-                residues = (m[:, 0, 0] - residues) % m[:, 0, 0]
-            modulus = products[K]
-            for i, row in zip(idx, residues.tolist()):
-                x = sum(map(operator.mul, row, weights)) % modulus
-                out[i][s - 1] = x - modulus if 2 * x > modulus else x
+                pairs = _reduce(values[:, :, :half] * values[:, :, half : 2 * half], m, mi)
+                values = np.concatenate([pairs, values[:, :, 2 * half :]], axis=2)
+            sign = -1 if deg * phi % 2 else 1
+            res = sign * values[:, :, 0].T.astype(np.int64)
+            residues[deg] = np.split(res, np.cumsum(ks)[:-1], axis=1)
+        for j, s in enumerate(ss):  # one s's CRT weights at a time
+            crt = _crt_blocks(primes[s])
+            for deg, (idx, _, _) in groups.items():
+                res = residues[deg][j]
+                for i, x in zip(idx, _crt(res.tolist(), primes[s][: res.shape[1]], crt)):
+                    out[i][s - 1] = x
     return out
 
 

@@ -191,15 +191,38 @@ def _config_hints() -> dict:
     return get_type_hints(ExperimentConfig)
 
 
+def _round(value: float) -> float:
+    """A float to 12 significant digits, so that serialization is stable."""
+    return float("%.12g" % value)
+
+
 def _canon(value):
-    """Round floats to 12 significant digits so serialization is stable."""
+    """Round floats (see _round) throughout dicts, lists and tuples."""
     if isinstance(value, float):
-        return float("%.12g" % value)
+        return _round(value)
     if isinstance(value, dict):
         return {k: _canon(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_canon(v) for v in value]
     return value
+
+
+# json.dumps(..., indent=2) puts a report's rows two levels deep: one
+# encoder without indent, which json runs in C, writes each row's items with
+# that depth's item separator
+_ROW_ITEMS = ",\n      "
+_ROW_ENCODER = json.JSONEncoder(separators=(_ROW_ITEMS, ": "), sort_keys=True,
+                                check_circular=False)
+
+
+def _indented_rows(rows: List[list]) -> str:
+    """``rows``, flat lists of JSON scalars, as json.dumps(..., indent=2)
+    writes them at the top level of a document."""
+    if not rows:
+        return "[]"
+    items = ("[\n      %s\n    ]" % _ROW_ENCODER.encode(row)[1:-1] if row else "[]"
+             for row in rows)
+    return "[\n    " + ",\n    ".join(items) + "\n  ]"
 
 
 def _cell(value) -> str:
@@ -219,22 +242,25 @@ class ExperimentReport:
     created: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
 
     def body_dict(self) -> dict:
-        return _canon(
-            {
-                "config": self.config,
-                "columns": list(self.columns),
-                "rows": [list(r) for r in self.rows],
-                "summary": self.summary,
-            }
-        )
+        body = _canon({"config": self.config, "columns": list(self.columns),
+                       "summary": self.summary})
+        body["rows"] = [[_round(v) if isinstance(v, float) else v for v in r]
+                        for r in self.rows]  # rows are flat: no recursion
+        return body
 
     def body_json(self) -> str:
         return json.dumps(self.body_dict(), sort_keys=True, separators=(",", ":"))
 
     def to_json(self) -> str:
-        doc = dict(self.body_dict())
+        """The report as json.dumps(doc, sort_keys=True, indent=2) writes it.
+        The rows are written apart, in place of a 0 under the top-level
+        "rows" key: only top-level keys start a line with two spaces, and no
+        JSON string holds a raw newline."""
+        doc = self.body_dict()
+        rows, doc["rows"] = doc["rows"], 0
         doc["header"] = {"created": self.created, "tool": _tool_version()}
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        head, tail = json.dumps(doc, sort_keys=True, indent=2).split('\n  "rows": 0', 1)
+        return head + '\n  "rows": ' + _indented_rows(rows) + tail + "\n"
 
     def to_csv(self) -> str:
         lines = [",".join(self.columns)]
@@ -421,6 +447,8 @@ def run_thm44i(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     for p, ctx, ws in _grid(cfg):
         t = _t_for(cfg, math.log(p))
+        if not ws:
+            continue  # no rows, and no table to build
         bound = max(math.sqrt(N), N / _loglog_denom(cfg, p))
         table, points, start_rows = _tables(F, ctx, ws, N - 1)
         found = sup_m_over_sequences(table, _qual(ctx, t, points), start_rows, N)
@@ -483,6 +511,8 @@ def run_cor45(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     for p, ctx, ws in _grid(cfg):
         t = _t_for(cfg, math.log(p))
+        if not ws:
+            continue  # no rows, and no table to build
         kN = float(F.k) ** N
         bound = max(math.sqrt(N) * kN, N * kN / _loglog_denom(cfg, p))
         table, points, start_rows = _tables(F, ctx, ws, N)
@@ -535,6 +565,8 @@ def run_thm46(cfg: ExperimentConfig) -> ExperimentReport:
     for p, ctx, ws in _grid(cfg):
         nonzero = [w for w in ws if w]
         zeros += len(ws) - len(nonzero)
+        if not nonzero:
+            continue  # no rows, and no table to build
         # above the cap each start gets its own table, the size of its orbit
         for group in [nonzero] if ctx.q <= MAX_GRAPH_SIZE else [[w] for w in nonzero]:
             table, _, start_rows = _tables(F, ctx, group)

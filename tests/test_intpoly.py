@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -301,9 +302,15 @@ def _coefficients(bits):
 )
 @example(polys=[IntPolynomial((5,)), IntPolynomial((-3, 0, 2))], s_max=2, factor=False)
 @example(polys=[IntPolynomial((1 << 61, -(1 << 65) - 1, 3 << 62))], s_max=3, factor=False)
+@example(polys=[IntPolynomial(((1 << 24) - 1, 1 << 24, 1 << 48, -(1 << 72)))], s_max=7,
+         factor=False)
+@example(polys=[IntPolynomial(((1 << 24) - 1,)), IntPolynomial((1, 1 << 24)),
+                IntPolynomial((-1, 0, 1 << 48)), IntPolynomial((-(1 << 72), 0, 0, 1))],
+         s_max=5, factor=True)
 def test_cyclotomic_resultants_match_prs_and_determinant(polys, s_max, factor):
-    # non-monic, negative and three-limb (>= 2^60) coefficients, constants,
-    # and P = Φ_s g, whose resultant with Φ_s is 0
+    # non-monic, negative and multi-limb coefficients, on each side of the
+    # 24-bit limb boundaries, constants, and P = Φ_s g, whose resultant
+    # with Φ_s is 0
     if factor:
         polys = polys + [cyclotomic(s) * polys[0] for s in range(1, s_max + 1)]
     table = cyclotomic_resultants(polys, s_max)
@@ -329,14 +336,106 @@ def test_cyclotomic_resultants_edges():
 
 def test_cyclotomic_resultants_at_the_largest_single_r_grid():
     # lemma41's guard takes r_max = 1 with s_max = 610; χ_1 = Y - F(1), and
-    # s = 607 alone needs 81 primes = 1 mod 607
+    # s = 607 alone needs phi(607) * 4 + 1 bits: 102 primes = 1 mod 607 in (2^24, 2^25)
     assert verify._lemma41_cost([2], 1, 610) <= verify.LEMMA41_COST_CAP
     chi = cyclotomic_charpoly(parse_poly("X^2 + 3X + 5"), 1)
     (row,) = cyclotomic_resultants([chi], 610)
-    primes = intpoly._split_primes(607, 81)
-    assert all(l % 607 == 1 and 1 << 30 < l < 1 << 31 and is_prime(l) for l in primes)
+    primes = intpoly._split_primes({607: 606 * 4 + 1, 1: 3 * 24})
+    assert primes[1] == [(1 << 24) + 43, (1 << 24) + 73, (1 << 24) + 75]  # the first above 2^24
+    assert len(primes[607]) == 102 and primes[607] == sorted(set(primes[607]))
+    assert all(l % 607 == 1 and 1 << 24 < l < 1 << 25 and is_prime(l) for l in primes[607])
     for s in random.Random(0).sample(range(1, 611), 12) + [1, 2, 607, 610]:
         assert row[s - 1] == resultant(chi, cyclotomic(s)), s
+
+
+def test_split_primes_go_below_2_to_24():
+    # χ_1 = Y - (2^30 + 1) of 2^30 X^2 + 1 needs 882 * 31 + 1 bits at s = 883,
+    # more than the primes = 1 mod 883 in (2^24, 2^25) hold: the largest
+    # primes below 2^24 follow them
+    bits = 882 * 31 + 1
+    (primes,) = intpoly._split_primes({883: bits}).values()
+    above = [l for l in primes if l > 1 << 24]
+    below = primes[len(above):]
+    assert above == sorted(above) and below == sorted(below, reverse=True) and below
+    assert all(l % 883 == 1 and intpoly._FLOOR < l < 1 << 25 and is_prime(l) for l in primes)
+    first = 1 + 883 * ((1 << 24) // 883 + 1)  # the first 1 + 883 k above 2^24
+    assert above == [l for l in range(first, 1 << 25, 883) if is_prime(l)]
+    assert below[0] == max(l for l in range(1, 1 << 24, 883) if is_prime(l))
+    held = intpoly._held_bits(primes)
+    assert held[-2] < bits <= held[-1] and math.prod(primes) >= 1 << bits
+
+
+def test_split_primes_past_the_window_fall_short():
+    # the primes = 1 mod 4093 in (2^13, 2^25), about 500 of them, hold
+    # fewer than 10^5 bits: the s gets them all
+    (primes,) = intpoly._split_primes({4093: 10**5}).values()
+    assert sorted(primes) == [l for l in range(1 + 4093 * 3, 1 << 25, 4093) if is_prime(l)]
+
+
+def _narrow_window():
+    # 2^16 <= ℓ < 2^17, then 2^13 <= ℓ < 2^16: primes of 14 to 17 bits
+    return iter([(1 << 16, 1 << 17, 1), (1 << 15, 1 << 16, -1), (1 << 13, 1 << 15, -1)])
+
+
+def test_cyclotomic_resultants_on_a_narrow_window(monkeypatch):
+    # in a window of primes below 2^17, the s of large phi(s) run out of
+    # primes for the 2,000-bit coefficient and take the PRS; the others
+    # count primes of several bit lengths
+    monkeypatch.setattr(intpoly, "_segments", _narrow_window)
+    polys = [IntPolynomial((3, -(1 << 2000) + 5)), IntPolynomial((1, -7, 1 << 40)),
+             IntPolynomial((2, 1))]
+    bits = {s: euler_phi(s) * 2000 + 1 for s in range(1, 13)}  # |P|_1 = 2^2000 - 2
+    primes = intpoly._split_primes(bits)
+    short = [s for s in bits if intpoly._held_bits(primes[s])[-1] < bits[s]]
+    assert short == [11] and min(min(primes[s]) for s in bits) < 1 << 14
+    table = cyclotomic_resultants(polys, 12)
+    for P, row in zip(polys, table):
+        for s, value in enumerate(row, 1):
+            assert value == resultant(P, cyclotomic(s)), (P, s)
+
+
+def test_cyclotomic_resultants_across_crt_blocks(monkeypatch):
+    # with three primes to a CRT block, the degree-2 group's 28 primes at
+    # s = 11 fill ten blocks and the degree-1 group's 13 end inside the fifth
+    monkeypatch.setattr(intpoly, "_CRT_BLOCK", 3)
+    polys = [IntPolynomial((1 << 61, -(1 << 65) - 1, 3 << 62)), IntPolynomial(((1 << 29) + 1, 3))]
+    assert [(10 * sum(map(abs, P.coeffs)).bit_length() + 24) // 24 for P in polys] == [28, 13]
+    table = cyclotomic_resultants(polys, 12)
+    for P, row in zip(polys, table):
+        for s, value in enumerate(row, 1):
+            phi = cyclotomic(s)
+            assert value == resultant(P, phi) == resultant_by_determinant(P, phi), (P, s)
+
+
+_LARGEST = max(p for p in range((1 << 25) - 64, 1 << 25) if is_prime(p))  # largest ℓ below 2^25
+
+
+def _reduce_ints(xs, ell):
+    x = np.array(xs, dtype=float)
+    assert x.tolist() == xs  # every input is exact in a double
+    return intpoly._reduce(x, np.full_like(x, ell), np.full_like(x, 1 / ell)).tolist()
+
+
+def test_reduce_at_the_extreme_block_sum():
+    # a Horner step sums at most _BLOCK + 1 products of residues of magnitude
+    # <= ℓ/2 + 1 (in fact <= (ℓ + 1)/2); the largest ℓ of the window gives
+    # the largest such sums
+    top = _LARGEST // 2 + 1
+    xs = [sign * (n * top * top + d) for n in (intpoly._BLOCK, intpoly._BLOCK + 1)
+          for d in range(-3, 4) for sign in (1, -1)]
+    assert max(map(abs, xs)) < 1 << 52
+    for x, r in zip(xs, _reduce_ints(xs, _LARGEST)):
+        assert r == int(r) and abs(r) <= (_LARGEST + 1) // 2 and (x - int(r)) % _LARGEST == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(x=st.integers(-(1 << 52) + 1, (1 << 52) - 1),
+       ell=st.sampled_from([8209, (1 << 24) - 3, (1 << 24) + 43, 25165843, _LARGEST]))
+@example(x=(1 << 52) - 1, ell=(1 << 24) + 43)
+@example(x=_LARGEST // 2, ell=_LARGEST)
+def test_reduce_is_exact_below_2_to_52(x, ell):
+    (r,) = _reduce_ints([x], ell)
+    assert r == int(r) and abs(r) <= (ell + 1) // 2 and (x - int(r)) % ell == 0
 
 
 def test_resultant_antisymmetry_and_multiplicativity():

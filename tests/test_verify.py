@@ -44,6 +44,7 @@ from semiorbits import (
     small_order_set,
     stream_from_config,
 )
+import semiorbits
 import semiorbits.verify as verify
 from semiorbits.orbits import MAX_GRAPH_SIZE
 from oracles import (
@@ -1291,6 +1292,66 @@ def test_determinism_same_config_same_body():
     assert all(row[_col(a, "s")] == 1 for row in a.rows)
     starts = {row[_col(a, "w")] for row in a.rows if row[0] == 23}
     assert len(starts) == 4
+
+
+def _canon_body(rep):
+    """The report body with every value rounded by the recursive _canon."""
+    return verify._canon({"config": rep.config, "columns": list(rep.columns),
+                          "rows": [list(r) for r in rep.rows], "summary": rep.summary})
+
+
+def _as_json_dumps(rep):
+    """The JSON report as json.dumps writes it."""
+    doc = dict(_canon_body(rep), header={"created": rep.created, "tool": semiorbits.__version__})
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("case", sorted(SUMMARY_CASES))
+def test_to_json_is_json_dumps_for_every_runner(case):
+    rep = run_experiment(_cfg(**SUMMARY_CASES[case][0]))
+    assert rep.to_json() == _as_json_dumps(rep)
+    assert rep.body_json() == json.dumps(_canon_body(rep), sort_keys=True, separators=(",", ":"))
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**30), 10**30),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=12),
+    st.text(alphabet=st.sampled_from(list('][,"\\\n\t :{}\u00e9\u20ac\U0001f600')), max_size=8),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rows=st.lists(st.lists(_JSON_SCALARS, max_size=6).map(tuple), max_size=6))
+@example(rows=[])
+@example(rows=[()])
+@example(rows=[(), (1,), ()])
+@example(rows=[(None, float("inf"), float("-inf"), float("nan"), True, False, -0.0,
+                "]", "],\n    [", ",", '"', "a\nb", "\u00fc\u4e2d", 0.1234567890123456)])
+def test_to_json_is_json_dumps_on_any_rows(rows):
+    # strings that look like the row separators, every scalar JSON writes,
+    # reports without rows and rows without items
+    rep = ExperimentReport(config={"experiment": "x", "rows": [1]}, columns=("a", "rows"),
+                           rows=rows, summary={"rows": len(rows), "note": '\n  "rows": 0'})
+    assert rep.to_json() == _as_json_dumps(rep)
+
+
+@pytest.mark.parametrize("experiment", ["thm44i", "cor45", "thm46", "thm61"])
+def test_fields_without_starts_build_no_table(experiment):
+    # sample 0 leaves F_1009 without starts, and thm46 skips the zero start:
+    # a field that writes no rows gets no graph and no reach table
+    base = dict(experiment=experiment, generators=["X^2 + 1", "X^3 + 2"], primes=[1009],
+                t=4, N=5, h=2, l=1)
+    empty = [dict(base, sample=0)] + ([dict(base, starts=[0])] if experiment == "thm46" else [])
+    with mock.patch.object(verify, "build_graph", wraps=build_graph) as built, \
+            mock.patch.object(verify, "reach_table") as reached:
+        for cfg in empty:
+            rep = run_experiment(_cfg(**cfg))
+            assert rep.rows == [] and rep.summary["rows"] == 0
+        built.assert_not_called()
+        run_experiment(_cfg(**dict(base, starts=[5])))  # one start: one graph
+        built.assert_called_once()
+        reached.assert_not_called()
 
 
 # -- fields above the whole-field table cap ----------------------------------
