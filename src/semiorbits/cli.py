@@ -17,13 +17,15 @@ import os
 import sys
 from dataclasses import fields
 from fractions import Fraction
+from functools import lru_cache
+from typing import List, Optional
 
 from .combinatorics import b_tree_size, find_common_gap
 from .errors import SemiorbitsError
 from .ff import make_extension_field, mul_order, small_order_set
 from .intpoly import cyclotomic, format_poly, is_special, parse_poly, resultant
 from .orbits import DEFAULT_ORBIT_CAP, GeneratorSet, evaluated_successors, orbit
-from .verify import EXPERIMENTS, ExperimentConfig, run_experiment
+from .verify import EXPERIMENTS, ExperimentConfig, _canon, run_experiment
 
 OUT_DIR_ENV = "SEMIORBITS_OUT_DIR"
 
@@ -166,68 +168,60 @@ def cmd_verify(args) -> int:
         if os.path.exists(tmp):
             os.remove(tmp)
     if args.json:
-        print(json.dumps({"out": out, "summary": report.body_dict()["summary"]},
-                         sort_keys=True))
+        print(json.dumps({"out": out, "summary": _canon(report.summary)}, sort_keys=True))
     else:
         print("%s out=%s" % (report.summary_line(), out))
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="semiorbits",
-        description="Exact semigroup-orbit statistics over finite fields",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("order", help="multiplicative order of an element of F_{p^s}")
+def _order_args(sp):
     sp.add_argument("p", type=int)
     sp.add_argument("s", type=int)
     sp.add_argument("element", type=int, help="element index in [0, p^s)")
-    sp.set_defaults(func=cmd_order)
 
-    sp = sub.add_parser("cyclotomic", help="print the n-th cyclotomic polynomial")
+
+def _cyclotomic_args(sp):
     sp.add_argument("n", type=int)
-    sp.set_defaults(func=cmd_cyclotomic)
 
-    sp = sub.add_parser("resultant", help="resultant of two integer polynomials")
+
+def _resultant_args(sp):
     sp.add_argument("f")
     sp.add_argument("g")
-    sp.set_defaults(func=cmd_resultant)
 
-    sp = sub.add_parser("orbit", help="BFS orbit of a point under a system")
+
+def _orbit_args(sp):
     sp.add_argument("p", type=int)
     sp.add_argument("s", type=int)
     sp.add_argument("rest", nargs="+", metavar="poly... x",
                     help="generator polynomials, then the start index")
     sp.add_argument("--cap", type=int, default=DEFAULT_ORBIT_CAP)
     sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_orbit)
 
-    sp = sub.add_parser("btree", help="complete k-ary tree size B(k,h)")
+
+def _btree_args(sp):
     sp.add_argument("k", type=int)
     sp.add_argument("h", type=int)
-    sp.set_defaults(func=cmd_btree)
 
-    sp = sub.add_parser("gap", help="most frequent small gap among visit times")
+
+def _gap_args(sp):
     sp.add_argument("N", type=int)
     sp.add_argument("indices", type=int, nargs="+")
     sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_gap)
 
-    sp = sub.add_parser("special", help="classify a polynomial up to linear conjugacy")
+
+def _special_args(sp):
     sp.add_argument("f")
     sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_special)
 
-    sp = sub.add_parser("gamma", help="elements of order at most t in F_{p^s}*")
+
+def _gamma_args(sp):
     sp.add_argument("p", type=int)
     sp.add_argument("s", type=int)
     sp.add_argument("t", type=int)
     sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_gamma)
 
-    sp = sub.add_parser("verify", help="run an experiment harness")
+
+def _verify_args(sp):
     sp.add_argument("experiment")
     sp.add_argument("config", nargs="?", help="JSON config file")
     sp.add_argument("--out", help="report path (.csv or .json)")
@@ -259,15 +253,57 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--allow-special", action="store_true")
     sp.add_argument("--diagnostics", action="store_true")
     sp.add_argument("--h-from-n", action="store_true")
-    sp.set_defaults(func=cmd_verify)
 
+
+# subcommand -> (help, argument adder, handler), in the order help lists them
+COMMANDS = {
+    "order": ("multiplicative order of an element of F_{p^s}", _order_args, cmd_order),
+    "cyclotomic": ("print the n-th cyclotomic polynomial", _cyclotomic_args, cmd_cyclotomic),
+    "resultant": ("resultant of two integer polynomials", _resultant_args, cmd_resultant),
+    "orbit": ("BFS orbit of a point under a system", _orbit_args, cmd_orbit),
+    "btree": ("complete k-ary tree size B(k,h)", _btree_args, cmd_btree),
+    "gap": ("most frequent small gap among visit times", _gap_args, cmd_gap),
+    "special": ("classify a polynomial up to linear conjugacy", _special_args, cmd_special),
+    "gamma": ("elements of order at most t in F_{p^s}*", _gamma_args, cmd_gamma),
+    "verify": ("run an experiment harness", _verify_args, cmd_verify),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """A new parser for every subcommand, or for ``command`` alone.  A parser
+    for one subcommand parses that subcommand's argv as the full one does,
+    but lists only it in the top-level usage."""
+    parser = argparse.ArgumentParser(
+        prog="semiorbits",
+        description="Exact semigroup-orbit statistics over finite fields",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in (command,) if command is not None else COMMANDS:
+        help_text, add_arguments, handler = COMMANDS[name]
+        sp = sub.add_parser(name, help=help_text)
+        add_arguments(sp)
+        sp.set_defaults(func=handler)
     return parser
 
 
+_parser = lru_cache(maxsize=None)(build_parser)  # one parser per command, built on first use
+
+
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    """Parse argv with the parser of the subcommand argv names.  Anything
+    that parser would answer with top-level usage text (no subcommand, an
+    unknown one, a top-level option, left-over arguments) is parsed again by
+    the full parser, so every help, usage and error text is the full one's."""
+    if argv and argv[0] in COMMANDS:
+        args, extras = _parser(argv[0]).parse_known_args(argv)
+        if not extras:
+            return args
+    return _parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -27,7 +27,7 @@ from .errors import (
     OutOfRange,
     TooLarge,
 )
-from .ff import FieldContext, FieldElement
+from .ff import FieldContext, FieldElement, eval_indices_all
 from .orbits import MAX_GRAPH_SIZE, GeneratorSet, Word, WordStream, letter_index, level_union
 
 WITNESS_SEARCH_GUARD = 1 << 22
@@ -173,8 +173,7 @@ def build_graph(F: GeneratorSet, ctx: FieldContext) -> FunctionalGraph:
     if ctx.q > MAX_GRAPH_SIZE:
         raise TooLarge("graph needs q <= 2^20, got q=%d" % ctx.q)
     xs = np.arange(ctx.q, dtype=np.int64)
-    table = np.stack([g.eval_indices(xs) for g in F.reduced(ctx)], axis=1)
-    return FunctionalGraph(table)
+    return FunctionalGraph(eval_indices_all(F.reduced(ctx), xs))
 
 
 def _vertex_mask(g: FunctionalGraph, vertices: Iterable) -> np.ndarray:

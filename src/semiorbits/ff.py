@@ -31,7 +31,7 @@ from .errors import (
 MAX_EXTENSION_DEGREE = 16
 MAX_FIELD_SIZE = 1 << 48
 MAX_FACTOR_ARG = 1 << 96
-EVAL_BLOCK = 1 << 12  # points per eval_indices pass; bounds its memory on large fields
+EVAL_BLOCK = 1 << 12  # points x polynomials per eval_indices_all pass; bounds its memory
 
 
 def _sieve(limit: int) -> Tuple[int, ...]:
@@ -517,37 +517,55 @@ class FieldPolynomial:
         return ctx.index(self.eval(ctx.from_index(m)))
 
     def eval_indices(self, idx) -> np.ndarray:
-        """Index-to-index evaluation of an array of field indices: the Horner steps
-        of ``eval`` on an (s, n) array of base-p digits, reduced by ``_xred``; int64
-        while 2 s p^2 < 2^63, Python ints beyond (primes above about 2^31).  Runs
-        on EVAL_BLOCK points at a time, so memory stays bounded on any field."""
-        idx = np.asarray(idx, dtype=np.int64)
-        out = np.empty(len(idx), dtype=np.int64)
-        for lo in range(0, len(idx), EVAL_BLOCK):
-            out[lo : lo + EVAL_BLOCK] = self._eval_block(idx[lo : lo + EVAL_BLOCK])
-        return out
+        """Index-to-index evaluation of an array of field indices (see
+        eval_indices_all)."""
+        return eval_indices_all((self,), idx)[:, 0]
 
-    def _eval_block(self, idx: np.ndarray) -> np.ndarray:
-        ctx, p, s = self.ctx, self.ctx.p, self.ctx.s
-        coeffs = self.coeffs or (0,)
-        dtype = np.int64 if 2 * s * p * p < 1 << 63 else object
-        rest, x = idx, np.empty((s, len(idx)), dtype=dtype)
-        for i in range(s - 1):  # base-p digits, lowest first
-            rest, x[i] = np.divmod(rest, p)
-        x[s - 1] = rest
-        xred = np.array(ctx._xred, dtype=dtype)
-        acc, prod = np.zeros_like(x), np.empty((2 * s - 1, len(idx)), dtype=dtype)
-        acc[0] = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            np.multiply(acc[0], x, out=prod[:s])
-            prod[s:] = 0
-            prod[0] += c
-            for i in range(1, s):
-                prod[i : i + s] += acc[i] * x
-            for t in range(2 * s - 2, s - 1, -1):
-                prod[:s] += xred[t - s, :, None] * (prod[t] % p)
-            np.remainder(prod[:s], p, out=acc)
-        return reduce(lambda m, d: m * p + d, acc[::-1])
+
+def eval_indices_all(polys: Sequence[FieldPolynomial], idx) -> np.ndarray:
+    """The (len(idx), k) array whose column j is ``polys[j]`` evaluated on the
+    field indices ``idx``: the Horner steps of ``eval`` on an (s, n) array of
+    base-p digits, reduced by ``_xred``, for all k polynomials of one field in
+    one pass; int64 while 2 s p^2 < 2^63, Python ints beyond (primes above
+    about 2^31).  Runs on EVAL_BLOCK // k points at a time, so memory stays
+    bounded on any field."""
+    order = sorted(range(len(polys)), key=lambda j: -len(polys[j].coeffs))
+    coeffs = [polys[j].coeffs or (0,) for j in order]  # longest first
+    idx = np.asarray(idx, dtype=np.int64)
+    out = np.empty((len(idx), len(polys)), dtype=np.int64)
+    step = max(1, EVAL_BLOCK // len(polys))
+    for lo in range(0, len(idx), step):
+        out[lo : lo + step, order] = _eval_block(polys[0].ctx, coeffs, idx[lo : lo + step]).T
+    return out
+
+
+def _eval_block(ctx: FieldContext, coeffs: List[tuple], idx: np.ndarray) -> np.ndarray:
+    """Horner on the coefficient tuples ``coeffs``, longest first: the step
+    for X^j runs on the leading polynomials of degree > j only, so a shorter
+    polynomial costs no more steps than it would alone."""
+    p, s, d = ctx.p, ctx.s, len(coeffs[0])
+    dtype = np.int64 if 2 * s * p * p < 1 << 63 else object
+    rest, x = idx, np.empty((s, 1, len(idx)), dtype=dtype)
+    for i in range(s - 1):  # base-p digits, lowest first
+        rest, x[i, 0] = np.divmod(rest, p)
+    x[s - 1, 0] = rest
+    xred = np.array(ctx._xred, dtype=dtype).reshape(s - 1, s, 1, 1)
+    cols = np.array([c + (0,) * (d - len(c)) for c in coeffs], dtype=dtype).T[:, :, None]
+    acc = np.zeros((s, len(coeffs), len(idx)), dtype=dtype)
+    prod = np.empty((2 * s - 1,) + acc.shape[1:], dtype=dtype)
+    acc[0] = np.array([c[-1] for c in coeffs], dtype=dtype)[:, None]
+    for j in range(d - 2, -1, -1):
+        m = sum(len(c) > j + 1 for c in coeffs)
+        a, pr = acc[:, :m], prod[:, :m]
+        np.multiply(a[0], x, out=pr[:s])
+        pr[s:] = 0
+        pr[0] += cols[j, :m]
+        for i in range(1, s):
+            pr[i : i + s] += a[i] * x
+        for t in range(2 * s - 2, s - 1, -1):
+            pr[:s] += xred[t - s] * (pr[t] % p)
+        np.remainder(pr[:s], p, out=a)
+    return reduce(lambda m, d: m * p + d, acc[::-1])
 
 
 def make_prime_field(p: int) -> FieldContext:

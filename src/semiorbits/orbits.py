@@ -10,9 +10,9 @@ The statistics here count iterates of small multiplicative order: m_count
 along a fixed stream, its supremum over all words of a given length,
 small-order points among the level sets of the whole system, and orbits
 with greedy walk covers.  All but m_count read the successor table
-x -> phi_i(x) on field indices, which ``FieldPolynomial.eval_indices`` fills
-an index array at a time: ``combinatorics.build_graph`` for a whole field,
-or ``reach_table`` over the starts' reach.
+x -> phi_i(x) on field indices, which ``ff.eval_indices_all`` fills an
+index array at a time, every generator in one pass: ``combinatorics.build_graph``
+for a whole field, or ``reach_table`` over the starts' reach.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
     TooLarge,
     Truncated,
 )
-from .ff import FieldContext, FieldElement, FieldPolynomial, mul_order
+from .ff import FieldContext, FieldElement, FieldPolynomial, eval_indices_all, mul_order
 from .intpoly import IntPolynomial, reduce_mod, system_height
 
 Word = Tuple[int, ...]
@@ -203,7 +203,7 @@ def evaluated_successors(F: GeneratorSet, ctx: FieldContext) -> Successors:
 def reach_table(F: GeneratorSet, ctx: FieldContext, starts: Sequence[int],
                 depth: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Compact successor table over the points within ``depth`` steps of the
-    starts, evaluated a BFS level at a time with one array call per generator.
+    starts, evaluated a BFS level at a time, all generators in one array call.
     Returns (table, points), ``points[r]`` the field index of row r in FIFO
     discovery order: the distinct starts first, in first-occurrence order.
     Rows on the depth limit are not evaluated and loop to themselves; a kernel
@@ -213,7 +213,7 @@ def reach_table(F: GeneratorSet, ctx: FieldContext, starts: Sequence[int],
     seen = np.sort(levels[0])  # every point found so far
     images = [np.empty(0, np.int64)]  # each evaluated level's rows, flattened
     while len(levels[-1]) and len(images) - 1 != depth and len(seen) <= MAX_GRAPH_SIZE:
-        img = np.stack([g.eval_indices(levels[-1]) for g in F.reduced(ctx)], axis=1).ravel()
+        img = eval_indices_all(F.reduced(ctx), levels[-1]).ravel()
         images.append(img)
         new, first = np.unique(img, return_index=True)
         pos = np.searchsorted(seen, new)

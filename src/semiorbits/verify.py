@@ -220,6 +220,13 @@ def _indented_rows(rows: List[list]) -> str:
     writes them at the top level of a document."""
     if not rows:
         return "[]"
+    if all(rows):
+        # one encoder call: the rows are flat and no JSON string holds a raw
+        # newline, so "],\n      [" occurs only where one row ends and the
+        # next begins (an empty row "[]" would match it too)
+        inner = _ROW_ENCODER.encode(rows)[2:-2].replace(
+            "]" + _ROW_ITEMS + "[", "\n    ],\n    [\n      ")
+        return "[\n    [\n      " + inner + "\n    ]\n  ]"
     items = ("[\n      %s\n    ]" % _ROW_ENCODER.encode(row)[1:-1] if row else "[]"
              for row in rows)
     return "[\n    " + ",\n    ".join(items) + "\n  ]"

@@ -15,7 +15,8 @@ import pytest
 
 import semiorbits
 from semiorbits import chebyshev, cyclotomic, parse_poly
-from semiorbits.cli import OUT_DIR_ENV, build_parser, main
+from semiorbits import cli
+from semiorbits.cli import COMMANDS, OUT_DIR_ENV, build_parser, main
 from semiorbits.verify import ExperimentConfig, ExperimentReport
 
 
@@ -182,6 +183,47 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def _full_parser_run(capsys, argv):
+    """Exit code, stdout and stderr of the full parser on an argv it refuses
+    or answers with help."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    out, err = capsys.readouterr()
+    return int(exc.value.code or 0), out, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], [], ["nonsense"], ["-h", "verify"],
+    *([name, "-h"] for name in COMMANDS),
+    ["verify", "thm44i", "cfg", "extra"],
+    ["verify", "thm44i", "--primes", "11,x"],
+    ["order", "7", "1", "3", "--json"],
+    ["gamma", "7"],
+], ids=lambda argv: " ".join(argv) or "no-argv")
+def test_help_usage_and_errors_are_the_full_parsers(capsys, argv):
+    assert _run(capsys, *argv) == _full_parser_run(capsys, argv)
+
+
+def test_a_subcommand_builds_only_its_own_parser(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(THM44I_CFG))
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: built.append(name) or add_parser(self, name, **kw))
+    cli._parser.cache_clear()
+    try:
+        args = ("verify", "thm44i", str(cfg), "--out", str(tmp_path / "r.csv"))
+        code, out, _ = _run(capsys, *args, "--json")
+        assert code == 0 and json.loads(out)["summary"]["rows"] == 1
+        # the cached parser keeps no value of the last call: no --json now
+        code, out, _ = _run(capsys, *args)
+        assert code == 0 and out.startswith("experiment=thm44i rows=1 ")
+        assert built == ["verify"]
+    finally:
+        cli._parser.cache_clear()
+
+
 # -- verify plumbing -----------------------------------------------------------
 
 
@@ -316,6 +358,17 @@ def test_verify_json_summary(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["out"] == str(out_path)
     assert doc["summary"]["rows"] == 1
+
+
+def test_verify_json_line_on_a_lemma41_grid(tmp_path, capsys):
+    # the summary's floats are printed rounded to 12 significant digits
+    out_path = tmp_path / "r.csv"
+    code, out, _ = _run(capsys, "verify", "lemma41", "--generators", "X^2 + 3*X + 5, 2X^3 - X + 7",
+                        "--r-max", "4", "--s-max", "6", "--json", "--out", str(out_path))
+    assert code == 0
+    assert out == ('{"out": %s, "summary": {"max": 0.576112290093, "n": 48, '
+                   '"p95": 0.416580052624, "rows": 48, "zero_resultants": 0}}\n'
+                   % json.dumps(str(out_path)))
 
 
 def test_verify_guard_violation_exit_4(tmp_path, capsys):

@@ -339,33 +339,46 @@ def _field(p, s):
 
 @st.composite
 def _eval_cases(draw):
-    """A field F_{p^s} with q <= 2^16 (or F_p for a prime near 2^48), a
-    polynomial of degree < 7 over its prime subfield, and indices into it."""
+    """A field F_{p^s} with q <= 2^16 (or F_p for a prime near 2^48), one to
+    three polynomials of degree < 7 over its prime subfield, and indices into
+    it."""
     if draw(st.integers(0, 9)) == 0:
         p, s = BIG_PRIME, 1
     else:
         s = draw(st.integers(1, 16))
         p = _prime_at_most(draw(st.integers(2, int(2 ** (16 / s)))))
-    coeffs = draw(st.lists(st.integers(0, p - 1) | st.just(0), max_size=7))
+    polys = draw(st.lists(st.lists(st.integers(0, p - 1) | st.just(0), max_size=7),
+                          min_size=1, max_size=3))
     idx = draw(st.lists(st.integers(0, p**s - 1), max_size=12))
-    return p, s, coeffs, idx
+    return p, s, polys, idx
+
+
+def _check_eval_indices(ctx, polys, idx):
+    """eval_indices_all, and each polynomial's eval_indices, against eval."""
+    idx = np.array(idx, dtype=np.int64)
+    got = ff.eval_indices_all(polys, idx)
+    assert got.dtype == np.int64 and got.shape == (len(idx), len(polys))
+    for j, g in enumerate(polys):
+        want = [g.eval(ctx.from_index(int(i))).index for i in idx]
+        assert got[:, j].tolist() == want
+        one = g.eval_indices(idx)
+        assert one.dtype == np.int64 and one.tolist() == want
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=_eval_cases())
-@example(case=(2, 16, [], [0, 1, 65535]))  # the zero polynomial
-@example(case=(3, 10, [2], [5, 59048]))  # a constant
-@example(case=(BIG_PRIME, 1, [5, 0, 3, BIG_PRIME - 1], [0, 1, BIG_PRIME - 1]))
-@example(case=(7, 3, [1, 2, 3], []))  # no points
-@example(case=(65521, 1, [3, 1, 4, 1], [0, 65520]))
-@example(case=(251, 2, [0, 0, 1], [250, 251 * 251 - 1]))
+@example(case=(2, 16, [[]], [0, 1, 65535]))  # the zero polynomial
+@example(case=(3, 10, [[2]], [5, 59048]))  # a constant
+@example(case=(BIG_PRIME, 1, [[5, 0, 3, BIG_PRIME - 1]], [0, 1, BIG_PRIME - 1]))
+@example(case=(7, 3, [[1, 2, 3]], []))  # no points
+@example(case=(65521, 1, [[3, 1, 4, 1]], [0, 65520]))
+@example(case=(251, 2, [[0, 0, 1]], [250, 251 * 251 - 1]))
+@example(case=(2, 12, [[1, 0, 1], [2, 0, 0, 1], []], [0, 1, 4095]))  # mixed degrees
+@example(case=(5, 3, [[1], [0, 3, 0, 0, 0, 2], [4, 4]], [7, 124]))
 def test_eval_indices_matches_eval(case):
     p, s, coeffs, idx = case
     ctx = _field(p, s)
-    g = FieldPolynomial(ctx, coeffs)
-    got = g.eval_indices(np.array(idx, dtype=np.int64))
-    assert got.dtype == np.int64 and got.shape == (len(idx),)
-    assert got.tolist() == [g.eval(ctx.from_index(i)).index for i in idx]
+    _check_eval_indices(ctx, [FieldPolynomial(ctx, c) for c in coeffs], idx)
 
 
 def test_eval_indices_in_blocks_matches_eval():
@@ -375,13 +388,13 @@ def test_eval_indices_in_blocks_matches_eval():
     want = [g.eval(ctx.from_index(i)).index for i in range(ctx.q)]
     assert g.eval_indices(np.arange(ctx.q)).tolist() == want
     rng = random.Random(5)
-    with mock.patch.object(ff, "EVAL_BLOCK", 5):  # 23 points: 4 full blocks and 3
-        for p, s, coeffs in ((3, 4, [2, 1, 0, 1]), (BIG_PRIME, 1, [5, 0, 3]), (7, 2, [])):
+    # 23 points: 4 full blocks and 3 for one polynomial, 11 of 2 and 1 for two
+    with mock.patch.object(ff, "EVAL_BLOCK", 5):
+        for p, s, coeffs in ((3, 4, [[2, 1, 0, 1]]), (BIG_PRIME, 1, [[5, 0, 3]]), (7, 2, [[]]),
+                             (3, 4, [[1, 1, 2], [2, 1, 0, 1]]), (BIG_PRIME, 1, [[5, 0, 3], [1, 1]])):
             ctx = _field(p, s)
-            g = FieldPolynomial(ctx, coeffs)
             idx = [rng.randrange(ctx.q) for _ in range(23)]
-            got = g.eval_indices(np.array(idx, dtype=np.int64))
-            assert got.tolist() == [g.eval(ctx.from_index(i)).index for i in idx]
+            _check_eval_indices(ctx, [FieldPolynomial(ctx, c) for c in coeffs], idx)
 
 
 def test_eval_indices_memory_is_bounded_by_the_block():

@@ -1326,6 +1326,9 @@ _JSON_SCALARS = st.one_of(
 @example(rows=[])
 @example(rows=[()])
 @example(rows=[(), (1,), ()])
+@example(rows=[(1, "]"), (), ("[",)])
+@example(rows=[("a",), (2, 3.5), ()])
+@example(rows=[("]", 1), ("[", "],\n      ["), (None,)])
 @example(rows=[(None, float("inf"), float("-inf"), float("nan"), True, False, -0.0,
                 "]", "],\n    [", ",", '"', "a\nb", "\u00fc\u4e2d", 0.1234567890123456)])
 def test_to_json_is_json_dumps_on_any_rows(rows):
