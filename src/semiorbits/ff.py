@@ -606,14 +606,23 @@ def mul_order(u: FieldElement) -> int:
     """Multiplicative order of a nonzero element.
 
     Standard algorithm: factor q - 1, then for each prime strip exponents
-    while the corresponding power of u is still 1.
+    while the corresponding power of u is still 1.  A prime field powers its
+    one coefficient with ``pow`` directly.
     """
     if u.is_zero:
         raise ZeroElement("zero has no multiplicative order")
     ctx = u.ctx
     n = ctx.q - 1
-    one = ctx.one().coeffs
     order = 1
+    if ctx.s == 1:
+        a, q = u.coeffs[0], ctx.p
+        for p, e in ctx.group_order_factorization().pairs:
+            x = pow(a, n // p**e, q)
+            while x != 1:
+                x = pow(x, p, q)
+                order *= p
+        return order
+    one = ctx.one().coeffs
     for p, e in ctx.group_order_factorization().pairs:
         x = ctx._pow(u.coeffs, n // p**e)
         while x != one:

@@ -13,6 +13,7 @@ variable and arbitrary whitespace; printing and parsing round-trip.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -290,6 +291,18 @@ def cyclotomic(n: int) -> IntPolynomial:
     return poly
 
 
+@functools.cache
+def _ramanujan_trace(r: int, n: int) -> Tuple[int, ...]:
+    """The sums of ζ^j over the n = phi(r) primitive r-th roots ζ, for j < r:
+    mu(m) n / phi(m) when r / gcd(j, r) = m.  Memoized, like ``cyclotomic``,
+    so every generator's χ_r shares one."""
+    ramanujan = {}  # m -> its sum
+    for m in {r // math.gcd(j, r) for j in range(r)}:
+        pairs = factorize(m).pairs
+        ramanujan[m] = 0 if any(e > 1 for _, e in pairs) else (-1) ** len(pairs) * n // euler_phi(m)
+    return tuple(ramanujan[r // math.gcd(j, r)] for j in range(r))
+
+
 def cyclotomic_charpoly(f: IntPolynomial, r: int) -> IntPolynomial:
     """χ_r(Y) = prod (Y - f(ζ)) over the primitive r-th roots of unity ζ.
 
@@ -303,11 +316,7 @@ def cyclotomic_charpoly(f: IntPolynomial, r: int) -> IntPolynomial:
     if not 1 <= r <= MAX_CYCLOTOMIC_INDEX:
         raise OutOfRange("cyclotomic index must satisfy 1 <= r <= %d" % MAX_CYCLOTOMIC_INDEX)
     n = euler_phi(r)
-    ramanujan = {}  # m -> mu(m) n / phi(m), the sum of ζ^j when r / gcd(j, r) = m
-    for m in {r // math.gcd(j, r) for j in range(r)}:
-        pairs = factorize(m).pairs
-        ramanujan[m] = 0 if any(e > 1 for _, e in pairs) else (-1) ** len(pairs) * n // euler_phi(m)
-    trace = [ramanujan[r // math.gcd(j, r)] for j in range(r)]
+    trace = _ramanujan_trace(r, n)
     fr = [sum(f.coeffs[i::r]) for i in range(r)]  # f mod X^r - 1
     power, p = [1] + [0] * (r - 1), [n]  # f^k mod X^r - 1, and p_k
     for _ in range(n):
@@ -395,7 +404,7 @@ def resultant(f: IntPolynomial, g: IntPolynomial) -> int:
 
 _LIMB = 24  # coefficients are cut into 24-bit limbs; split primes lie below 2^25
 _BLOCK = 8  # products summed before one reduction (see _reduce)
-_CRT_BLOCK = 256  # primes whose CRT weights are held at once
+_CRT_BLOCK = 32  # primes whose CRT weights are held at once
 _SIEVE_BASE = _sieve(math.isqrt(1 << (_LIMB + 1)))  # every composite below 2^25 has a factor here
 # the window's bottom, above every prime of _SIEVE_BASE: the sieve strikes
 # out no base prime itself, and every base a of _cyclotomic_roots is a unit
@@ -466,40 +475,46 @@ def _split_primes(bits: Dict[int, int]) -> Dict[int, List[int]]:
     return found
 
 
-def _cyclotomic_roots(order: np.ndarray, ell: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """For each prime ℓ ≡ 1 (mod s), s its ``order``, the powers ζ^0, ...,
-    ζ^(n-1), n the largest order, of a primitive s-th root of unity ζ; its
-    powers ζ^k, gcd(k, s) = 1, are the phi(s) roots of Φ_s mod ℓ.
+def _pow_mod(base: np.ndarray, e: np.ndarray, ell: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """base^e mod ℓ elementwise, by squaring, for integer exponents e >= 0;
+    the arguments broadcast together, and the powers are _reduce residues."""
+    out = np.ones(np.broadcast_shapes(np.shape(base), e.shape, ell.shape))
+    while e.any():
+        out = np.where(e & 1, _reduce(out * base, ell, inv), out)
+        base, e = _reduce(base * base, ell, inv), e >> 1
+    return out
 
-    ζ = a^((ℓ-1)/s) is an s-th root of unity, primitive unless one of
-    ζ^1, ..., ζ^(s-1) is 1, which the table of its powers shows.  Eight
-    prime a are raised at once, and tried in turn on the primes still
-    without a root."""
-    order, ell, inv = order[:, None], ell[:, None], inv[:, None]
-    n = int(order.max())
-    table = np.empty((len(ell), n))
+
+def _cyclotomic_roots(ss: Sequence[int], counts: Sequence[int], ell: np.ndarray,
+                      inv: np.ndarray) -> np.ndarray:
+    """A primitive s-th root of unity ζ mod each prime ℓ ≡ 1 (mod s): the
+    first ``counts[0]`` primes of ``ell`` are those of ``ss[0]``, the next
+    ``counts[1]`` those of ``ss[1]``, and so on.  Its powers ζ^k,
+    gcd(k, s) = 1, are the phi(s) roots of Φ_s mod ℓ.
+
+    ζ = a^((ℓ-1)/s) is an s-th root of unity, primitive unless ζ^(s/q) = 1
+    for a prime q | s.  Eight prime a are raised and tested at once, and
+    each prime ℓ still without a root takes the first a that passes."""
+    primes = [factorize(s).primes() for s in ss]
+    width = max(map(len, primes), default=0)
+    # s/q for each prime q | s, 0 (no test) past the last q
+    tests = np.repeat([[s // q for q in qs] + [0] * (width - len(qs)) for s, qs in zip(ss, primes)],
+                      counts, axis=0).reshape(len(ell), 1, width)
+    order, ell, inv = np.repeat(ss, counts)[:, None], ell[:, None], inv[:, None]
+    zeta = np.empty(len(ell))
     todo, tried = np.arange(len(ell)), 0
     while todo.size:
         a = np.array(_SIEVE_BASE[tried : tried + 8], dtype=float)
         tried += len(a)
         m, mi = ell[todo], inv[todo]
-        zeta, base = np.ones((len(todo), len(a))), a + np.zeros_like(m)
-        e = (m.astype(np.int64) - 1) // order[todo]
-        while e.any():  # each a^((ℓ-1)/s), by squaring
-            zeta = np.where(e & 1, _reduce(zeta * base, m, mi), zeta)
-            base, e = _reduce(base * base, m, mi), e >> 1
-        for j in range(len(a)):
-            powers, w = np.ones((len(todo), n)), 1  # ζ^0, ..., ζ^(w-1) by doubling w
-            while w < n:
-                top = _reduce(powers[:, w - 1 : w] * zeta[:, j : j + 1], m, mi)
-                powers[:, w : 2 * w] = _reduce(powers[:, : min(w, n - w)] * top, m, mi)
-                w *= 2
-            unit = ((powers[:, 1:] == 1) & (np.arange(1, n) < order[todo])).any(axis=1)
-            table[todo[~unit]] = powers[~unit]
-            todo, zeta, m, mi = todo[unit], zeta[unit], m[unit], mi[unit]
-            if not todo.size:
-                break
-    return table
+        roots = _pow_mod(a, (m.astype(np.int64) - 1) // order[todo], m, mi)  # (ℓ, a)
+        e = tests[todo]
+        powers = _pow_mod(roots[:, :, None], e, m[:, :, None], mi[:, :, None])  # (ℓ, a, q)
+        primitive = ((powers != 1) | (e == 0)).all(axis=2)
+        done = primitive.any(axis=1)
+        zeta[todo[done]] = roots[done, primitive[done].argmax(axis=1)]
+        todo = todo[~done]
+    return zeta
 
 
 def _crt_blocks(primes: Sequence[int]) -> List[Tuple[List[int], List[int], int]]:
@@ -582,12 +597,23 @@ def cyclotomic_resultants(polys: Sequence[IntPolynomial], s_max: int) -> List[Li
             ss.remove(s)  # past the window
             for i, P in enumerate(polys):
                 out[i][s - 1] = resultant(P, cyclotomic(s))
+    split = [s for ss in classes.values() for s in ss]  # each class's primes follow the last's
+    ells = np.array([l for s in split for l in primes[s]], dtype=float)
+    zetas = _cyclotomic_roots(split, [len(primes[s]) for s in split], ells, 1 / ells)
+    end = 0
+    for phi, ss in classes.items():
+        at = np.cumsum([0] + [len(primes[s]) for s in ss])  # the rows of each s
+        lo, end = end, end + at[-1]  # the class's rows of ells
         if not ss:
             continue
-        at = np.cumsum([0] + [len(primes[s]) for s in ss])  # the rows of each s
-        ell = np.array([l for s in ss for l in primes[s]], dtype=float)
+        ell, zeta = ells[lo:end], zetas[lo:end, None]
         inv = 1 / ell
-        powers = _cyclotomic_roots(np.repeat(ss, np.diff(at)), ell, inv)
+        n, m, mi = max(ss), ell[:, None], inv[:, None]
+        powers, w = np.ones((len(ell), n)), 1  # ζ^0, ..., ζ^(w-1) by doubling w
+        while w < n:
+            top = _reduce(powers[:, w - 1 : w] * zeta, m, mi)
+            powers[:, w : 2 * w] = _reduce(powers[:, : min(w, n - w)] * top, m, mi)
+            w *= 2
         coprime = [[k for k in range(s) if math.gcd(k, s) == 1] for s in ss]
         roots = np.concatenate([powers[at[j] : at[j + 1], ks] for j, ks in enumerate(coprime)])
         roots = roots[:, None]

@@ -477,32 +477,86 @@ def run_thm44ii(cfg: ExperimentConfig) -> ExperimentReport:
     P = cfg.prime_max
     t = _t_for(cfg, P)
     columns = ("p", "t", "N", "starts", "max_M", "argmax_w", "bound", "ratio", "exceptional")
-    rows = []
     letters = stream.prefix(N - 1)
-    for p, ctx, ws in _grid(cfg):
-        bound = cfg.C * max(math.sqrt(N), N / _log_denom(cfg, p))
-        best = argw = None  # a prime without starts has no maximum: its cells are "."
-        if ws:
-            # every start walks at once; the table costs one evaluation per
-            # row, so it pays once the walk takes at least as many steps
-            if _whole_field(ctx) and len(ws) * N >= ctx.q:
-                steps = [col.take for col in build_graph(F, ctx).table.T]
-            else:
-                steps = [g.eval_indices for g in F.reduced(ctx)]
-            walked = [np.array(ws, dtype=np.int64)]
-            for a in letters:
-                walked.append(steps[letter_index(a, F.k)](walked[-1]))
-            counts = _qual(ctx, t, np.stack(walked)).sum(axis=0)
-            best, argw = int(counts.max()), ws[int(counts.argmax())]
-            assert best == m_count(F, stream, ctx.from_index(argw), t, N)
-        ratio = None if best is None else best / bound
-        flag = 1 if ratio is not None and best > bound else 0
-        rows.append((p, t, N, len(ws), best, argw, bound, ratio, flag))
+    rows = []
+    for walk, run in _thm44ii_runs(_grid(cfg), N):
+        for (p, ctx, ws), (best, argw) in zip(run, walk(F, t, letters, run)):
+            bound = cfg.C * max(math.sqrt(N), N / _log_denom(cfg, p))
+            if ws:
+                assert best == m_count(F, stream, ctx.from_index(argw), t, N)
+            ratio = None if best is None else best / bound
+            flag = 1 if ratio is not None and best > bound else 0
+            rows.append((p, t, N, len(ws), best, argw, bound, ratio, flag))
     exceptional = sum(r[-1] for r in rows)
     if P >= 3:
         notes["p_over_log_p"] = P / math.log(P)
         notes["exceptional_fraction"] = exceptional / (P / math.log(P))
     return _report(cfg, columns, rows, exceptional=exceptional, **notes)
+
+
+def _thm44ii_runs(grid, N: int):
+    """The (p, field, starts) of ``grid`` in order, in runs that walk
+    together, each with its walker: consecutive whole prime fields whose
+    starts take at least q steps, while their tables hold at most
+    MAX_GRAPH_SIZE rows in all, walk their tables (a table costs one
+    evaluation per row, so it pays once the walk takes as many steps); every
+    other field walks alone, evaluating the walked points."""
+    run, held = [], 0  # whole fields not walked yet, and their tables' rows
+    for p, ctx, ws in grid:
+        table = bool(ws) and _whole_field(ctx) and len(ws) * N >= ctx.q
+        if run and (not table or held + ctx.q > MAX_GRAPH_SIZE):
+            yield _walk_tables, run
+            run, held = [], 0
+        if table:
+            run.append((p, ctx, ws))
+            held += ctx.q
+        else:
+            yield _walk_points, [(p, ctx, ws)]
+    if run:
+        yield _walk_tables, run
+
+
+def _maxima(counts: np.ndarray, ws: Sequence[int]) -> Tuple[int, int]:
+    """The largest of the starts' counts, and the first start that has it."""
+    i = int(counts.argmax())
+    return int(counts[i]), ws[i]
+
+
+def _walk_points(F: GeneratorSet, t: int, letters, run) -> List[tuple]:
+    """Per (p, field, starts) of ``run``: _maxima of the Γ(t) points on the
+    starts' walks along ``letters``, all starts at once, the walked points
+    evaluated a step at a time; (None, None) for a field without starts."""
+    found = []
+    for _, ctx, ws in run:
+        if not ws:
+            found.append((None, None))  # no maximum: its cells are "."
+            continue
+        steps = [g.eval_indices for g in F.reduced(ctx)]
+        walked = [np.array(ws, dtype=np.int64)]
+        for a in letters:
+            walked.append(steps[letter_index(a, F.k)](walked[-1]))
+        found.append(_maxima(_qual(ctx, t, np.stack(walked)).sum(axis=0), ws))
+    return found
+
+
+def _walk_tables(F: GeneratorSet, t: int, letters, run) -> List[tuple]:
+    """_walk_points on whole prime fields with at most MAX_GRAPH_SIZE points
+    in all, walked as one graph: the disjoint union of their tables and Γ(t)
+    masks, each field's rows after those of the fields before it, and one
+    gather per letter for every start of every field."""
+    at = np.cumsum([0] + [ctx.q for _, ctx, _ in run])
+    cols = np.empty((F.k, at[-1]), dtype=np.int64)  # one successor column per letter
+    mask = np.empty(at[-1], dtype=bool)
+    for (_, ctx, _), lo, hi in zip(run, at, at[1:]):
+        np.add(build_graph(F, ctx).table.T, lo, out=cols[:, lo:hi])
+        mask[lo:hi] = _qual(ctx, t, np.arange(ctx.q))
+    pos = np.concatenate([np.add(ws, lo) for (_, _, ws), lo in zip(run, at)])
+    counts = mask.take(pos).astype(np.int64)
+    for a in letters:
+        pos = cols[letter_index(a, F.k)].take(pos)
+        counts += mask.take(pos)
+    ends = np.cumsum([len(ws) for _, _, ws in run])
+    return [_maxima(c, ws) for (_, _, ws), c in zip(run, np.split(counts, ends[:-1]))]
 
 
 def run_cor45(cfg: ExperimentConfig) -> ExperimentReport:

@@ -12,8 +12,10 @@ callback, whose parent chain each greedy step covers, instead of the inline
 orbit and cover searches, Z[X] composites with integer resultants
 instead of the field argument behind the collision diagnostic, and
 Res(Φ_r, Φ_s∘f) from the composite instead of the characteristic polynomial
-of f(ζ_r), and one ``level_union`` walk per start instead of the
-bit-parallel multi-source walk.  They are deliberately slow and simple.
+of f(ζ_r), one ``level_union`` walk per start instead of the
+bit-parallel multi-source walk, and one ``thm44ii`` walk per field instead
+of one over the disjoint union of a grid's tables.  They are deliberately
+slow and simple.
 
 ``level_images`` is the exception: it reads the library's own reach table
 (``reach_table``), marks its level sets one whole-table mask at a time with
@@ -23,6 +25,7 @@ that compare them with word enumeration.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -39,7 +42,9 @@ from semiorbits import (
     reach_table,
     resultant,
 )
-from semiorbits.orbits import letter_index, level_union
+from semiorbits import verify
+from semiorbits.combinatorics import build_graph
+from semiorbits.orbits import letter_index, level_union, stream_from_config
 
 
 def apply_word(F, word, x):
@@ -541,3 +546,31 @@ def irreducible_by_trial_division(coeffs, p):
             if not any(r[:d]):
                 return False
     return True
+
+
+def thm44ii_rows_by_field(cfg):
+    """``run_thm44ii``'s rows, each field walked alone: all of its starts at
+    once, on the field's whole table where a prime field's starts take at
+    least q steps in all, else with every walked point evaluated."""
+    F, _ = verify._system(cfg, strict=True)
+    N, stream = cfg.N, stream_from_config(cfg.stream)
+    t = verify._t_for(cfg, cfg.prime_max)
+    letters = stream.prefix(N - 1)
+    rows = []
+    for p, ctx, ws in verify._grid(cfg):
+        bound = cfg.C * max(math.sqrt(N), N / verify._log_denom(cfg, p))
+        best = argw = None
+        if ws:
+            if verify._whole_field(ctx) and len(ws) * N >= ctx.q:
+                steps = [col.take for col in build_graph(F, ctx).table.T]
+            else:
+                steps = [g.eval_indices for g in F.reduced(ctx)]
+            walked = [np.array(ws, dtype=np.int64)]
+            for a in letters:
+                walked.append(steps[letter_index(a, F.k)](walked[-1]))
+            counts = verify._qual(ctx, t, np.stack(walked)).sum(axis=0)
+            best, argw = int(counts.max()), ws[int(counts.argmax())]
+        ratio = None if best is None else best / bound
+        rows.append((p, t, N, len(ws), best, argw, bound, ratio,
+                     1 if ratio is not None and best > bound else 0))
+    return rows

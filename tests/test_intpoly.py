@@ -407,6 +407,51 @@ def test_cyclotomic_resultants_across_crt_blocks(monkeypatch):
             assert value == resultant(P, phi) == resultant_by_determinant(P, phi), (P, s)
 
 
+def test_cyclotomic_resultants_do_not_depend_on_the_crt_block(monkeypatch):
+    # one prime to a block, three, the default and 256: the same table, where
+    # coefficients near 2^69 need up to 82 primes at s up to 30, three blocks of 32
+    polys = [IntPolynomial((1 << 61, -(1 << 65) - 1, 3 << 62)), IntPolynomial(((1 << 29) + 1, 3)),
+             parse_poly("X^2 + 3X + 5"), IntPolynomial((-(1 << 70) + 7, 5, 0, 1))]
+    tables = {}
+    for block in (1, 3, 32, 256):
+        monkeypatch.setattr(intpoly, "_CRT_BLOCK", block)
+        tables[block] = cyclotomic_resultants(polys, 30)
+    assert tables[1] == tables[3] == tables[32] == tables[256]
+    for P, row in zip(polys, tables[32]):
+        for s in (1, 2, 12, 23, 29, 30):
+            assert row[s - 1] == resultant(P, cyclotomic(s)), (P, s)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(ss=st.lists(st.integers(1, 400), min_size=1, max_size=5, unique=True),
+       bits=st.integers(1, 120))
+@example(ss=[1, 2], bits=100)
+@example(ss=[210, 211, 128, 3], bits=60)
+def test_cyclotomic_roots_are_primitive(ss, bits):
+    # each ζ is a primitive s-th root of unity mod its ℓ, from the first base
+    # a whose a^((ℓ-1)/s) is one
+    primes = intpoly._split_primes({s: bits for s in ss})
+    ell = np.array([l for s in ss for l in primes[s]], dtype=float)
+    zeta = iter(intpoly._cyclotomic_roots(ss, [len(primes[s]) for s in ss], ell, 1 / ell).tolist())
+    for s in ss:
+        qs = [q for q in range(2, s + 1) if s % q == 0 and is_prime(q)]
+        for l in primes[s]:
+            z = int(next(zeta)) % l
+            assert pow(z, s, l) == 1 and all(pow(z, s // q, l) != 1 for q in qs), (s, l)
+            first = next(y for a in intpoly._SIEVE_BASE for y in [pow(a, (l - 1) // s, l)]
+                         if all(pow(y, s // q, l) != 1 for q in qs))
+            assert z == first
+
+
+def test_cyclotomic_resultants_when_every_s_is_past_the_window(monkeypatch):
+    # a window of 64 integers holds too few primes for any s: every s takes
+    # the PRS, and the root search has no prime to run on
+    monkeypatch.setattr(intpoly, "_segments", lambda: iter([(1 << 16, (1 << 16) + 64, 1)]))
+    polys = [IntPolynomial((3, -(1 << 200) + 5)), parse_poly("X^2 + 3X + 5")]
+    assert cyclotomic_resultants(polys, 6) == [[resultant(P, cyclotomic(s)) for s in range(1, 7)]
+                                               for P in polys]
+
+
 _LARGEST = max(p for p in range((1 << 25) - 64, 1 << 25) if is_prime(p))  # largest ℓ below 2^25
 
 

@@ -62,6 +62,7 @@ from oracles import (
     order_at_most,
     order_by_powering,
     rational_gcd_is_nonconstant,
+    thm44ii_rows_by_field,
 )
 
 
@@ -512,6 +513,63 @@ def test_thm44ii_rows_match_m_count(monkeypatch):
 
     check()
     assert walks == {False, True}
+
+
+@example(limit=MAX_GRAPH_SIZE, prime_min=2, prime_max=60, s=1, starts=[0, 5, 3, 5, 0],
+         N=16, t=6, stream={"kind": "random", "k": 2, "seed": 11})
+@example(limit=40, prime_min=2, prime_max=30, s=1, starts=[0, 7, 7], N=20, t=4,
+         stream={"kind": "periodic", "preperiod": [1], "period": [2, 1]})
+@example(limit=MAX_GRAPH_SIZE, prime_min=2, prime_max=7, s=2, starts=[0, 1, 1, 5], N=9, t=3,
+         stream={"kind": "random", "k": 2, "seed": 0})
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    limit=st.sampled_from([MAX_GRAPH_SIZE, 40, 90]),
+    prime_min=st.integers(2, 40),
+    prime_max=st.integers(2, 80),
+    s=st.sampled_from([1, 1, 1, 2]),
+    starts=st.lists(st.integers(0, 120), max_size=8),
+    N=st.integers(1, 24),
+    t=st.integers(1, 12),
+    stream=st.one_of(
+        st.builds(lambda seed: {"kind": "random", "k": 2, "seed": seed}, st.integers(0, 99)),
+        st.builds(lambda pre, period: {"kind": "periodic", "preperiod": pre, "period": period},
+                  st.lists(st.integers(1, 2), max_size=3),
+                  st.lists(st.integers(1, 2), min_size=1, max_size=3)),
+    ),
+)
+def test_thm44ii_one_walk_over_a_grid_matches_per_field_walks(limit, prime_min, prime_max, s,
+                                                               starts, N, t, stream):
+    # the whole prime fields of a grid walk as one table of at most ``limit``
+    # rows, in batches; fields on the evaluated walk and fields without starts
+    # sit between them; every row is the per-field oracle's, and each whole
+    # field's graph is still built once
+    cfg = _cfg(experiment="thm44ii", generators=["X^2 + 1", "X^3 + 2"], prime_min=prime_min,
+               prime_max=prime_max, s=s, starts=starts, N=N, t=t, stream=stream)
+    graphs = []
+    real_graph = verify.build_graph
+    with mock.patch.object(verify, "MAX_GRAPH_SIZE", limit), \
+            mock.patch.object(verify, "build_graph", lambda *a: graphs.append(a) or real_graph(*a)):
+        rep = run_experiment(cfg)
+        table = [ctx.q for _, ctx, ws in verify._grid(cfg)
+                 if ws and verify._whole_field(ctx) and len(ws) * N >= ctx.q]
+        assert len(graphs) == len(table)
+        assert rep.rows == thm44ii_rows_by_field(cfg)
+
+
+def test_thm44ii_batches_split_at_the_row_limit(monkeypatch):
+    # every field of F_2 .. F_59 takes the table: at a 100-row limit they
+    # walk in batches of at most 100 rows (F_2 .. F_23 fill one exactly)
+    batches = []
+    real_walk = verify._walk_tables
+    monkeypatch.setattr(verify, "MAX_GRAPH_SIZE", 100)
+    monkeypatch.setattr(verify, "_walk_tables", lambda F, t, letters, run: (
+        batches.append([ctx.q for _, ctx, _ in run]) or real_walk(F, t, letters, run)))
+    cfg = _cfg(experiment="thm44ii", generators=["X^2 + 1", "X^3 + 2"], prime_max=59,
+               starts=[0, 4, 1, 4], t=4, N=15, stream={"kind": "random", "k": 2, "seed": 2})
+    rep = run_experiment(cfg)
+    assert batches == [[2, 3, 5, 7, 11, 13, 17, 19, 23], [29, 31, 37], [41, 43], [47, 53], [59]]
+    assert rep.rows == thm44ii_rows_by_field(cfg)
+    _per_start_thm44ii(cfg, rep)
 
 
 # -- cor45 -------------------------------------------------------------------
