@@ -793,7 +793,8 @@ def is_special(f: IntPolynomial) -> SpecialClassification:
         raise DegreeTooSmall("classification requires degree >= 2")
     ad = f.lc
     beta = Fraction(-f.coeff(d - 1), d * ad)
-    h = conjugate_linear(f, Fraction(1), beta)
+    # the shift costs O(d^2) Fraction operations; f is centered already when β = 0
+    h = conjugate_linear(f, Fraction(1), beta) if beta else tuple(map(Fraction, f.coeffs))
     # monomial branch: the centered form must be exactly a_d * X^d
     if all(h[i] == 0 for i in range(d)):
         alpha = _scaling_to_monic(ad, d)
@@ -806,11 +807,11 @@ def is_special(f: IntPolynomial) -> SpecialClassification:
         )
     # Chebyshev branch: h(sigma X)/sigma = eps * T~_d needs
     # sigma^2 = -h_(d-2) / (d * a_d) and h_j sigma^(j-1) = eps * t_j.
-    t = chebyshev(d)
     if h[d - 2] != 0:
         sigma2 = Fraction(-h[d - 2], d) / ad
         sigma = _rational_sqrt(sigma2)
         if sigma is not None and sigma != 0:
+            t = chebyshev(d)  # O(d^2) as well: built only once σ is known
             for cand in (sigma, -sigma):
                 eps = ad * cand ** (d - 1)
                 if eps in (1, -1) and all(

@@ -412,6 +412,17 @@ def _qual(ctx: FieldContext, t: int, points: np.ndarray) -> np.ndarray:
     return np.isin(points, np.array(members, dtype=np.int64))
 
 
+def _fields(cfg: ExperimentConfig, F: GeneratorSet, depth: int):
+    """Yield (p, field, t, starts, table, Γ(t) mask, start rows) per field with
+    starts: ``_tables`` at ``depth``, ``_qual`` over its rows.  t comes before
+    the skip, so a config without a t rule fails on any grid with a field."""
+    for p, ctx, ws in _grid(cfg):
+        t = _t_for(cfg, math.log(p))
+        if ws:
+            table, points, start_rows = _tables(F, ctx, ws, depth)
+            yield p, ctx, t, ws, table, _qual(ctx, t, points), start_rows
+
+
 def _need(cfg: ExperimentConfig, name: str):
     value = getattr(cfg, name)
     if value is None:
@@ -452,13 +463,9 @@ def run_thm44i(cfg: ExperimentConfig) -> ExperimentReport:
     N = _need(cfg, "N")
     columns = ("p", "s", "w", "t", "N", "M", "bound", "ratio", "word")
     rows = []
-    for p, ctx, ws in _grid(cfg):
-        t = _t_for(cfg, math.log(p))
-        if not ws:
-            continue  # no rows, and no table to build
+    for p, ctx, t, ws, table, qual, start_rows in _fields(cfg, F, N - 1):
         bound = max(math.sqrt(N), N / _loglog_denom(cfg, p))
-        table, points, start_rows = _tables(F, ctx, ws, N - 1)
-        found = sup_m_over_sequences(table, _qual(ctx, t, points), start_rows, N)
+        found = sup_m_over_sequences(table, qual, start_rows, N)
         for w, (M, word) in zip(ws, found):
             rows.append((p, cfg.s, w, t, N, M, bound, M / bound, _word_str(word)))
     return _report(cfg, columns, rows, "ratio", **notes)
@@ -547,9 +554,10 @@ def _walk_tables(F: GeneratorSet, t: int, letters, run) -> List[tuple]:
     at = np.cumsum([0] + [ctx.q for _, ctx, _ in run])
     cols = np.empty((F.k, at[-1]), dtype=np.int64)  # one successor column per letter
     mask = np.empty(at[-1], dtype=bool)
-    for (_, ctx, _), lo, hi in zip(run, at, at[1:]):
-        np.add(build_graph(F, ctx).table.T, lo, out=cols[:, lo:hi])
-        mask[lo:hi] = _qual(ctx, t, np.arange(ctx.q))
+    for (_, ctx, ws), lo, hi in zip(run, at, at[1:]):
+        table, points, _ = _tables(F, ctx, ws)  # a whole field: a row per point
+        np.add(table.T, lo, out=cols[:, lo:hi])
+        mask[lo:hi] = _qual(ctx, t, points)
     pos = np.concatenate([np.add(ws, lo) for (_, _, ws), lo in zip(run, at)])
     counts = mask.take(pos).astype(np.int64)
     for a in letters:
@@ -570,15 +578,10 @@ def run_cor45(cfg: ExperimentConfig) -> ExperimentReport:
     N = _need(cfg, "N")
     columns = ("p", "s", "w", "t", "N", "count", "q", "bound", "ratio")
     rows = []
-    for p, ctx, ws in _grid(cfg):
-        t = _t_for(cfg, math.log(p))
-        if not ws:
-            continue  # no rows, and no table to build
+    for p, ctx, t, ws, table, qual, start_rows in _fields(cfg, F, N):
         kN = float(F.k) ** N
         bound = max(math.sqrt(N) * kN, N * kN / _loglog_denom(cfg, p))
-        table, points, start_rows = _tables(F, ctx, ws, N)
-        counts = count_small_order_points(table, _qual(ctx, t, points), start_rows, N,
-                                          cfg.include_level_0)
+        counts = count_small_order_points(table, qual, start_rows, N, cfg.include_level_0)
         for w, cnt in zip(ws, counts):
             rows.append((p, cfg.s, w, t, N, cnt, ctx.q, bound, cnt / bound))
     return _report(cfg, columns, rows, "ratio", **notes,
@@ -668,14 +671,9 @@ def run_thm61(cfg: ExperimentConfig) -> ExperimentReport:
     columns = ("p", "w", "t", "N", "h", "l", "B", "hypothesis", "count", "bound",
                "ratio", "L_N", "target", "eq61_ratio", "words")
     rows = []
-    for p, ctx, ws in _grid(cfg):
-        t = _t_for(cfg, math.log(p))
-        if not ws:
-            continue  # no rows, and an empty table is no graph
+    # words of length <= h from the N-ball read rows up to depth N + h - 1
+    for p, ctx, t, ws, table, qual, start_rows in _fields(cfg, F, N + h):
         bound = max(B ** (l + 1) / h, B ** (l + 1) / _loglog_denom(cfg, p))
-        # words of length <= h from the N-ball read rows up to depth N + h - 1
-        table, points, start_rows = _tables(F, ctx, ws, N + h)
-        qual = _qual(ctx, t, points)
         counts = count_small_order_points(table, qual, start_rows, N, cfg.include_level_0)
         graph, members = FunctionalGraph(table), np.flatnonzero(qual)
         for w, r, cnt in zip(ws, start_rows, counts):

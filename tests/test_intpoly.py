@@ -589,6 +589,17 @@ def test_is_special_negatives():
         is_special(parse_poly("X + 1"))
 
 
+def test_is_special_skips_the_shift_and_chebyshev_when_unread(monkeypatch):
+    # f = X^1000 + 1 is centered (β = 0) and has no X^998 term: neither the
+    # O(d^2) shift nor T~_1000 is computed, and f is still not special
+    def unread(*args):
+        raise AssertionError("computed, but not read")
+
+    monkeypatch.setattr(intpoly, "conjugate_linear", unread)
+    monkeypatch.setattr(intpoly, "chebyshev", unread)
+    assert is_special(parse_poly("X^1000 + 1")).kind == NON_SPECIAL
+
+
 def test_reduce_mod():
     ctx = make_prime_field(5)
     g = reduce_mod(parse_poly("7X^2 + 12X - 3"), ctx)

@@ -171,9 +171,15 @@ def test_config_validation():
 
 
 def test_config_needs_some_t_rule():
-    cfg = _cfg(experiment="thm44i", generators=["X^2 + 1"], primes=[11], N=6)
-    with pytest.raises(ConfigError):
-        run_experiment(cfg)
+    # t is resolved per field before a field without starts is skipped, so a
+    # grid whose fields have no starts needs a t rule too; a grid without
+    # fields resolves none, and has no rows
+    for experiment, extra in (("thm44i", {}), ("cor45", {}), ("thm61", {"h": 3, "l": 1})):
+        cfg = _cfg(experiment=experiment, generators=["X^2 + 1"], primes=[11], N=6, **extra)
+        for empty in ({}, {"sample": 0}, {"starts": []}):
+            with pytest.raises(ConfigError, match="config needs 't' or 't_exponent'"):
+                run_experiment(_cfg(**dict(cfg.to_dict(), **empty)))
+        assert run_experiment(_cfg(**dict(cfg.to_dict(), primes=[]))).rows == []
 
 
 def test_config_rejects_composite_primes():
