@@ -38,6 +38,7 @@ from .ff import (
     make_extension_field,
     make_prime_field,
     mul_order,
+    mul_orders,
     omega_distinct_primes,
     small_order_set,
 )

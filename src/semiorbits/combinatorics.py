@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import chain, combinations, islice, product
 from typing import Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -231,16 +231,18 @@ class WitnessSearchResult:
 
 
 def _packed_word_bits(g: FunctionalGraph, rows, ok, h: int) -> np.ndarray:
-    """ok[w(v)] for every v in rows, bit-packed into one uint64 row per word of
-    length <= h (by length, then lexicographically).  One gather per length
-    extends every word w to w.a, at index k * index(w) + a - 1."""
+    """ok[w(v)] for every v in rows, bit-packed word-major: column i of the
+    contiguous (nw, W) uint64 result holds word i's bits, nw uint64 words per
+    word, for the W words of length <= h (by length, then lexicographically).
+    One gather per length extends every word w to w.a, at index
+    k * index(w) + a - 1."""
     img, packed = rows[None, :], []
     for _ in range(h):
         img = g.table[img].transpose(0, 2, 1).reshape(-1, len(rows))
         packed.append(np.packbits(ok[img], axis=1, bitorder="little"))
     bits = np.concatenate(packed)
     bits = np.pad(bits, ((0, 0), (0, -bits.shape[1] % 8)))
-    return np.ascontiguousarray(bits).view(np.uint64)
+    return np.ascontiguousarray(np.ascontiguousarray(bits).view(np.uint64).T)
 
 
 def find_witness_words(
@@ -250,13 +252,15 @@ def find_witness_words(
 
     Words are ordered by length then lexicographically, and the first
     maximum in ``itertools.combinations`` order wins.  Every subset is
-    scored, in one bit-packed pass over the ball's rows: a word's row holds
-    the ball points v with w(v) in the ball and in A, the rows of each
-    (l-1)-prefix are ANDed once, and a popcount scores the prefix against
-    every later word.  Prefixes go in blocks whose largest temporary stays
-    within WITNESS_BLOCK_BYTES; within a block a row-major argmax, with
-    words not after the prefix masked out, finds the first maximum, and a
-    later block replaces it only with a strictly larger count.
+    scored, in one bit-packed pass over the ball's rows: a word's column
+    holds the ball points v with w(v) in the ball and in A, the columns of
+    each (l-1)-prefix are ANDed once, and a popcount summed over the
+    word-major axis scores the prefix against every later word, so every
+    array op runs over the block's prefixes and words, never over the few
+    uint64 words of one column.  Prefixes go in blocks whose largest
+    temporary stays within WITNESS_BLOCK_BYTES; within a block a row-major
+    argmax, with words not after the prefix masked out, finds the first
+    maximum, and a later block replaces it only with a strictly larger count.
 
     The search does not require the counting lemma's hypothesis; it records
     whether #(ball in A) >= max{3 B(k,h), (3l/h) #ball} held.  When it held
@@ -287,16 +291,20 @@ def find_witness_words(
     B = b_tree_size(g.k, h)
     hypothesis_met = ball_in_a >= max(3 * B, (3 * l / h) * ball)
     best, best_combo = -1, None
-    block = max(1, WITNESS_BLOCK_BYTES // (8 * W * bits.shape[1]))
-    prefixes = combinations(range(W - 1), l - 1)  # the last word comes later
-    while chunk := list(islice(prefixes, block)):
-        pre = np.array(chunk, dtype=np.int64).reshape(len(chunk), l - 1)
-        both = np.bitwise_and.reduce(bits[pre], axis=1)[:, None, :] & bits
-        counts = np.bitwise_count(both).sum(axis=2, dtype=np.int64)
+    block = max(1, WITNESS_BLOCK_BYTES // (8 * W * len(bits)))
+    prefixes = math.comb(W - 1, l - 1)  # the last word comes later
+    flat = chain.from_iterable(combinations(range(W - 1), l - 1))
+    for lo in range(0, prefixes, block):
+        n = min(block, prefixes - lo)
+        pre = np.fromiter(islice(flat, n * (l - 1)), np.int64, n * (l - 1)).reshape(n, l - 1)
+        acc = np.full((len(bits), n), ~np.uint64(0))  # all ones: the empty prefix
+        for col in pre.T:
+            acc &= bits[:, col]
+        counts = np.bitwise_count(acc[:, :, None] & bits[:, None, :]).sum(axis=0, dtype=np.int64)
         np.copyto(counts, -1, where=np.arange(W) <= (pre[:, -1:] if l > 1 else -1))
         j, i = divmod(int(np.argmax(counts)), W)
         if counts[j, i] > best:
-            best, best_combo = int(counts[j, i]), chunk[j] + (i,)
+            best, best_combo = int(counts[j, i]), (*pre[j].tolist(), i)
     target = (h / B ** (l + 1)) * ball
     if hypothesis_met and c > 0:
         assert best >= c * target, "witness count fell below c * target"

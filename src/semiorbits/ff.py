@@ -545,10 +545,7 @@ def _eval_block(ctx: FieldContext, coeffs: List[tuple], idx: np.ndarray) -> np.n
     polynomial costs no more steps than it would alone."""
     p, s, d = ctx.p, ctx.s, len(coeffs[0])
     dtype = np.int64 if 2 * s * p * p < 1 << 63 else object
-    rest, x = idx, np.empty((s, 1, len(idx)), dtype=dtype)
-    for i in range(s - 1):  # base-p digits, lowest first
-        rest, x[i, 0] = np.divmod(rest, p)
-    x[s - 1, 0] = rest
+    x = _digits(ctx, idx, dtype)[:, None, :]
     xred = np.array(ctx._xred, dtype=dtype).reshape(s - 1, s, 1, 1)
     cols = np.array([c + (0,) * (d - len(c)) for c in coeffs], dtype=dtype).T[:, :, None]
     acc = np.zeros((s, len(coeffs), len(idx)), dtype=dtype)
@@ -557,15 +554,33 @@ def _eval_block(ctx: FieldContext, coeffs: List[tuple], idx: np.ndarray) -> np.n
     for j in range(d - 2, -1, -1):
         m = sum(len(c) > j + 1 for c in coeffs)
         a, pr = acc[:, :m], prod[:, :m]
-        np.multiply(a[0], x, out=pr[:s])
-        pr[s:] = 0
+        _mul_fold(a, x, xred, p, pr)
         pr[0] += cols[j, :m]
-        for i in range(1, s):
-            pr[i : i + s] += a[i] * x
-        for t in range(2 * s - 2, s - 1, -1):
-            pr[:s] += xred[t - s] * (pr[t] % p)
         np.remainder(pr[:s], p, out=a)
     return reduce(lambda m, d: m * p + d, acc[::-1])
+
+
+def _digits(ctx: FieldContext, idx: np.ndarray, dtype) -> np.ndarray:
+    """The (s, n) base-p digits of the field indices ``idx``, lowest first."""
+    rest, x = idx, np.empty((ctx.s, len(idx)), dtype=dtype)
+    for i in range(ctx.s - 1):
+        rest, x[i] = np.divmod(rest, ctx.p)
+    x[ctx.s - 1] = rest
+    return x
+
+
+def _mul_fold(a: np.ndarray, b: np.ndarray, xred: np.ndarray, p: int, pr: np.ndarray):
+    """pr[:s] <- the product of the digit arrays a and b (axis 0 the s digits,
+    the other axes broadcast), with the terms of X^s .. X^(2s-2) folded in by
+    the rows ``xred`` of ``ctx._xred``.  pr has 2s - 1 rows; pr[:s] is left
+    unreduced, each entry below 2 s p^2."""
+    s = len(a)
+    np.multiply(a[0], b, out=pr[:s])
+    pr[s:] = 0
+    for i in range(1, s):
+        pr[i : i + s] += a[i] * b
+    for t in range(2 * s - 2, s - 1, -1):
+        pr[:s] += xred[t - s] * (pr[t] % p)
 
 
 def make_prime_field(p: int) -> FieldContext:
@@ -612,16 +627,10 @@ def mul_order(u: FieldElement) -> int:
     if u.is_zero:
         raise ZeroElement("zero has no multiplicative order")
     ctx = u.ctx
+    if ctx.s == 1:
+        return _prime_order(ctx, u.coeffs[0])
     n = ctx.q - 1
     order = 1
-    if ctx.s == 1:
-        a, q = u.coeffs[0], ctx.p
-        for p, e in ctx.group_order_factorization().pairs:
-            x = pow(a, n // p**e, q)
-            while x != 1:
-                x = pow(x, p, q)
-                order *= p
-        return order
     one = ctx.one().coeffs
     for p, e in ctx.group_order_factorization().pairs:
         x = ctx._pow(u.coeffs, n // p**e)
@@ -629,6 +638,61 @@ def mul_order(u: FieldElement) -> int:
             x = ctx._pow(x, p)
             order *= p
     return order
+
+
+def _prime_order(ctx: FieldContext, a: int) -> int:
+    """mul_order of the nonzero a in the prime field ctx, by ``pow``: exact
+    for every p, where an int64 product would overflow above about 2^31.5."""
+    n, q, order = ctx.q - 1, ctx.p, 1
+    for p, e in ctx.group_order_factorization().pairs:
+        x = pow(a, n // p**e, q)
+        while x != 1:
+            x = pow(x, p, q)
+            order *= p
+    return order
+
+
+def mul_orders(ctx: FieldContext, idx) -> np.ndarray:
+    """mul_order of every nonzero field index in ``idx``, as an int64 array.
+
+    Each distinct index is computed once.  A prime field takes the scalar
+    ``pow`` path per element.  An extension field runs the same prime-by-prime
+    stripping on all digit vectors at once: each powering is one
+    square-and-multiply chain of array products, reduced by ``_xred``.
+    """
+    idx = np.asarray(idx, dtype=np.int64).ravel()
+    if idx.size and (idx.min() < 0 or idx.max() >= ctx.q):
+        raise OutOfRange("index must lie in [0, q)")
+    if not np.all(idx):
+        raise ZeroElement("zero has no multiplicative order")
+    uniq, inv = np.unique(idx, return_inverse=True)
+    if ctx.s == 1:
+        orders = [_prime_order(ctx, a) for a in uniq.tolist()]
+        return np.array(orders, dtype=np.int64)[inv]
+    n, p, s = ctx.q - 1, ctx.p, ctx.s
+    x = _digits(ctx, uniq, np.int64)  # 2 s p^2 < 2^63: p^s <= 2^48 with s >= 2
+    xred = np.array(ctx._xred, dtype=np.int64).reshape(s - 1, s, 1)
+    pr = np.empty((2 * s - 1, len(uniq)), dtype=np.int64)
+
+    def mul(a, b):
+        _mul_fold(a, b, xred, p, pr)
+        return pr[:s] % p
+
+    def power(a, e: int):
+        result = a
+        for bit in bin(e)[3:]:  # left to right, after the top bit
+            result = mul(result, result)
+            if bit == "1":
+                result = mul(result, a)
+        return result
+
+    orders = np.ones(len(uniq), dtype=np.int64)
+    for ell, e in ctx.group_order_factorization().pairs:
+        y = power(x, n // ell**e)
+        while (live := (y[0] != 1) | y[1:].any(axis=0)).any():
+            orders[live] *= ell
+            y = power(y, ell)
+    return orders[inv]
 
 
 def small_order_set(ctx: FieldContext, t: int) -> Set[FieldElement]:

@@ -752,6 +752,23 @@ def conjugate_linear(
     return tuple(out)
 
 
+def _centered(f: IntPolynomial, beta: Fraction) -> Tuple[Fraction, ...]:
+    """conjugate_linear(f, 1, beta), exactly, shifting in integers.
+
+    With beta = n/D, G(Z) = D^d f(Z/D) has integer coefficients, and
+    G(Z + n) = D^d f(Z/D + beta): its Taylor shift by n, O(d^2) integer steps
+    of Horner's rule, holds D^(d-j) times the X^j coefficient of f(X + beta).
+    """
+    n, D, d = beta.numerator, beta.denominator, f.degree
+    shifted = [f.lc]
+    for j in range(d - 1, -1, -1):  # shifted <- shifted * (Z + n) + D^(d-j) f_j
+        shifted = ([f.coeff(j) * D ** (d - j) + n * shifted[0]]
+                   + [a + n * b for a, b in zip(shifted, shifted[1:])] + [shifted[-1]])
+    h = [Fraction(g, D ** (d - j)) for j, g in enumerate(shifted)]
+    h[0] -= beta
+    return tuple(h)
+
+
 def _iroot(n: int, k: int) -> Optional[int]:
     """Exact integer k-th root of n >= 0, or None."""
     if n < 0:
@@ -793,8 +810,7 @@ def is_special(f: IntPolynomial) -> SpecialClassification:
         raise DegreeTooSmall("classification requires degree >= 2")
     ad = f.lc
     beta = Fraction(-f.coeff(d - 1), d * ad)
-    # the shift costs O(d^2) Fraction operations; f is centered already when β = 0
-    h = conjugate_linear(f, Fraction(1), beta) if beta else tuple(map(Fraction, f.coeffs))
+    h = _centered(f, beta) if beta else tuple(map(Fraction, f.coeffs))
     # monomial branch: the centered form must be exactly a_d * X^d
     if all(h[i] == 0 for i in range(d)):
         alpha = _scaling_to_monic(ad, d)

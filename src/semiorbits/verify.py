@@ -36,6 +36,7 @@ from .ff import (
     make_extension_field,
     make_prime_field,
     mul_order,
+    mul_orders,
     small_order_set,
 )
 from .intpoly import (
@@ -636,9 +637,8 @@ def run_thm46(cfg: ExperimentConfig) -> ExperimentReport:
             table, _, start_rows = _tables(F, ctx, group)
             # each row's successor list once, when first reached: never all 2^20 rows
             succ = functools.cache(lambda v: table[v].tolist())
-            for w, r in zip(group, start_rows):
+            for w, r, tau in zip(group, start_rows, mul_orders(ctx, group).tolist()):
                 rec = orbit(succ, r, cfg.orbit_cap)
-                tau = mul_order(ctx.from_index(w))
                 s_cover = greedy_sequence_cover(succ, rec)
                 lhs = theorem46_lhs(F.d, rec.T, tau, s_cover)
                 rhs = s_cover * math.log(cfg.c * math.log(p))

@@ -292,6 +292,63 @@ def test_mul_order_zero_message():
     assert str(err.value) == "zero has no multiplicative order"
 
 
+ORDER_FIELDS = (
+    [(p, 1) for p in range(2, 102) if is_prime(p)]
+    + [(2, s) for s in range(2, 9)]
+    + [(3, s) for s in range(2, 6)]
+    + [(5, 3), (7, 2)]
+)
+
+
+@lru_cache(maxsize=None)
+def _orders_by_powering(p: int, s: int):
+    ctx = make_extension_field(p, s)
+    return ctx, tuple(order_by_powering(ctx.from_index(i)) for i in range(1, ctx.q))
+
+
+@pytest.mark.parametrize("p, s", ORDER_FIELDS)
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mul_orders_match_scalar_and_powering(p, s, data):
+    # every nonzero index of the field, in a drawn order, then drawn repeats
+    ctx, want = _orders_by_powering(p, s)
+    nonzero = list(range(1, ctx.q))
+    idx = data.draw(st.permutations(nonzero))
+    idx += data.draw(st.lists(st.sampled_from(nonzero), max_size=12))
+    got = ff.mul_orders(ctx, idx)
+    assert got.dtype == np.int64 and got.shape == (len(idx),)
+    assert got.tolist() == [want[i - 1] for i in idx]
+    assert got.tolist() == [mul_order(ctx.from_index(i)) for i in idx]
+
+
+@pytest.mark.parametrize("p", [3037000507, 4294967311, (1 << 48) - 59])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mul_orders_on_primes_past_int64_products(p, data):
+    # p > 2^31.5, so p^2 overflows int64: the prime path must stay exact
+    ctx = make_prime_field(p)
+    idx = data.draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=6))
+    idx += data.draw(st.lists(st.sampled_from(idx), max_size=3))
+    idx += [1, p - 1]
+    got = ff.mul_orders(ctx, idx).tolist()
+    assert got == [mul_order(ctx.element(i)) for i in idx]
+    for i, n in zip(idx, got):
+        assert (p - 1) % n == 0 and pow(i, n, p) == 1
+        assert all(pow(i, n // r, p) != 1 for r, _ in factorize(n).pairs)
+
+
+@pytest.mark.parametrize("p, s", [(7, 1), (3, 6), (2, 12)])
+def test_mul_orders_zero_index_raises(p, s):
+    ctx = make_extension_field(p, s)
+    with pytest.raises(ZeroElement) as err:
+        ff.mul_orders(ctx, [1, 2, 0, 1])
+    assert str(err.value) == "zero has no multiplicative order"
+    assert ff.mul_orders(ctx, []).tolist() == []
+    for bad in (-1, ctx.q):
+        with pytest.raises(OutOfRange):
+            ff.mul_orders(ctx, [1, bad])
+
+
 def test_small_order_set_examples():
     ctx = make_prime_field(7)
     assert sorted(v.index for v in small_order_set(ctx, 3)) == [1, 2, 4, 6]

@@ -600,6 +600,32 @@ def test_is_special_skips_the_shift_and_chebyshev_when_unread(monkeypatch):
     assert is_special(parse_poly("X^1000 + 1")).kind == NON_SPECIAL
 
 
+def test_is_special_shifts_in_integers(monkeypatch):
+    # f = X^1000 + X^999 needs the shift by β = -1/1000; in Fractions that
+    # took about 16 s, so it must run in integers, without conjugate_linear
+    def unread(*args):
+        raise AssertionError("the Fraction shift ran")
+
+    monkeypatch.setattr(intpoly, "conjugate_linear", unread)
+    assert is_special(parse_poly("X^1000 + X^999")).kind == NON_SPECIAL
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    low=st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=39),
+    sub=st.integers(-60, 60).filter(bool),
+    lead=st.integers(-12, 12).filter(bool),
+)
+@example(low=[3], sub=6, lead=2)  # 2X^2 + 6X + 3, monomial class
+@example(low=[-1, 0], sub=9, lead=9)  # 9X^3 + 9X^2 - 1, Chebyshev class
+def test_centered_form_equals_conjugate_linear(low, sub, lead):
+    # the integer shift of is_special against the Fraction definition, for
+    # β = -sub / (d lead) != 0 and degrees 2 to 40
+    f = IntPolynomial(tuple(low) + (sub, lead))
+    beta = Fraction(-sub, f.degree * lead)
+    assert intpoly._centered(f, beta) == conjugate_linear(f, Fraction(1), beta)
+
+
 def test_reduce_mod():
     ctx = make_prime_field(5)
     g = reduce_mod(parse_poly("7X^2 + 12X - 3"), ctx)

@@ -38,6 +38,7 @@ from semiorbits import (
     m_count,
     make_extension_field,
     make_prime_field,
+    mul_order,
     orbit,
     parse_poly,
     run_experiment,
@@ -783,6 +784,29 @@ def test_thm46_frozen_covers():
     )
     got = [tuple(_by_col(rep, r, c) for c in ("w", "T", "tau", "s_cover")) for r in rep.rows]
     assert got == THM46_F3_6_COVERS
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    field=st.sampled_from([(2, s) for s in range(2, 10)] + [(3, s) for s in range(2, 7)]),
+    generators=st.sampled_from([["X^2 + 1"], ["X^2 + 1", "X^3 + 2"], ["X^3 + X + 1", "X^2 + 2"]]),
+    starts=st.lists(st.integers(0, 728), min_size=1, max_size=8),
+    repeat=st.integers(0, 4),
+)
+@example(field=(3, 6), generators=["X^2 + 1", "X^3 + 2"], starts=[3, 0, 728, 1, 364], repeat=3)
+def test_thm46_tau_is_mul_order_per_start(field, generators, starts, repeat):
+    # τ comes from one batched call per table: per start, with repeated and
+    # zero starts, it must be the scalar order
+    p, s = field
+    ctx = make_extension_field(p, s)
+    starts = [w % ctx.q for w in starts + starts[:repeat]]
+    rep = run_experiment(_cfg(experiment="thm46", generators=generators, primes=[p], s=s,
+                              starts=starts))
+    nonzero = [w for w in starts if w]
+    assert [_by_col(rep, r, "w") for r in rep.rows] == nonzero
+    assert [_by_col(rep, r, "tau") for r in rep.rows] == [
+        mul_order(ctx.from_index(w)) for w in nonzero
+    ]
 
 
 def test_thm46_orbit_cap_raises_truncated():
