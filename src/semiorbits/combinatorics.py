@@ -28,7 +28,7 @@ from .errors import (
     TooLarge,
 )
 from .ff import FieldContext, FieldElement, eval_indices_all
-from .orbits import MAX_GRAPH_SIZE, GeneratorSet, Word, WordStream, letter_index, level_union
+from .orbits import MAX_GRAPH_SIZE, GeneratorSet, Word, WordStream, ball_mask, letter_index
 
 WITNESS_SEARCH_GUARD = 1 << 22
 WITNESS_BLOCK_BYTES = 1 << 18  # the largest scoring temporary of the witness search
@@ -197,9 +197,7 @@ def l_n_count(
         raise OutOfRange("need N >= 0")
     if not words:
         raise OutOfRange("need at least one word")
-    r = g._idx(u)
-    near = level_union(g.table, r, N)  # the ball d(u, v) <= N: u and levels 1..N
-    near[r] = True
+    near = ball_mask(g.table, g._idx(u), N)  # the ball d(u, v) <= N
     in_a = _vertex_mask(g, A)
     keep = near.copy()
     for word in words:
@@ -281,9 +279,7 @@ def find_witness_words(
     ]
     if W < l:
         raise OutOfRange("fewer than l distinct words of length <= h exist")
-    r = g._idx(u)
-    near = level_union(g.table, r, N)  # the ball d(u, v) <= N: u and levels 1..N
-    near[r] = True
+    near = ball_mask(g.table, g._idx(u), N)  # the ball d(u, v) <= N
     ok = near & _vertex_mask(g, A)
     bits = _packed_word_bits(g, np.flatnonzero(near), ok, h)
     ball = int(np.count_nonzero(near))

@@ -228,24 +228,6 @@ def reach_table(F: GeneratorSet, ctx: FieldContext, starts: Sequence[int],
     return table, points
 
 
-def level_union(table: np.ndarray, r: int, N: int) -> np.ndarray:
-    """Mask of the rows in the level sets 1..N of row r: a breadth-first search
-    of depth N that expands each row once, when first reached.  Row r itself
-    is marked only when a word of length 1..N leads back to it."""
-    seen = np.zeros(len(table), dtype=bool)
-    frontier = np.array([r], dtype=np.int64)
-    for _ in range(N):
-        img = np.sort(table[frontier], axis=None)
-        fresh = ~seen[img]
-        fresh[1:] &= img[1:] != img[:-1]  # the first of each run of equal rows
-        img = img[fresh]
-        seen[img] = True
-        frontier = img[img != r]
-        if not len(frontier):
-            break
-    return seen
-
-
 @dataclass
 class OrbitRecord:
     """A breadth-first orbit of field indices with their first-discovery
@@ -328,10 +310,10 @@ def sup_m_over_sequences(table: np.ndarray, qual: np.ndarray, rows: Sequence[int
 def count_small_order_points(table: np.ndarray, qual: np.ndarray, rows: Sequence[int],
                              N: int, include_start=False) -> List[int]:
     """Per start row, the distinct rows marked by ``qual`` among its level
-    sets 1..N (level 0, the start point, is included on request): the rows
-    ``level_union`` marks.  Starts walk in chunks of at most 64, each start
-    one bit of the narrowest unsigned word that holds its chunk, and the
-    counts are a popcount of the marked rows' words."""
+    sets 1..N (level 0, the start point, is included on request).  Starts
+    walk ``_level_words`` in chunks of at most 64, each start one bit of the
+    narrowest unsigned word that holds its chunk, and the counts are a
+    popcount of the marked rows' words."""
     if N < 0:
         raise OutOfRange("need N >= 0")
     rows = np.asarray(rows, dtype=np.int64)
@@ -351,9 +333,18 @@ def count_small_order_points(table: np.ndarray, qual: np.ndarray, rows: Sequence
     return out
 
 
+def ball_mask(table: np.ndarray, r: int, N: int) -> np.ndarray:
+    """Mask of the ball d(r, v) <= N: row r and its level sets 1..N, walked
+    by ``_level_words`` with one start bit."""
+    near = _level_words(table, np.array([r]), np.ones(1, np.uint8), N).view(bool)
+    near[r] = True
+    return near
+
+
 def _level_words(table: np.ndarray, rows: np.ndarray, bits: np.ndarray, N: int) -> np.ndarray:
-    """Multi-source ``level_union``: bit j of word v is set when row v lies in
-    the level sets 1..N of ``rows[j]``, whose bit is ``bits[j]``.
+    """The one level-set walk, for any number of starts: bit j of word v is
+    set when row v lies in the level sets 1..N of ``rows[j]``, whose bit is
+    ``bits[j]``.
 
     Each level pushes the frontier's words to their images: a plain scatter
     leaves each image row one writer's word, and ``np.bitwise_or.at`` ORs in

@@ -387,9 +387,8 @@ def _tables(F: GeneratorSet, ctx: FieldContext, starts: Sequence[int], depth=Non
     if _whole_field(ctx):
         return build_graph(F, ctx).table, np.arange(ctx.q), starts
     table, points = reach_table(F, ctx, starts, depth)
-    first = points[: len(set(starts))]  # the distinct starts, in first-occurrence order
-    order = np.argsort(first)
-    return table, points, order[np.searchsorted(first, starts, sorter=order)].tolist()
+    row = {w: r for r, w in enumerate(dict.fromkeys(starts))}  # reach_table's first rows
+    return table, points, [row[w] for w in starts]
 
 
 def _qual(ctx: FieldContext, t: int, points: np.ndarray) -> np.ndarray:

@@ -5,17 +5,17 @@ determinant resultants instead of remainder sequences, exhaustive powering
 instead of factored orders, closure iteration instead of BFS, per-point
 breadth-first search instead of level-at-a-time array evaluation, word
 enumeration instead of table dynamic programming and level-set masks, dict
-BFS instead of level unions, a subset-by-subset scan of per-vertex counts
+BFS instead of the bit-walk ball, a subset-by-subset scan of per-vertex counts
 instead of the bit-packed witness search, explicit state-space search
 instead of greedy covering, a generic breadth-first search with a stop
 callback, whose parent chain each greedy step covers, instead of the inline
 orbit and cover searches, Z[X] composites with integer resultants
 instead of the field argument behind the collision diagnostic, and
 Res(Φ_r, Φ_s∘f) from the composite instead of the characteristic polynomial
-of f(ζ_r), one ``level_union`` walk per start instead of the
-bit-parallel multi-source walk, and one ``thm44ii`` walk per field instead
-of one over the disjoint union of a grid's tables.  They are deliberately
-slow and simple.
+of f(ζ_r), ``level_union``'s sorted breadth-first search per start instead
+of the library's one level-set kernel, the bit-parallel walk, and one
+``thm44ii`` walk per field instead of one over the disjoint union of a
+grid's tables.  They are deliberately slow and simple.
 
 ``level_images`` is the exception: it reads the library's own reach table
 (``reach_table``), marks its level sets one whole-table mask at a time with
@@ -44,7 +44,7 @@ from semiorbits import (
 )
 from semiorbits import verify
 from semiorbits.combinatorics import build_graph
-from semiorbits.orbits import letter_index, level_union, stream_from_config
+from semiorbits.orbits import letter_index, stream_from_config
 
 
 def apply_word(F, word, x):
@@ -392,6 +392,24 @@ def level_sets_by_words(table, r, N):
             ends.add(v)
         out.append(ends)
     return out
+
+
+def level_union(table, r, N):
+    """Mask of the rows in the level sets 1..N of row r: a breadth-first search
+    of depth N that expands each row once, when first reached.  Row r itself
+    is marked only when a word of length 1..N leads back to it."""
+    seen = np.zeros(len(table), dtype=bool)
+    frontier = np.array([r], dtype=np.int64)
+    for _ in range(N):
+        img = np.sort(table[frontier], axis=None)
+        fresh = ~seen[img]
+        fresh[1:] &= img[1:] != img[:-1]  # the first of each run of equal rows
+        img = img[fresh]
+        seen[img] = True
+        frontier = img[img != r]
+        if not len(frontier):
+            break
+    return seen
 
 
 def count_by_level_union(table, qual, rows, N, include_start=False):

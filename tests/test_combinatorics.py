@@ -33,7 +33,7 @@ from semiorbits import (
     parse_poly,
 )
 import semiorbits.combinatorics as combinatorics
-from semiorbits.orbits import level_union
+from semiorbits.orbits import ball_mask
 from oracles import (
     bfs_distances,
     build_tree_nodes,
@@ -199,7 +199,7 @@ def test_ball_examples():
     # X^2 on F_7 from 3: 3 -> 2 -> 4 -> 2 -> ..., and 5 is never reached
     g = build_graph(SQ, F7)
     assert bfs_distances(g.table, 3) == {3: 0, 2: 1, 4: 2}
-    assert set(np.flatnonzero(level_union(g.table, 3, 2))) == {2, 4}
+    assert set(np.flatnonzero(ball_mask(g.table, 3, 2))) == {2, 3, 4}
     for N, ball in ((0, 1), (1, 2), (2, 3), (9, 3)):
         res = find_witness_words(g, 3, {4, 5}, N, h=1, l=1)
         assert (res.ball, res.ball_in_a) == (ball, int(N >= 2))
@@ -248,7 +248,7 @@ def test_ball_matches_bfs_seeded():
         dist = bfs_distances(g.table, u)
         for N in range(0, 8):
             ball = _ball(dist, N)
-            assert set(np.flatnonzero(level_union(g.table, u, N))) | {u} == ball
+            assert set(np.flatnonzero(ball_mask(g.table, u, N))) == ball
             res = find_witness_words(g, u, A, N, h=1, l=1)
             assert (res.ball, res.ball_in_a) == (len(ball), len(ball & A))
 
@@ -472,13 +472,16 @@ def test_level_kernel_matches_word_enumeration(table, data):
     N = data.draw(st.integers(0, 6))
     levels = level_sets_by_words(table, r, N)
     union = set().union(*levels)
-    assert set(np.flatnonzero(level_union(table, r, N)).tolist()) == union
+    ball = union | {r}
+    assert set(np.flatnonzero(ball_mask(table, r, N)).tolist()) == ball
     qual = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     for include_start in (False, True):
         want = sum(1 for v in union | ({r} if include_start else set()) if qual[v])
         assert count_small_order_points(table, qual, [r], N, include_start) == [want]
     g = FunctionalGraph(table)
     A = set(np.flatnonzero(qual).tolist())
+    res = find_witness_words(g, r, A, N, h=1, l=1)
+    assert (res.ball, res.ball_in_a) == (len(ball), len(ball & A))
     word = st.lists(st.integers(1, k), min_size=1, max_size=3).map(tuple)
     words = data.draw(st.lists(word, min_size=1, max_size=3))
     assert l_n_count(g, r, A, N, words) == naive_l_n_count(g, r, A, N, words)
