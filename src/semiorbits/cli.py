@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from dataclasses import fields
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional
@@ -42,7 +43,7 @@ def cmd_cyclotomic(args) -> int:
 
 
 def cmd_resultant(args) -> int:
-    print(resultant(parse_poly(args.f), parse_poly(args.g)))
+    print(Decimal(resultant(parse_poly(args.f), parse_poly(args.g))))  # str(int) stops at 4,300 digits
     return 0
 
 
@@ -83,7 +84,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_btree(args) -> int:
-    print(b_tree_size(args.k, args.h))
+    print(Decimal(b_tree_size(args.k, args.h)))  # str(int) stops at 4,300 digits
     return 0
 
 
@@ -145,7 +146,11 @@ def cmd_verify(args) -> int:
     data = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # malformed, or an integer past the digit limit
+                print("bad JSON: %s" % exc, file=sys.stderr)
+                return 2
     if isinstance(data, dict):  # from_dict rejects anything else
         names = {f.name for f in fields(ExperimentConfig)}
         data.update((key, value) for key, value in vars(args).items()
@@ -311,9 +316,6 @@ def main(argv=None) -> int:
     except SemiorbitsError as exc:
         print(str(exc), file=sys.stderr)
         return exc.exit_code
-    except json.JSONDecodeError as exc:
-        print("bad JSON: %s" % exc, file=sys.stderr)
-        return 2
     except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -1,6 +1,6 @@
 """Arbitrary-precision integer polynomials.
 
-Ring operations, composition, cyclotomic polynomials by exact division,
+Ring operations, composition, cyclotomic polynomials as Möbius products,
 characteristic polynomials of f(ζ) over the primitive r-th roots of unity,
 resultants via the subresultant polynomial remainder sequence, logarithmic
 Weil heights of primitive integer polynomials, normalized Chebyshev forms,
@@ -13,7 +13,6 @@ variable and arbitrary whitespace; printing and parsing round-trip.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -28,11 +27,13 @@ from .errors import (
     EmptySystem,
     OutOfRange,
     PolynomialParseError,
+    TooLarge,
     ZeroPolynomial,
 )
 from .ff import FieldContext, FieldPolynomial, _sieve, euler_phi, factorize
 
 MAX_CYCLOTOMIC_INDEX = 100000
+MAX_DEGREE = MAX_CYCLOTOMIC_INDEX  # parse_poly's cap; every printed Φ_n parses back
 
 
 class IntPolynomial:
@@ -202,7 +203,10 @@ def parse_poly(text: str) -> IntPolynomial:
             pos += 1
         if pos == start:
             raise PolynomialParseError("expected an integer", start)
-        return int(text[start:pos])
+        try:
+            return int(text[start:pos])
+        except ValueError:  # past the interpreter's int/str digit limit
+            raise PolynomialParseError("integer literal too long", start) from None
 
     coeffs: dict = {}
     skip_ws()
@@ -238,7 +242,11 @@ def parse_poly(text: str) -> IntPolynomial:
             if pos < n and text[pos] == "^":
                 pos += 1
                 skip_ws()
+                at = pos
                 power = read_int()
+                if power > MAX_DEGREE:
+                    raise TooLarge("exponent at position %d exceeds the degree cap %d"
+                                   % (at, MAX_DEGREE))
         elif coeff is None:
             raise PolynomialParseError("expected a term", pos)
         coeffs[power] = coeffs.get(power, 0) + sign * (1 if coeff is None else coeff)
@@ -253,54 +261,51 @@ def parse_poly(text: str) -> IntPolynomial:
 # cyclotomic polynomials
 
 
-_cyclo_cache = {1: IntPolynomial((-1, 1))}
-
-
-def _exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Quotient of an exact division in Z[X] (b monic or dividing exactly)."""
-    ra = list(a.coeffs)
-    db = b.degree
-    blc = b.lc
-    out = [0] * (len(ra) - db)
-    for i in range(len(ra) - 1, db - 1, -1):
-        c = ra[i]
-        if c % blc != 0:
-            raise ArithmeticError("division is not exact")
-        qc = c // blc
-        out[i - db] = qc
-        if qc:
-            for j in range(db + 1):
-                ra[i - db + j] -= qc * b.coeffs[j]
-    if any(ra[:db]):
-        raise ArithmeticError("division is not exact")
-    return IntPolynomial(out)
+def _mobius_pairs(n: int) -> List[Tuple[int, int]]:
+    """(d, mu(n/d)) for every divisor d of n with n/d squarefree, from one
+    factorization of n: n/d runs over the products of distinct primes of n."""
+    pairs = [(n, 1)]
+    for p in factorize(n).primes():
+        pairs += [(d // p, -mu) for d, mu in pairs]
+    return pairs
 
 
 def cyclotomic(n: int) -> IntPolynomial:
-    """The n-th cyclotomic polynomial, by exact division of X^n - 1 (memoized)."""
+    """The n-th cyclotomic polynomial, prod (X^d - 1)^mu(n/d) over d | n.
+
+    For n > 1 the mu(n/d) sum to 0, so Φ_n = prod (1 - X^d)^mu(n/d): the
+    factors with mu = 1 are multiplied in, then the others divided out, each
+    in one pass over the coefficients.  Over 1 - X^d the quotient is the
+    running sum of each class of coefficients mod d, and the division is
+    exact when the d top sums vanish.
+    """
     if not 1 <= n <= MAX_CYCLOTOMIC_INDEX:
         raise OutOfRange("cyclotomic index must satisfy 1 <= n <= %d" % MAX_CYCLOTOMIC_INDEX)
-    hit = _cyclo_cache.get(n)
-    if hit is not None:
-        return hit
-    poly = IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _exact_div(poly, cyclotomic(d))
-    _cyclo_cache[n] = poly
-    return poly
+    if n == 1:
+        return IntPolynomial((-1, 1))
+    pairs = _mobius_pairs(n)
+    c = [1]
+    for d, mu in pairs:
+        if mu == 1:
+            c = [a - b for a, b in zip(c + [0] * d, [0] * d + c)]
+    for d, mu in pairs:
+        if mu == -1:
+            for i in range(d):
+                c[i::d] = itertools.accumulate(c[i::d])
+            if any(c[-d:]):
+                raise ArithmeticError("division is not exact")
+            del c[-d:]
+    return IntPolynomial(c)
 
 
-@functools.cache
-def _ramanujan_trace(r: int, n: int) -> Tuple[int, ...]:
-    """The sums of ζ^j over the n = phi(r) primitive r-th roots ζ, for j < r:
-    mu(m) n / phi(m) when r / gcd(j, r) = m.  Memoized, like ``cyclotomic``,
-    so every generator's χ_r shares one."""
-    ramanujan = {}  # m -> its sum
-    for m in {r // math.gcd(j, r) for j in range(r)}:
-        pairs = factorize(m).pairs
-        ramanujan[m] = 0 if any(e > 1 for _, e in pairs) else (-1) ** len(pairs) * n // euler_phi(m)
-    return tuple(ramanujan[r // math.gcd(j, r)] for j in range(r))
+def _ramanujan_trace(r: int) -> Tuple[int, ...]:
+    """The sums of ζ^j over the primitive r-th roots ζ, for j < r: Ramanujan's
+    sum, the sum of d mu(r/d) over the d dividing gcd(j, r).  Its j = 0 entry
+    is phi(r)."""
+    trace = [0] * r
+    for d, mu in _mobius_pairs(r):
+        trace[::d] = [t + d * mu for t in trace[::d]]
+    return tuple(trace)
 
 
 def cyclotomic_charpoly(f: IntPolynomial, r: int) -> IntPolynomial:
@@ -315,8 +320,8 @@ def cyclotomic_charpoly(f: IntPolynomial, r: int) -> IntPolynomial:
     """
     if not 1 <= r <= MAX_CYCLOTOMIC_INDEX:
         raise OutOfRange("cyclotomic index must satisfy 1 <= r <= %d" % MAX_CYCLOTOMIC_INDEX)
-    n = euler_phi(r)
-    trace = _ramanujan_trace(r, n)
+    trace = _ramanujan_trace(r)
+    n = trace[0]
     fr = [sum(f.coeffs[i::r]) for i in range(r)]  # f mod X^r - 1
     power, p = [1] + [0] * (r - 1), [n]  # f^k mod X^r - 1, and p_k
     for _ in range(n):
@@ -595,8 +600,9 @@ def cyclotomic_resultants(polys: Sequence[IntPolynomial], s_max: int) -> List[Li
     for phi, ss in classes.items():
         for s in [s for s in ss if held[s][-1] < max(need[phi].values())]:
             ss.remove(s)  # past the window
+            phi_s = cyclotomic(s)
             for i, P in enumerate(polys):
-                out[i][s - 1] = resultant(P, cyclotomic(s))
+                out[i][s - 1] = resultant(P, phi_s)
     split = [s for ss in classes.values() for s in ss]  # each class's primes follow the last's
     ells = np.array([l for s in split for l in primes[s]], dtype=float)
     zetas = _cyclotomic_roots(split, [len(primes[s]) for s in split], ells, 1 / ells)
@@ -731,29 +737,18 @@ class SpecialClassification:
 def conjugate_linear(
     f: IntPolynomial, alpha: Fraction, beta: Fraction
 ) -> Tuple[Fraction, ...]:
-    """Coefficients of L^(-1) o f o L for L(X) = alpha*X + beta, over Q."""
+    """Coefficients of L^(-1) o f o L for L(X) = alpha*X + beta, over Q: the
+    X^j coefficient of f(X + beta) - beta, times alpha^(j-1)."""
     if alpha == 0:
         raise OutOfRange("conjugation requires alpha != 0")
-    acc: List[Fraction] = []
-    for c in reversed(f.coeffs):
-        # acc <- acc * (alpha X + beta) + c
-        nxt = [Fraction(0)] * (len(acc) + 1)
-        for i, a in enumerate(acc):
-            nxt[i + 1] += a * alpha
-            nxt[i] += a * beta
-        nxt[0] += c
-        acc = nxt
-    if not acc:
-        acc = [Fraction(0)]
-    acc[0] -= beta
-    out = [a / alpha for a in acc]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    h = _centered(f, beta) if f.coeffs else (-beta,)
+    return tuple(c * alpha ** (j - 1) for j, c in enumerate(h))
 
 
 def _centered(f: IntPolynomial, beta: Fraction) -> Tuple[Fraction, ...]:
-    """conjugate_linear(f, 1, beta), exactly, shifting in integers.
+    """The coefficients of f(X + beta) - beta for a nonzero f, exactly,
+    shifting in integers.
 
     With beta = n/D, G(Z) = D^d f(Z/D) has integer coefficients, and
     G(Z + n) = D^d f(Z/D + beta): its Taylor shift by n, O(d^2) integer steps

@@ -12,8 +12,11 @@ callback, whose parent chain each greedy step covers, instead of the inline
 orbit and cover searches, Z[X] composites with integer resultants
 instead of the field argument behind the collision diagnostic, and
 Res(Φ_r, Φ_s∘f) from the composite instead of the characteristic polynomial
-of f(ζ_r), ``level_union``'s sorted breadth-first search per start instead
-of the library's one level-set kernel, the bit-parallel walk, and one
+of f(ζ_r), von Sterneck's closed form for Ramanujan's sums instead of
+the divisor sum over the Möbius list, Horner's rule in Fractions for
+L^(-1)∘f∘L instead of the integer Taylor shift, ``level_union``'s sorted
+breadth-first search per start instead of the library's one level-set
+kernel, the bit-parallel walk, and one
 ``thm44ii`` walk per field instead of one over the disjoint union of a
 grid's tables.  They are deliberately slow and simple.
 
@@ -38,6 +41,8 @@ from semiorbits import (
     OutOfRange,
     Truncated,
     cyclotomic,
+    euler_phi,
+    factorize,
     mul_order,
     reach_table,
     resultant,
@@ -543,6 +548,38 @@ def lemma41_by_composites(f, r, s):
     """Res(Φ_r, Φ_s∘f) by composing Φ_s with f in Z[X], then one resultant of
     degree phi(r) against phi(s) deg f."""
     return resultant(cyclotomic(r), cyclotomic(s).compose(f))
+
+
+def ramanujan_sums_by_von_sterneck(r):
+    """The sums of ζ^j over the primitive r-th roots ζ, for j < r, by von
+    Sterneck's formula mu(m) phi(r) / phi(m), m = r / gcd(j, r)."""
+    def mu(m):
+        pairs = factorize(m).pairs
+        return 0 if any(e > 1 for _, e in pairs) else (-1) ** len(pairs)
+
+    sums = {m: mu(m) * euler_phi(r) // euler_phi(m)
+            for m in {r // math.gcd(j, r) for j in range(r)}}
+    return tuple(sums[r // math.gcd(j, r)] for j in range(r))
+
+
+def conjugate_by_horner(f, alpha, beta):
+    """Coefficients of (f(alpha X + beta) - beta) / alpha, by Horner's rule in
+    Fractions, without trailing zeros past the constant."""
+    acc = []
+    for c in reversed(f.coeffs):
+        # acc <- acc * (alpha X + beta) + c
+        nxt = [Fraction(0)] * (len(acc) + 1)
+        for i, a in enumerate(acc):
+            nxt[i + 1] += a * alpha
+            nxt[i] += a * beta
+        nxt[0] += c
+        acc = nxt
+    acc = acc or [Fraction(0)]
+    acc[0] -= beta
+    out = [a / alpha for a in acc]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def max_primitive_coeff(f: IntPolynomial) -> int:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import semiorbits
-from semiorbits import chebyshev, cyclotomic, parse_poly
+from semiorbits import chebyshev, cyclotomic, parse_poly, resultant
 from semiorbits import cli
 from semiorbits.cli import COMMANDS, OUT_DIR_ENV, build_parser, main
 from semiorbits.verify import ExperimentConfig, ExperimentReport
@@ -58,15 +58,39 @@ def test_cyclotomic_golden(capsys):
     assert err != ""
 
 
+def _read_decimal(text):
+    """The integer a decimal text of any length names, read 1,000 digits at a
+    time, each chunk within the interpreter's int/str digit limit."""
+    digits = text.lstrip("-")
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text.startswith("-") else value
+
+
 def test_resultant_golden(capsys):
     assert _run(capsys, "resultant", "X - 1", "X + 1") == (0, "2\n", "")
     assert _run(capsys, "resultant", "X^2 + 1", "X^2 - 1") == (0, "4\n", "")
+    # a value past str(int)'s 4,300 digits is printed in full
+    f, g = "X^600 + 99999999999X + 7", "X^599 + 9999999999"
+    code, out, err = _run(capsys, "resultant", f, g)
+    assert (code, err) == (0, "")
+    assert len(out) > 4300 and _read_decimal(out.strip()) == resultant(parse_poly(f), parse_poly(g))
 
 
 def test_resultant_parse_error(capsys):
     code, out, err = _run(capsys, "resultant", "X +", "X")
     assert code == 2
     assert "at position 3" in err
+    # a literal past the int/str digit limit is a parse error at its offset;
+    # an exponent above MAX_DEGREE is a resource guard (exit 4)
+    code, out, err = _run(capsys, "special", "X^" + "9" * 5000)
+    assert (code, out) == (2, "")
+    assert err.strip() == "integer literal too long at position 2"
+    code, out, err = _run(capsys, "special", "X^100001 + 1")
+    assert (code, out) == (4, "")
+    assert "degree cap 100000" in err
 
 
 def test_orbit_golden(capsys):
@@ -113,6 +137,8 @@ def test_orbit_needs_start(capsys):
 
 def test_btree_golden(capsys):
     assert _run(capsys, "btree", "2", "3") == (0, "7\n", "")
+    # B(10, 5000) = (10^5000 - 1) / 9 has 5,000 digits, past str(int)'s 4,300
+    assert _run(capsys, "btree", "10", "5000") == (0, "1" * 5000 + "\n", "")
 
 
 def test_gap_golden(capsys):
@@ -501,6 +527,12 @@ def test_verify_bad_config_json(tmp_path, capsys):
     cfg.write_text("{oops")
     code, _, err = _run(capsys, "verify", "thm44i", str(cfg))
     assert code == 2
+    assert "bad JSON" in err
+    # json.load refuses an integer past the int/str digit limit with a plain
+    # ValueError, not a JSONDecodeError
+    cfg.write_text('{"experiment": "thm44i", "seed": %s}' % ("1" * 4401))
+    code, out, err = _run(capsys, "verify", "thm44i", str(cfg))
+    assert (code, out) == (2, "")
     assert "bad JSON" in err
 
 

@@ -21,6 +21,7 @@ from semiorbits import (
     IntPolynomial,
     OutOfRange,
     PolynomialParseError,
+    TooLarge,
     X,
     ZeroPolynomial,
     chebyshev,
@@ -30,6 +31,7 @@ from semiorbits import (
     cyclotomic_charpoly,
     cyclotomic_resultants,
     euler_phi,
+    factorize,
     format_poly,
     height,
     is_prime,
@@ -40,7 +42,7 @@ from semiorbits import (
     resultant,
     system_height,
 )
-from oracles import resultant_by_determinant
+from oracles import conjugate_by_horner, ramanujan_sums_by_von_sterneck, resultant_by_determinant
 
 
 def _random_poly(rng, max_deg=6, bound=9):
@@ -154,6 +156,20 @@ def test_parse_error_positions():
         parse_poly("+ +")
     assert "expected a term" in str(err.value) or "dangling" in str(err.value)
     assert parse_poly("+X") == X
+    # a literal past the interpreter's 4,300-digit int/str limit is a parse
+    # error at its offset; an exponent above MAX_DEGREE is refused before a
+    # coefficient list of its length is allocated
+    with pytest.raises(PolynomialParseError) as err:
+        parse_poly("X^" + "9" * 5000)
+    assert err.value.position == 2
+    with pytest.raises(PolynomialParseError) as err:
+        parse_poly("X + " + "9" * 5000)
+    assert err.value.position == 4
+    with pytest.raises(TooLarge) as err:
+        parse_poly("X^2 + X^100001")
+    assert "position 8" in str(err.value)
+    assert intpoly.MAX_DEGREE == intpoly.MAX_CYCLOTOMIC_INDEX == 100000
+    assert parse_poly("X^100000 - 1").degree == 100000
 
 
 def test_cyclotomic_small_table():
@@ -181,10 +197,17 @@ def test_cyclotomic_product_identity_spot():
 
 
 def test_cyclotomic_degree_is_totient():
-    from semiorbits import euler_phi
+    # Φ_n(1) is q for n a power of the prime q, else 1 (n > 1)
+    for n in (7, 8, 9, 10, 24, 100, 30030, 65536, 99990, 99991, 100000):
+        phi = cyclotomic(n)
+        assert phi.degree == euler_phi(n) and phi.lc == 1, n
+        primes = factorize(n).primes()
+        assert sum(phi.coeffs) == (primes[0] if len(primes) == 1 else 1), n
 
-    for n in (7, 8, 9, 10, 24, 100):
-        assert cyclotomic(n).degree == euler_phi(n)
+
+def test_ramanujan_trace_matches_von_sterneck():
+    for r in range(1, 700):
+        assert intpoly._ramanujan_trace(r) == ramanujan_sums_by_von_sterneck(r), r
 
 
 def _sympy_poly(f, var):
@@ -195,7 +218,7 @@ def _sympy_poly(f, var):
 def test_cyclotomic_matches_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("X")
-    for n in list(range(1, 61)) + [105, 210, 385, 1155]:
+    for n in list(range(1, 61)) + [105, 210, 385, 1155, 2310]:
         assert cyclotomic(n) == IntPolynomial(
             reversed(sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs())
         ), n
@@ -254,7 +277,8 @@ def test_cyclotomic_charpoly_hand_values():
 def test_cyclotomic_charpoly_raises_on_inexact_division(monkeypatch):
     # a wrong degree phi(3) = 3 gives traces 3, -1, -1 and power sums
     # p = (-1, -1, 3) for f = X, so that 3 c_3 = -(p_3 + c_1 p_2 + c_2 p_1) = -1
-    monkeypatch.setattr(intpoly, "euler_phi", lambda m: 3 if m == 3 else euler_phi(m))
+    trace = intpoly._ramanujan_trace
+    monkeypatch.setattr(intpoly, "_ramanujan_trace", lambda r: (3, -1, -1) if r == 3 else trace(r))
     with pytest.raises(ArithmeticError):
         cyclotomic_charpoly(X, 3)
 
@@ -595,7 +619,7 @@ def test_is_special_skips_the_shift_and_chebyshev_when_unread(monkeypatch):
     def unread(*args):
         raise AssertionError("computed, but not read")
 
-    monkeypatch.setattr(intpoly, "conjugate_linear", unread)
+    monkeypatch.setattr(intpoly, "_centered", unread)
     monkeypatch.setattr(intpoly, "chebyshev", unread)
     assert is_special(parse_poly("X^1000 + 1")).kind == NON_SPECIAL
 
@@ -615,15 +639,20 @@ def test_is_special_shifts_in_integers(monkeypatch):
     low=st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=39),
     sub=st.integers(-60, 60).filter(bool),
     lead=st.integers(-12, 12).filter(bool),
+    alpha=st.fractions(-5, 5, max_denominator=4).filter(bool),
 )
-@example(low=[3], sub=6, lead=2)  # 2X^2 + 6X + 3, monomial class
-@example(low=[-1, 0], sub=9, lead=9)  # 9X^3 + 9X^2 - 1, Chebyshev class
-def test_centered_form_equals_conjugate_linear(low, sub, lead):
-    # the integer shift of is_special against the Fraction definition, for
-    # β = -sub / (d lead) != 0 and degrees 2 to 40
+@example(low=[3], sub=6, lead=2, alpha=Fraction(1, 2))  # 2X^2 + 6X + 3, monomial class
+@example(low=[-1, 0], sub=9, lead=9, alpha=Fraction(1, 3))  # 9X^3 + 9X^2 - 1, Chebyshev class
+def test_centered_form_equals_conjugate_linear(low, sub, lead, alpha):
+    # the integer shift of is_special, and conjugate_linear built on it,
+    # against Horner's rule in Fractions, for β = -sub / (d lead) != 0 and
+    # degrees 2 to 40
     f = IntPolynomial(tuple(low) + (sub, lead))
     beta = Fraction(-sub, f.degree * lead)
-    assert intpoly._centered(f, beta) == conjugate_linear(f, Fraction(1), beta)
+    assert intpoly._centered(f, beta) == conjugate_by_horner(f, Fraction(1), beta)
+    assert conjugate_linear(f, alpha, beta) == conjugate_by_horner(f, alpha, beta)
+    zero = IntPolynomial()
+    assert conjugate_linear(zero, alpha, beta) == conjugate_by_horner(zero, alpha, beta)
 
 
 def test_reduce_mod():
