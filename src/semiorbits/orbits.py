@@ -201,18 +201,21 @@ def evaluated_successors(F: GeneratorSet, ctx: FieldContext) -> Successors:
 
 
 def reach_table(F: GeneratorSet, ctx: FieldContext, starts: Sequence[int],
-                depth: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+                depth: Optional[int] = None,
+                cap: int = MAX_GRAPH_SIZE) -> Tuple[np.ndarray, np.ndarray]:
     """Compact successor table over the points within ``depth`` steps of the
     starts, evaluated a BFS level at a time, all generators in one array call.
     Returns (table, points), ``points[r]`` the field index of row r in FIFO
     discovery order: the distinct starts first, in first-occurrence order.
     Rows on the depth limit are not evaluated and loop to themselves; a kernel
-    that runs at most ``depth`` steps never reads them.  Raises TooLarge once
-    the reach passes MAX_GRAPH_SIZE points."""
+    that runs at most ``depth`` steps never reads them.  The build stops at
+    the level that passes ``cap`` points, raising Truncated, or MAX_GRAPH_SIZE
+    points, raising TooLarge, whichever is smaller."""
+    limit = min(cap, MAX_GRAPH_SIZE)
     levels = [np.array(list(dict.fromkeys(starts)), dtype=np.int64)]
     seen = np.sort(levels[0])  # every point found so far
     images = [np.empty(0, np.int64)]  # each evaluated level's rows, flattened
-    while len(levels[-1]) and len(images) - 1 != depth and len(seen) <= MAX_GRAPH_SIZE:
+    while len(levels[-1]) and len(images) - 1 != depth and len(seen) <= limit:
         img = eval_indices_all(F.reduced(ctx), levels[-1]).ravel()
         images.append(img)
         new, first = np.unique(img, return_index=True)
@@ -220,7 +223,9 @@ def reach_table(F: GeneratorSet, ctx: FieldContext, starts: Sequence[int],
         fresh = seen[np.minimum(pos, len(seen) - 1)] != new
         seen = np.insert(seen, pos[fresh], new[fresh])
         levels.append(img[np.sort(first[fresh])])
-    if len(seen) > MAX_GRAPH_SIZE:
+    if len(seen) > limit:
+        if limit < MAX_GRAPH_SIZE:
+            raise Truncated("the starts reach more than the cap of %d points" % cap)
         raise TooLarge("the starts reach more than %d points" % MAX_GRAPH_SIZE)
     points, done = np.concatenate(levels), np.concatenate(images)  # seen is points, sorted
     table = np.repeat(np.arange(len(points))[:, None], F.k, axis=1)
@@ -382,7 +387,8 @@ def _level_words(table: np.ndarray, rows: np.ndarray, bits: np.ndarray, N: int) 
     return seen
 
 
-def greedy_sequence_cover(succ: Successors, rec: OrbitRecord) -> int:
+def greedy_sequence_cover(adj: Sequence[Sequence[int]], rec: OrbitRecord,
+                          mark: List[int]) -> int:
     """Upper bound on the minimal number of single-sequence orbits covering
     the orbit ``rec``.
 
@@ -390,33 +396,47 @@ def greedy_sequence_cover(succ: Successors, rec: OrbitRecord) -> int:
     vertex not yet covered; when no uncovered vertex is reachable, start a
     new walk from the start.  Every walk is a genuine sequence orbit, so the
     count is a valid cover size and hence an upper bound on the minimum.
+
+    ``adj[v]`` lists the successors of every orbit vertex v.  ``mark`` is a
+    scratch list over the same vertices that covers of other orbits may
+    share: this one first sets its own orbit's entries to -1 (uncovered) and
+    touches no others.  Each search stamps the covered vertices it reaches
+    with its own step number, so one read per vertex tells an uncovered
+    vertex from one this search has already seen.
     """
     if rec.truncated:
         raise Truncated("orbit hit its cap; cover count would not be exact")
-    uncovered = set(rec.levels)
-    walks = 0
-    while uncovered:
+    for v in rec.levels:
+        mark[v] = -1
+    left, walks, step = rec.T, 0, 0
+    while left:
         walks += 1
         cur = rec.start
-        uncovered.discard(cur)
-        while cur is not None and uncovered:
-            # breadth-first from cur, in FIFO order, to the first uncovered
-            # vertex.  Every vertex before it was found covered, so the walk
-            # to it covers just that one; cur stays None when none is
-            # reachable, and the walk ends.
-            seen, queue, cur = {cur}, [cur], None
-            for v in queue:  # also visits the vertices appended below
-                for w in succ(v):
-                    if w not in seen:
-                        if w in uncovered:
-                            cur = w
-                            break
-                        seen.add(w)
-                        queue.append(w)
-                if cur is not None:
-                    break
-            uncovered.discard(cur)
+        left -= mark[cur] < 0
+        while cur is not None and left:
+            # every vertex the search passes before the uncovered one it
+            # returns is covered, so the walk to it covers just that one
+            step += 1
+            cur = _nearest_uncovered(adj, mark, cur, step)
+            left -= cur is not None
     return walks
+
+
+def _nearest_uncovered(adj, mark, cur: int, step: int) -> Optional[int]:
+    """The first vertex with mark -1 in the FIFO search from ``cur``, which
+    it marks ``step`` along with every covered vertex it reaches; None when
+    no uncovered vertex is reachable."""
+    mark[cur] = step
+    queue = [cur]
+    for v in queue:  # also visits the vertices appended below
+        for w in adj[v]:
+            m = mark[w]
+            if m != step:
+                mark[w] = step
+                if m < 0:
+                    return w
+                queue.append(w)
+    return None
 
 
 def theorem46_lhs(d: int, T: int, tau: int, s: int) -> float:

@@ -380,13 +380,15 @@ def _whole_field(ctx: FieldContext) -> bool:
     return ctx.s == 1 and ctx.q <= MAX_GRAPH_SIZE
 
 
-def _tables(F: GeneratorSet, ctx: FieldContext, starts: Sequence[int], depth=None):
+def _tables(F: GeneratorSet, ctx: FieldContext, starts: Sequence[int], depth=None,
+            cap=MAX_GRAPH_SIZE):
     """Successor table over the starts' reach within ``depth`` steps (all when
     None), each row's field index, and each start's row: the whole graph where
-    ``_whole_field`` allows, else only the reached points, each evaluated once."""
+    ``_whole_field`` allows, else only the reached points, each evaluated once,
+    and no more than ``cap`` of them (``reach_table``)."""
     if _whole_field(ctx):
         return build_graph(F, ctx).table, np.arange(ctx.q), starts
-    table, points = reach_table(F, ctx, starts, depth)
+    table, points = reach_table(F, ctx, starts, depth, cap)
     row = {w: r for r, w in enumerate(dict.fromkeys(starts))}  # reach_table's first rows
     return table, points, [row[w] for w in starts]
 
@@ -631,14 +633,26 @@ def run_thm46(cfg: ExperimentConfig) -> ExperimentReport:
         zeros += len(ws) - len(nonzero)
         if not nonzero:
             continue  # no rows, and no table to build
-        # above the cap each start gets its own table, the size of its orbit
-        for group in [nonzero] if ctx.q <= MAX_GRAPH_SIZE else [[w] for w in nonzero]:
-            table, _, start_rows = _tables(F, ctx, group)
-            # each row's successor list once, when first reached: never all 2^20 rows
-            succ = functools.cache(lambda v: table[v].tolist())
+        # above the cap each start gets its own table, its orbit, built no
+        # further than the orbit cap
+        per_start = ctx.q > MAX_GRAPH_SIZE
+        for group in [[w] for w in nonzero] if per_start else [nonzero]:
+            table, _, start_rows = _tables(F, ctx, group,
+                                           cap=cfg.orbit_cap if per_start else MAX_GRAPH_SIZE)
+            # every start of the table shares the rows' successor lists, each
+            # listed when an orbit walk first reaches it (never all 2^20 rows),
+            # and one mark list for the covers
+            adj, mark = [None] * len(table), [-1] * len(table)
+
+            def succ(v):
+                row = adj[v]
+                if row is None:
+                    row = adj[v] = table[v].tolist()
+                return row
+
             for w, r, tau in zip(group, start_rows, mul_orders(ctx, group).tolist()):
                 rec = orbit(succ, r, cfg.orbit_cap)
-                s_cover = greedy_sequence_cover(succ, rec)
+                s_cover = greedy_sequence_cover(adj, rec, mark)
                 lhs = theorem46_lhs(F.d, rec.T, tau, s_cover)
                 rhs = s_cover * math.log(cfg.c * math.log(p))
                 flag = 1 if lhs < rhs else 0

@@ -99,8 +99,10 @@ def _orbit(F, x, **cap):
     return succ, orbit(succ, x.index, **cap)
 
 
-def _cover(F, x):
-    return greedy_sequence_cover(*_orbit(F, x))
+def _cover(F, x, **cap):
+    succ, rec = _orbit(F, x, **cap)
+    q = x.ctx.q
+    return greedy_sequence_cover([succ(v) for v in range(q)], rec, [-1] * q)
 
 
 def test_generator_set_validation():
@@ -360,7 +362,7 @@ def test_greedy_cover():
     assert 1 <= got <= 4
     assert got >= minimal_walk_cover(PAIR, F5.element(0))
     with pytest.raises(Truncated):
-        greedy_sequence_cover(*_orbit(PAIR, F5.element(0), cap=2))
+        _cover(PAIR, F5.element(0), cap=2)
 
 
 def test_greedy_cover_dominates_exact_minimum():
@@ -392,11 +394,11 @@ def _against_bfs_oracles(adj, x, cap=orbits.DEFAULT_ORBIT_CAP):
     assert (rec.start, rec.truncated) == (want.start, want.truncated)
     if rec.truncated:
         with pytest.raises(Truncated):
-            greedy_sequence_cover(succ, rec)
+            greedy_sequence_cover(adj, rec, [-1] * len(adj))
         with pytest.raises(Truncated):
             greedy_cover_by_bfs(succ, want)
         return rec, None
-    s = greedy_sequence_cover(succ, rec)
+    s = greedy_sequence_cover(adj, rec, [-1] * len(adj))
     assert s == greedy_cover_by_bfs(succ, want)
     return rec, s
 
@@ -421,6 +423,38 @@ def test_orbit_and_cover_match_bfs_oracles():
     check()
     # truncated orbits, single walks and multi-walk covers all occurred
     assert {None, 1, 2} <= set(covers) and max(c for c in covers if c) >= 3
+
+
+def test_covers_share_one_mark_list():
+    # every start of one adjacency, in a drawn order with repeats, covered on
+    # one mark list: a cover must read none of what earlier covers left in
+    # its orbit's entries, and write no entry outside its orbit
+    sentinel = -2
+    walks = []
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def check(data):
+        n, k = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 3))
+        forward = data.draw(st.booleans())  # DAGs need several walks, as above
+        adj = [data.draw(st.lists(st.integers(v if forward else 0, n - 1), min_size=k,
+                                  max_size=k)) for v in range(n)]
+        succ = adj.__getitem__
+        extra = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        order = data.draw(st.permutations(list(range(n)) + extra))
+        mark = [sentinel] * n
+        for x in order:
+            rec = orbit(succ, x)
+            outside = [v for v in range(n) if v not in rec.levels]
+            for v in outside:
+                mark[v] = sentinel
+            s = greedy_sequence_cover(adj, rec, mark)
+            assert s == greedy_cover_by_bfs(succ, bfs_orbit(succ, x, orbits.DEFAULT_ORBIT_CAP))
+            assert all(mark[v] == sentinel for v in outside)
+            walks.append(s)
+
+    check()
+    assert max(walks) >= 3
 
 
 def test_orbit_and_cover_small_graphs():

@@ -46,10 +46,12 @@ from semiorbits import (
     stream_from_config,
 )
 import semiorbits
+import semiorbits.orbits as orbits
 import semiorbits.verify as verify
-from semiorbits.orbits import MAX_GRAPH_SIZE
+from semiorbits.orbits import DEFAULT_ORBIT_CAP, MAX_GRAPH_SIZE
 from oracles import (
     bfs_distances,
+    bfs_orbit,
     bfs_reach_table,
     closure_orbit,
     collision_resultant_mod_p,
@@ -58,6 +60,7 @@ from oracles import (
     exhaustive_small_order_count,
     exhaustive_sup_m,
     exhaustive_witness_words,
+    greedy_cover_by_bfs,
     lemma41_by_composites,
     naive_l_n_count,
     order_at_most,
@@ -817,6 +820,29 @@ def test_thm46_orbit_cap_raises_truncated():
         )
 
 
+def test_thm46_orbit_cap_stops_a_per_start_table(monkeypatch):
+    # above 2^20 each start's table is its orbit: a smaller orbit cap stops
+    # the reach build at the level that passes it, every point evaluated
+    # before then within the cap, and raises Truncated (exit 3)
+    evaluated = []
+    real = orbits.eval_indices_all
+    monkeypatch.setattr(orbits, "eval_indices_all",
+                        lambda red, idx: evaluated.append(len(idx)) or real(red, idx))
+    gens, p = ["X^2 + 1", "X^3 + 2"], 2147483647
+    with pytest.raises(Truncated):
+        run_experiment(_cfg(experiment="thm46", generators=gens, primes=[p], starts=[3],
+                            orbit_cap=1000))
+    assert 0 < sum(evaluated) <= 1000
+    # a cap past the table guard meets the guard first (TooLarge, exit 4); a
+    # guard of 500 points stands in for 2^20 here
+    monkeypatch.setattr(orbits, "MAX_GRAPH_SIZE", 500)
+    F, ctx = GeneratorSet([parse_poly(g) for g in gens]), make_prime_field(p)
+    with pytest.raises(TooLarge):
+        orbits.reach_table(F, ctx, [3], cap=1000)
+    with pytest.raises(Truncated):
+        orbits.reach_table(F, ctx, [3], cap=400)
+
+
 def test_thm46_small_reach_reads_few_table_rows():
     # F_65537 takes its whole graph, but the orbit of 1 under X^2, X^3 is {1}:
     # the orbit and cover read that row alone.  Lists of all 2^16 rows would
@@ -1574,8 +1600,13 @@ def test_runner_rows_match_exhaustive_oracles(case):
     nonzero = [w for w in starts if w]
     assert [_by_col(rep, row, "w") for row in rep.rows] == nonzero
     assert rep.summary["zeros_skipped"] == len(starts) - len(nonzero)
+    # the covers of one table share its rows and mark list, so a cover that
+    # read another start's marks would differ from the per-start oracle
+    succ = evaluated_successors(F, ctx)
     for w, row in zip(nonzero, rep.rows):
         assert _by_col(rep, row, "T") == len(closure_orbit(F, ctx.from_index(w)))
+        want = greedy_cover_by_bfs(succ, bfs_orbit(succ, w, DEFAULT_ORBIT_CAP))
+        assert _by_col(rep, row, "s_cover") == want
 
 
 # -- the Γ(t) mask -------------------------------------------------------------
