@@ -387,39 +387,50 @@ def _level_words(table: np.ndarray, rows: np.ndarray, bits: np.ndarray, N: int) 
     return seen
 
 
-def greedy_sequence_cover(adj: Sequence[Sequence[int]], rec: OrbitRecord,
-                          mark: List[int]) -> int:
-    """Upper bound on the minimal number of single-sequence orbits covering
-    the orbit ``rec``.
+def greedy_sequence_cover(table: np.ndarray, r: int, adj: List[Optional[List[int]]],
+                          mark: List[int], cap: int = DEFAULT_ORBIT_CAP) -> Tuple[int, int]:
+    """(T, s): the size T of the orbit of table row r, and an upper bound s
+    on the minimal number of single-sequence orbits covering it.
 
-    Greedy: walk from the start, repeatedly steering (by BFS) to the nearest
-    vertex not yet covered; when no uncovered vertex is reachable, start a
-    new walk from the start.  Every walk is a genuine sequence orbit, so the
-    count is a valid cover size and hence an upper bound on the minimum.
+    One FIFO pass from r lists each row it reaches into ``adj`` (once per
+    table), marks it -1 (uncovered) and counts T; past ``cap`` rows it raises
+    Truncated.  Greedy cover: walk from the start, repeatedly steering (by
+    BFS) to the nearest vertex not yet covered, and start a new walk from the
+    start when none is reachable.  Every walk is a genuine sequence orbit, so
+    the count is a valid cover size and hence an upper bound on the minimum.
 
-    ``adj[v]`` lists the successors of every orbit vertex v.  ``mark`` is a
-    scratch list over the same vertices that covers of other orbits may
-    share: this one first sets its own orbit's entries to -1 (uncovered) and
-    touches no others.  Each search stamps the covered vertices it reaches
-    with its own step number, so one read per vertex tells an uncovered
-    vertex from one this search has already seen.
+    Every cover on the table shares ``adj`` and ``mark``, and writes only its
+    own orbit's entries.  Each search stamps the covered vertices it reaches
+    with its step number, so one read tells an uncovered vertex from one this
+    search has seen.  No cover leaves an entry -1, so the next pass reads -1
+    as reached.
     """
-    if rec.truncated:
-        raise Truncated("orbit hit its cap; cover count would not be exact")
-    for v in rec.levels:
-        mark[v] = -1
-    left, walks, step = rec.T, 0, 0
+    mark[r] = -1
+    queue = [r]
+    for v in queue:  # also visits the rows appended below
+        row = adj[v]
+        if row is None:
+            row = adj[v] = table[v].tolist()
+        for w in row:
+            if mark[w] != -1:
+                if len(queue) >= cap:
+                    for u in queue:
+                        mark[u] = 0
+                    raise Truncated("orbit hit its cap; cover count would not be exact")
+                mark[w] = -1
+                queue.append(w)
+    mark[r] = 0  # covered by the first walk, which no search stamps when T = 1
+    left, walks, step, cur = len(queue) - 1, 1, 0, r
     while left:
-        walks += 1
-        cur = rec.start
-        left -= mark[cur] < 0
-        while cur is not None and left:
-            # every vertex the search passes before the uncovered one it
-            # returns is covered, so the walk to it covers just that one
-            step += 1
-            cur = _nearest_uncovered(adj, mark, cur, step)
-            left -= cur is not None
-    return walks
+        # every vertex the search passes before the uncovered one it returns
+        # is covered, so the walk to it covers just that one
+        step += 1
+        cur = _nearest_uncovered(adj, mark, cur, step)
+        if cur is None:
+            walks, cur = walks + 1, r
+        else:
+            left -= 1
+    return len(queue), walks
 
 
 def _nearest_uncovered(adj, mark, cur: int, step: int) -> Optional[int]:

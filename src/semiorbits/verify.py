@@ -156,8 +156,12 @@ class ExperimentConfig:
         for name in ("t", "h", "l", "orbit_cap"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ConfigError("%s must be >= 1" % name)
-        if self.N is not None and self.N < 1 and self.experiment in ("thm44i", "thm44ii", "cor45"):
-            raise ConfigError("%s needs N >= 1" % self.experiment)
+        least_n = 1 if self.experiment in ("thm44i", "thm44ii", "cor45") else 0
+        if self.N is not None and self.N < least_n:
+            raise ConfigError("N must be >= %d for %s" % (least_n, self.experiment))
+        for name, exp in (("C", "thm44ii"), ("c", "thm46")):  # factors of a bound; NaN too
+            if self.experiment == exp and not getattr(self, name) > 0:
+                raise ConfigError("%s must be > 0 for %s" % (name, exp))
         if self.t_exponent is not None and not 0 < self.t_exponent < 0.5:
             raise ConfigError("t_exponent must lie strictly in (0, 1/2)")
         if self.s < 1:
@@ -590,26 +594,20 @@ def run_cor45(cfg: ExperimentConfig) -> ExperimentReport:
                    bound_note="count <= q everywhere; ratios expose the k^N slack")
 
 
-def _collision_diagnostic(cfg: ExperimentConfig, F: GeneratorSet, ctx, succ, r: int, w: int, n: int):
+def _collision_diagnostic(cfg: ExperimentConfig, F: GeneratorSet, ctx, table, r: int, w: int, n: int):
     """First collision on the constant-1 walk from table row r (field index
     w), and Res(Ψ^(m) - Ψ^(l), Φ_n) mod p: the proof needs p to divide it.
 
     Ψ is the constant-1 sequence, so Ψ^(m) is the m-fold composite of the
-    first generator.  The collision Ψ^(m)(w) = Ψ^(l)(w), checked here by
-    evaluation, makes w a root mod p of Ψ^(m) - Ψ^(l); as w has order n it is
-    also a root of Φ_n mod p.  Φ_n is monic, so the resultant mod p is the
-    product of Ψ^(m) - Ψ^(l) over the roots of Φ_n mod p, and that is 0.
-    Collisions past ``diag_degree_cap`` report no residue.
+    first generator.  Its walk on the table's first column is a rho: m points,
+    the last one's image the point at step l.  The collision Ψ^(m)(w) =
+    Ψ^(l)(w), checked here by evaluation, makes w a root mod p of Ψ^(m) -
+    Ψ^(l); as w has order n it is also a root of Φ_n mod p.  Φ_n is monic, so
+    the resultant mod p is the product of Ψ^(m) - Ψ^(l) over the roots of Φ_n
+    mod p, and that is 0.  Collisions past ``diag_degree_cap`` report no residue.
     """
-    seen = {r: 0}
-    v = r
-    m, l = 0, 0
-    for j in range(1, ctx.q + 1):
-        v = succ(v)[0]
-        if v in seen:
-            m, l = j, seen[v]
-            break
-        seen[v] = j
+    rec = orbit(lambda v: table[v, :1].tolist(), r)
+    m, l = rec.T, rec.levels[int(table[next(reversed(rec.levels)), 0])]
     phi = F.reduced(ctx)[0]
     values = [ctx.from_index(w)]
     while len(values) <= m:
@@ -622,8 +620,6 @@ def run_thm46(cfg: ExperimentConfig) -> ExperimentReport:
     """Orbit size, order, and cover count per start, testing
     T log d + s log tau >= s log(c log p)."""
     F, notes = _system(cfg)
-    if cfg.c <= 0:
-        raise ConfigError("thm46 needs c > 0")
     columns = ("p", "w", "T", "tau", "s_cover", "lhs", "rhs", "exception",
                "coll_m", "coll_l", "ord_n", "res_mod_p")
     rows = []
@@ -639,27 +635,19 @@ def run_thm46(cfg: ExperimentConfig) -> ExperimentReport:
         for group in [[w] for w in nonzero] if per_start else [nonzero]:
             table, _, start_rows = _tables(F, ctx, group,
                                            cap=cfg.orbit_cap if per_start else MAX_GRAPH_SIZE)
-            # every start of the table shares the rows' successor lists, each
-            # listed when an orbit walk first reaches it (never all 2^20 rows),
-            # and one mark list for the covers
-            adj, mark = [None] * len(table), [-1] * len(table)
-
-            def succ(v):
-                row = adj[v]
-                if row is None:
-                    row = adj[v] = table[v].tolist()
-                return row
-
+            # the covers of the table's starts share its rows' successor
+            # lists, each listed when a cover first reaches it (never all
+            # 2^20 rows), and one mark list, which no cover leaves at -1
+            adj, mark = [None] * len(table), [0] * len(table)
             for w, r, tau in zip(group, start_rows, mul_orders(ctx, group).tolist()):
-                rec = orbit(succ, r, cfg.orbit_cap)
-                s_cover = greedy_sequence_cover(adj, rec, mark)
-                lhs = theorem46_lhs(F.d, rec.T, tau, s_cover)
+                T, s_cover = greedy_sequence_cover(table, r, adj, mark, cfg.orbit_cap)
+                lhs = theorem46_lhs(F.d, T, tau, s_cover)
                 rhs = s_cover * math.log(cfg.c * math.log(p))
                 flag = 1 if lhs < rhs else 0
                 diag = (None, None, None, None)
                 if cfg.diagnostics:
-                    diag = _collision_diagnostic(cfg, F, ctx, succ, r, w, tau)
-                rows.append((p, w, rec.T, tau, s_cover, lhs, rhs, flag) + diag)
+                    diag = _collision_diagnostic(cfg, F, ctx, table, r, w, tau)
+                rows.append((p, w, T, tau, s_cover, lhs, rhs, flag) + diag)
     if rows:
         notes["min_margin"] = min(r[5] - r[6] for r in rows)
     return _report(cfg, columns, rows, exceptions=sum(r[7] for r in rows),

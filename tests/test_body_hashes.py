@@ -99,6 +99,9 @@ CASES = {
                       starts=[1, -1, 0]),
     "thm46-monomial": dict(experiment="thm46", generators=["X^2", "X^3 + 1"], primes=[23],
                            starts=[0, 0, 1, 5]),
+    # 1 is fixed, 6 maps to 1, and the orbit of 3 holds both
+    "thm46-fixed-point": dict(experiment="thm46", generators=["X^2", "X^3"], primes=[7],
+                              starts=[1, 6, 3]),
     # thm61: count and witness words
     "thm61-whole": dict(experiment="thm61", generators=TWO, primes=[31, 37], starts=[1, 2, 3],
                         t=4, N=4, h=3, l=1),

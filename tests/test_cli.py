@@ -564,6 +564,8 @@ def test_verify_unknown_config_field_exit(tmp_path, capsys):
         (thm44ii + ['{"kind": "periodic", "period": [1], "offset": -1}'], "offset"),
         (thm61 + ["--h", "0", "--l", "1"], "h"),
         (thm61 + ["--h", "3", "--l", "0"], "l"),
+        (thm61 + ["--h", "3", "--l", "1", "--N", "-1"], "N"),
+        (thm44ii + ['{"kind": "periodic", "period": [1]}', "--C", "0"], "C"),
         (["thm46", "--primes", "11", "--orbit-cap", "0"], "orbit_cap"),
     ):
         code, _, err = _run(capsys, "verify", *argv, *base)

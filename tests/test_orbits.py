@@ -100,9 +100,12 @@ def _orbit(F, x, **cap):
 
 
 def _cover(F, x, **cap):
-    succ, rec = _orbit(F, x, **cap)
-    q = x.ctx.q
-    return greedy_sequence_cover([succ(v) for v in range(q)], rec, [-1] * q)
+    """The greedy cover count of x's orbit on the whole field's table, whose
+    T must be the orbit's."""
+    table, q = build_graph(F, x.ctx).table, x.ctx.q
+    T, s = greedy_sequence_cover(table, x.index, [None] * q, [0] * q, **cap)
+    assert T == _orbit(F, x)[1].T
+    return s
 
 
 def test_generator_set_validation():
@@ -392,14 +395,15 @@ def _against_bfs_oracles(adj, x, cap=orbits.DEFAULT_ORBIT_CAP):
     rec, want = orbit(succ, x, cap), bfs_orbit(succ, x, cap)
     assert list(rec.levels.items()) == list(want.levels.items())
     assert (rec.start, rec.truncated) == (want.start, want.truncated)
+    table, n = np.array(adj), len(adj)
     if rec.truncated:
         with pytest.raises(Truncated):
-            greedy_sequence_cover(adj, rec, [-1] * len(adj))
+            greedy_sequence_cover(table, x, [None] * n, [0] * n, cap)
         with pytest.raises(Truncated):
             greedy_cover_by_bfs(succ, want)
         return rec, None
-    s = greedy_sequence_cover(adj, rec, [-1] * len(adj))
-    assert s == greedy_cover_by_bfs(succ, want)
+    T, s = greedy_sequence_cover(table, x, [None] * n, [0] * n, cap)
+    assert (T, s) == (want.T, greedy_cover_by_bfs(succ, want))
     return rec, s
 
 
@@ -427,10 +431,13 @@ def test_orbit_and_cover_match_bfs_oracles():
 
 def test_covers_share_one_mark_list():
     # every start of one adjacency, in a drawn order with repeats, covered on
-    # one mark list: a cover must read none of what earlier covers left in
-    # its orbit's entries, and write no entry outside its orbit
+    # one row-list cache and one mark list: a cover must read none of what
+    # earlier covers left in its orbit's entries, write no entry outside its
+    # orbit, list each row once, and leave no entry marked uncovered (-1), a
+    # truncated cover included.  Forward DAGs end in rows whose successors
+    # are all the row itself: starts of T = 1 inside later starts' orbits.
     sentinel = -2
-    walks = []
+    walks, sizes = [], []
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -439,22 +446,37 @@ def test_covers_share_one_mark_list():
         forward = data.draw(st.booleans())  # DAGs need several walks, as above
         adj = [data.draw(st.lists(st.integers(v if forward else 0, n - 1), min_size=k,
                                   max_size=k)) for v in range(n)]
-        succ = adj.__getitem__
+        succ, table = adj.__getitem__, np.array(adj)
         extra = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
         order = data.draw(st.permutations(list(range(n)) + extra))
-        mark = [sentinel] * n
+        rows, mark, listed = [None] * n, [sentinel] * n, set()
         for x in order:
-            rec = orbit(succ, x)
-            outside = [v for v in range(n) if v not in rec.levels]
+            cap = data.draw(st.sampled_from([orbits.DEFAULT_ORBIT_CAP, n, max(1, n - 1)]))
+            want = bfs_orbit(succ, x, orbits.DEFAULT_ORBIT_CAP)
+            outside = [v for v in range(n) if v not in want.levels]
             for v in outside:
                 mark[v] = sentinel
-            s = greedy_sequence_cover(adj, rec, mark)
-            assert s == greedy_cover_by_bfs(succ, bfs_orbit(succ, x, orbits.DEFAULT_ORBIT_CAP))
+            kept = {v: row for v, row in enumerate(rows) if row is not None}
+            if want.T > cap:
+                with pytest.raises(Truncated):
+                    greedy_sequence_cover(table, x, rows, mark, cap)
+                sizes.append(None)
+            else:
+                T, s = greedy_sequence_cover(table, x, rows, mark, cap)
+                assert (T, s) == (want.T, greedy_cover_by_bfs(succ, want))
+                walks.append(s)
+                sizes.append(T)
+                listed |= set(want.levels)
             assert all(mark[v] == sentinel for v in outside)
-            walks.append(s)
+            assert -1 not in mark
+            assert {v for v in range(n) if rows[v] is not None} >= listed
+            assert all(rows[v] is row for v, row in kept.items())  # none listed again
+            assert all(rows[v] in (None, adj[v]) for v in range(n))
 
     check()
     assert max(walks) >= 3
+    # single-row orbits and truncated covers both occurred
+    assert {1, None} <= set(sizes)
 
 
 def test_orbit_and_cover_small_graphs():

@@ -116,6 +116,10 @@ def test_config_validation():
         _cfg(experiment="thm44i", generators=["X^2 + 1"], s=0)
     with pytest.raises(ConfigError):
         _cfg(experiment="thm44i", generators=["X^2 + 1"], loglog_floor=0.0)
+    # C scales thm44ii's bound: C <= 0 would divide by zero or flag every prime
+    for bad_c in (0.0, -1.0, math.nan):
+        with pytest.raises(ConfigError, match="^C "):
+            _cfg(experiment="thm44ii", generators=["X^2 + 1"], C=bad_c)
     for bad_n in (0, -1):
         for exp in ("thm44i", "thm44ii", "cor45"):
             with pytest.raises(ConfigError):
@@ -744,11 +748,11 @@ def test_collision_diagnostic_checks_the_walk():
     ctx = make_prime_field(7)
     F = GeneratorSet([parse_poly("X^2")])
     cfg = _cfg(experiment="thm46", generators=["X^2"], primes=[7], diagnostics=True)
-    succ = evaluated_successors(F, ctx)
-    assert verify._collision_diagnostic(cfg, F, ctx, succ, 3, 3, 6) == (3, 1, 6, 0)
-    # a source that makes 3 a fixed point, where X^2 sends 3 to 2
+    table = build_graph(F, ctx).table
+    assert verify._collision_diagnostic(cfg, F, ctx, table, 3, 3, 6) == (3, 1, 6, 0)
+    # a table that makes 3 a fixed point, where X^2 sends 3 to 2
     with pytest.raises(AssertionError):
-        verify._collision_diagnostic(cfg, F, ctx, lambda v: (v,), 3, 3, 6)
+        verify._collision_diagnostic(cfg, F, ctx, np.arange(7)[:, None], 3, 3, 6)
 
 
 def test_thm46_diagnostic_on_f3_6():
