@@ -262,8 +262,8 @@ def find_witness_words(
 
     The search does not require the counting lemma's hypothesis; it records
     whether #(ball in A) >= max{3 B(k,h), (3l/h) #ball} held.  When it held
-    and a positive constant c is supplied, the lemma's lower bound with that
-    c is asserted.
+    and a positive constant c (a config's ``c1``) is supplied, a count below
+    the lemma's lower bound with that c raises HypothesisViolated.
     """
     if h < 1 or l < 1:
         raise OutOfRange("need h >= 1 and l >= 1")
@@ -302,8 +302,9 @@ def find_witness_words(
         if counts[j, i] > best:
             best, best_combo = int(counts[j, i]), (*pre[j].tolist(), i)
     target = (h / B ** (l + 1)) * ball
-    if hypothesis_met and c > 0:
-        assert best >= c * target, "witness count fell below c * target"
+    if hypothesis_met and c > 0 and best < c * target:
+        raise HypothesisViolated("witness count %d fell below c1 * target (c1 = %r, target = %r)"
+                                 % (best, c, target))
     return WitnessSearchResult(
         words=tuple(words[i] for i in best_combo),
         count=best,

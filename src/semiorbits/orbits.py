@@ -18,7 +18,6 @@ for a whole field, or ``reach_table`` over the starts' reach.
 from __future__ import annotations
 
 import copy
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -190,14 +189,9 @@ def letter_index(letter: int, k: int) -> int:
 
 
 def evaluated_successors(F: GeneratorSet, ctx: FieldContext) -> Successors:
-    """Successor source that evaluates the reduced generators, once per point."""
+    """Successor source that evaluates the reduced generators at each call."""
     red = F.reduced(ctx)
-
-    @functools.cache
-    def succ(i: int) -> Tuple[int, ...]:
-        return tuple(g.eval_index(i) for g in red)
-
-    return succ
+    return lambda i: tuple(g.eval_index(i) for g in red)
 
 
 def reach_table(F: GeneratorSet, ctx: FieldContext, starts: Sequence[int],
@@ -387,50 +381,53 @@ def _level_words(table: np.ndarray, rows: np.ndarray, bits: np.ndarray, N: int) 
     return seen
 
 
-def greedy_sequence_cover(table: np.ndarray, r: int, adj: List[Optional[List[int]]],
-                          mark: List[int], cap: int = DEFAULT_ORBIT_CAP) -> Tuple[int, int]:
-    """(T, s): the size T of the orbit of table row r, and an upper bound s
-    on the minimal number of single-sequence orbits covering it.
+def greedy_sequence_cover(table: np.ndarray, rows: Sequence[int],
+                          cap: int = DEFAULT_ORBIT_CAP) -> List[Tuple[int, int]]:
+    """Per start row, in order, (T, s): the size T of its orbit, and an upper
+    bound s on the minimal number of single-sequence orbits covering it.
 
-    One FIFO pass from r lists each row it reaches into ``adj`` (once per
-    table), marks it -1 (uncovered) and counts T; past ``cap`` rows it raises
-    Truncated.  Greedy cover: walk from the start, repeatedly steering (by
+    One FIFO pass from each start lists the successors of each row it reaches
+    (a row once per call, so a small orbit in a 2^20-row table lists only its
+    own rows), marks it -1 (uncovered) and counts T; past ``cap`` rows it
+    raises Truncated, which ends the call.  Greedy cover: walk from the start, repeatedly steering (by
     BFS) to the nearest vertex not yet covered, and start a new walk from the
     start when none is reachable.  Every walk is a genuine sequence orbit, so
     the count is a valid cover size and hence an upper bound on the minimum.
 
-    Every cover on the table shares ``adj`` and ``mark``, and writes only its
-    own orbit's entries.  Each search stamps the covered vertices it reaches
-    with its step number, so one read tells an uncovered vertex from one this
-    search has seen.  No cover leaves an entry -1, so the next pass reads -1
-    as reached.
+    The starts share the row lists and one mark list.  Each search stamps the
+    covered vertices it reaches with its step number, so one read tells an
+    uncovered vertex from one this search has seen.  No cover leaves an entry
+    -1, so the next start's pass reads -1 as reached.
     """
-    mark[r] = -1
-    queue = [r]
-    for v in queue:  # also visits the rows appended below
-        row = adj[v]
-        if row is None:
-            row = adj[v] = table[v].tolist()
-        for w in row:
-            if mark[w] != -1:
-                if len(queue) >= cap:
-                    for u in queue:
-                        mark[u] = 0
-                    raise Truncated("orbit hit its cap; cover count would not be exact")
-                mark[w] = -1
-                queue.append(w)
-    mark[r] = 0  # covered by the first walk, which no search stamps when T = 1
-    left, walks, step, cur = len(queue) - 1, 1, 0, r
-    while left:
-        # every vertex the search passes before the uncovered one it returns
-        # is covered, so the walk to it covers just that one
-        step += 1
-        cur = _nearest_uncovered(adj, mark, cur, step)
-        if cur is None:
-            walks, cur = walks + 1, r
-        else:
-            left -= 1
-    return len(queue), walks
+    adj: List[Optional[List[int]]] = [None] * len(table)
+    mark = [0] * len(table)
+    out = []
+    for r in rows:
+        mark[r] = -1
+        queue = [r]
+        for v in queue:  # also visits the rows appended below
+            row = adj[v]
+            if row is None:
+                row = adj[v] = table[v].tolist()
+            for w in row:
+                if mark[w] != -1:
+                    if len(queue) >= cap:
+                        raise Truncated("orbit hit its cap; cover count would not be exact")
+                    mark[w] = -1
+                    queue.append(w)
+        mark[r] = 0  # covered by the first walk, which no search stamps when T = 1
+        left, walks, step, cur = len(queue) - 1, 1, 0, r
+        while left:
+            # every vertex the search passes before the uncovered one it
+            # returns is covered, so the walk to it covers just that one
+            step += 1
+            cur = _nearest_uncovered(adj, mark, cur, step)
+            if cur is None:
+                walks, cur = walks + 1, r
+            else:
+                left -= 1
+        out.append((len(queue), walks))
+    return out
 
 
 def _nearest_uncovered(adj, mark, cur: int, step: int) -> Optional[int]:

@@ -146,6 +146,10 @@ class ExperimentConfig:
                 "unknown experiment %r; valid: %s"
                 % (self.experiment, ", ".join(sorted(EXPERIMENTS)))
             )
+        for name in ("C", "c", "c1", "t_exponent", "loglog_floor"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):  # JSON and flags read NaN, inf
+                raise ConfigError("%s must be finite, got %r" % (name, value))
         self.generators = tuple(self.generators)
         if self.primes is not None:
             self.primes = tuple(self.primes)
@@ -159,7 +163,7 @@ class ExperimentConfig:
         least_n = 1 if self.experiment in ("thm44i", "thm44ii", "cor45") else 0
         if self.N is not None and self.N < least_n:
             raise ConfigError("N must be >= %d for %s" % (least_n, self.experiment))
-        for name, exp in (("C", "thm44ii"), ("c", "thm46")):  # factors of a bound; NaN too
+        for name, exp in (("C", "thm44ii"), ("c", "thm46")):  # factors of a bound
             if self.experiment == exp and not getattr(self, name) > 0:
                 raise ConfigError("%s must be > 0 for %s" % (name, exp))
         if self.t_exponent is not None and not 0 < self.t_exponent < 0.5:
@@ -635,12 +639,9 @@ def run_thm46(cfg: ExperimentConfig) -> ExperimentReport:
         for group in [[w] for w in nonzero] if per_start else [nonzero]:
             table, _, start_rows = _tables(F, ctx, group,
                                            cap=cfg.orbit_cap if per_start else MAX_GRAPH_SIZE)
-            # the covers of the table's starts share its rows' successor
-            # lists, each listed when a cover first reaches it (never all
-            # 2^20 rows), and one mark list, which no cover leaves at -1
-            adj, mark = [None] * len(table), [0] * len(table)
-            for w, r, tau in zip(group, start_rows, mul_orders(ctx, group).tolist()):
-                T, s_cover = greedy_sequence_cover(table, r, adj, mark, cfg.orbit_cap)
+            covers = greedy_sequence_cover(table, start_rows, cfg.orbit_cap)
+            taus = mul_orders(ctx, group).tolist()
+            for w, r, tau, (T, s_cover) in zip(group, start_rows, taus, covers):
                 lhs = theorem46_lhs(F.d, T, tau, s_cover)
                 rhs = s_cover * math.log(cfg.c * math.log(p))
                 flag = 1 if lhs < rhs else 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -522,6 +523,30 @@ def test_verify_special_precondition_exit_3(tmp_path, capsys):
     assert code == 0, err
 
 
+def test_verify_unmet_c1_exit_3(tmp_path, capsys):
+    # the witness search checks L_N >= c1 * target where the lemma's
+    # hypothesis holds; a c1 this instance does not meet stops the run
+    out = tmp_path / "x.csv"
+    code, _, err = _run(capsys, "verify", "thm61", "--generators", "X^2 + 1, X^3 + 2",
+                        "--primes", "101", "--t", "100", "--N", "6", "--h", "3", "--l", "1",
+                        "--c1", "1e308", "--out", str(out))
+    assert code == 3, err
+    assert "c1" in err and "witness count" in err and "target" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_thm46_truncated_inside_one_cover_call_exit_3(tmp_path, capsys):
+    # one cover call serves both starts of the table: start 1 (T = 1) is
+    # covered, then start 3's orbit (T = 60) passes the cap of 2
+    out = tmp_path / "x.csv"
+    code, _, err = _run(capsys, "verify", "thm46", "--generators", "X^2, X^3",
+                        "--primes", "101", "--starts", "1,3", "--orbit-cap", "2",
+                        "--out", str(out))
+    assert code == 3, err
+    assert "cap" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_bad_config_json(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{oops")
@@ -567,10 +592,25 @@ def test_verify_unknown_config_field_exit(tmp_path, capsys):
         (thm61 + ["--h", "3", "--l", "1", "--N", "-1"], "N"),
         (thm44ii + ['{"kind": "periodic", "period": [1]}', "--C", "0"], "C"),
         (["thm46", "--primes", "11", "--orbit-cap", "0"], "orbit_cap"),
+        # the flags parse inf and nan, which would reach the report body
+        (thm44ii + ['{"kind": "periodic", "period": [1]}', "--C", "inf"], "C"),
+        (["thm46", "--primes", "11", "--c", "inf"], "c"),
+        (thm61 + ["--h", "3", "--l", "1", "--c1", "nan"], "c1"),
+        (thm61 + ["--h", "3", "--l", "1", "--c1", "inf"], "c1"),
+        (["cor45", "--primes", "11", "--N", "3", "--t-exponent", "nan"], "t_exponent"),
     ):
         code, _, err = _run(capsys, "verify", *argv, *base)
         assert code == 4, err
         assert "'%s'" % name in err or err.startswith(name + " "), err
+    # and a JSON config reads NaN and Infinity, for loglog_floor too (no flag)
+    cfg = tmp_path / "cfg.json"
+    for bad in (math.nan, math.inf):
+        cfg.write_text(json.dumps(dict(experiment="cor45", generators=["X^2 + 1"], primes=[2, 3],
+                                       t=1, N=2, loglog_floor=bad)))
+        code, _, err = _run(capsys, "verify", "cor45", str(cfg), "--out", str(tmp_path / "x.csv"))
+        assert code == 4, err
+        assert err.startswith("loglog_floor must be finite"), err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def _check_console_script(exe, env=None):

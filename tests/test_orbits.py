@@ -102,8 +102,8 @@ def _orbit(F, x, **cap):
 def _cover(F, x, **cap):
     """The greedy cover count of x's orbit on the whole field's table, whose
     T must be the orbit's."""
-    table, q = build_graph(F, x.ctx).table, x.ctx.q
-    T, s = greedy_sequence_cover(table, x.index, [None] * q, [0] * q, **cap)
+    table = build_graph(F, x.ctx).table
+    T, s = greedy_sequence_cover(table, [x.index], **cap)[0]
     assert T == _orbit(F, x)[1].T
     return s
 
@@ -395,14 +395,14 @@ def _against_bfs_oracles(adj, x, cap=orbits.DEFAULT_ORBIT_CAP):
     rec, want = orbit(succ, x, cap), bfs_orbit(succ, x, cap)
     assert list(rec.levels.items()) == list(want.levels.items())
     assert (rec.start, rec.truncated) == (want.start, want.truncated)
-    table, n = np.array(adj), len(adj)
+    table = np.array(adj)
     if rec.truncated:
         with pytest.raises(Truncated):
-            greedy_sequence_cover(table, x, [None] * n, [0] * n, cap)
+            greedy_sequence_cover(table, [x], cap)
         with pytest.raises(Truncated):
             greedy_cover_by_bfs(succ, want)
         return rec, None
-    T, s = greedy_sequence_cover(table, x, [None] * n, [0] * n, cap)
+    T, s = greedy_sequence_cover(table, [x], cap)[0]
     assert (T, s) == (want.T, greedy_cover_by_bfs(succ, want))
     return rec, s
 
@@ -429,14 +429,13 @@ def test_orbit_and_cover_match_bfs_oracles():
     assert {None, 1, 2} <= set(covers) and max(c for c in covers if c) >= 3
 
 
-def test_covers_share_one_mark_list():
-    # every start of one adjacency, in a drawn order with repeats, covered on
-    # one row-list cache and one mark list: a cover must read none of what
-    # earlier covers left in its orbit's entries, write no entry outside its
-    # orbit, list each row once, and leave no entry marked uncovered (-1), a
-    # truncated cover included.  Forward DAGs end in rows whose successors
-    # are all the row itself: starts of T = 1 inside later starts' orbits.
-    sentinel = -2
+def test_one_call_covers_every_start():
+    # every start of one adjacency, in a drawn order with repeats, covered by
+    # one call, whose starts share its row lists and marks: it must return
+    # each start's (T, s) from the per-start oracles, or raise Truncated
+    # exactly when some start's orbit passes the cap.  Forward DAGs end in
+    # rows whose successors are all the row itself: starts of T = 1 inside
+    # later starts' orbits.
     walks, sizes = [], []
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -449,33 +448,23 @@ def test_covers_share_one_mark_list():
         succ, table = adj.__getitem__, np.array(adj)
         extra = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
         order = data.draw(st.permutations(list(range(n)) + extra))
-        rows, mark, listed = [None] * n, [sentinel] * n, set()
-        for x in order:
-            cap = data.draw(st.sampled_from([orbits.DEFAULT_ORBIT_CAP, n, max(1, n - 1)]))
-            want = bfs_orbit(succ, x, orbits.DEFAULT_ORBIT_CAP)
-            outside = [v for v in range(n) if v not in want.levels]
-            for v in outside:
-                mark[v] = sentinel
-            kept = {v: row for v, row in enumerate(rows) if row is not None}
-            if want.T > cap:
-                with pytest.raises(Truncated):
-                    greedy_sequence_cover(table, x, rows, mark, cap)
-                sizes.append(None)
-            else:
-                T, s = greedy_sequence_cover(table, x, rows, mark, cap)
-                assert (T, s) == (want.T, greedy_cover_by_bfs(succ, want))
-                walks.append(s)
-                sizes.append(T)
-                listed |= set(want.levels)
-            assert all(mark[v] == sentinel for v in outside)
-            assert -1 not in mark
-            assert {v for v in range(n) if rows[v] is not None} >= listed
-            assert all(rows[v] is row for v, row in kept.items())  # none listed again
-            assert all(rows[v] in (None, adj[v]) for v in range(n))
+        # n - 1 first, the draw Hypothesis favours: it truncates a call where
+        # any start reaches every row
+        cap = data.draw(st.sampled_from([max(1, n - 1), n, orbits.DEFAULT_ORBIT_CAP]))
+        wants = [bfs_orbit(succ, x, orbits.DEFAULT_ORBIT_CAP) for x in order]
+        if max(want.T for want in wants) > cap:
+            with pytest.raises(Truncated):
+                greedy_sequence_cover(table, order, cap)
+            sizes.append(None)
+            return
+        got = greedy_sequence_cover(table, order, cap)
+        assert got == [(want.T, greedy_cover_by_bfs(succ, want)) for want in wants]
+        walks.extend(s for _, s in got)
+        sizes.extend(T for T, _ in got)
 
     check()
     assert max(walks) >= 3
-    # single-row orbits and truncated covers both occurred
+    # single-row orbits and truncated calls both occurred
     assert {1, None} <= set(sizes)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -120,6 +121,13 @@ def test_config_validation():
     for bad_c in (0.0, -1.0, math.nan):
         with pytest.raises(ConfigError, match="^C "):
             _cfg(experiment="thm44ii", generators=["X^2 + 1"], C=bad_c)
+    # JSON reads NaN and Infinity, and the flags nan and inf: every float field
+    # refuses them by name, which would write them into the report body
+    for key, exp in (("C", "thm44ii"), ("c", "thm46"), ("c1", "thm61"),
+                     ("t_exponent", "thm44i"), ("loglog_floor", "cor45")):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="^%s must be finite" % key):
+                _cfg(experiment=exp, generators=["X^2 + 1"], **{key: bad})
     for bad_n in (0, -1):
         for exp in ("thm44i", "thm44ii", "cor45"):
             with pytest.raises(ConfigError):
@@ -1605,8 +1613,9 @@ def test_runner_rows_match_exhaustive_oracles(case):
     assert [_by_col(rep, row, "w") for row in rep.rows] == nonzero
     assert rep.summary["zeros_skipped"] == len(starts) - len(nonzero)
     # the covers of one table share its rows and mark list, so a cover that
-    # read another start's marks would differ from the per-start oracle
-    succ = evaluated_successors(F, ctx)
+    # read another start's marks would differ from the per-start oracle; the
+    # oracles read rows more than once, so each row is evaluated once
+    succ = functools.cache(evaluated_successors(F, ctx))
     for w, row in zip(nonzero, rep.rows):
         assert _by_col(rep, row, "T") == len(closure_orbit(F, ctx.from_index(w)))
         want = greedy_cover_by_bfs(succ, bfs_orbit(succ, w, DEFAULT_ORBIT_CAP))
