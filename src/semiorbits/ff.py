@@ -175,10 +175,11 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def _divisors(fact: Factorization) -> List[int]:
+def _divisors(fact: Factorization, bound: int) -> List[int]:
+    """The divisors of fact.value that are at most ``bound``, ascending."""
     divs = [1]
     for p, e in fact.pairs:
-        divs = [d * p**i for d in divs for i in range(e + 1)]
+        divs = [d * p**i for d in divs for i in range(e + 1) if d * p**i <= bound]
     return sorted(divs)
 
 
@@ -706,9 +707,7 @@ def small_order_set(ctx: FieldContext, t: int) -> Set[FieldElement]:
     g = ctx.multiplicative_generator()
     n = ctx.q - 1
     out = {ctx.one()}
-    for l in _divisors(ctx.group_order_factorization()):
-        if l > t:
-            break
+    for l in _divisors(ctx.group_order_factorization(), t):
         if l == 1:
             continue
         h = g ** (n // l)

@@ -264,17 +264,21 @@ def orbit(succ: Successors, x: int, cap: int = DEFAULT_ORBIT_CAP) -> OrbitRecord
 
 def m_count(F: GeneratorSet, stream: WordStream, x: FieldElement, t: int, N: int) -> int:
     """#{n in [0, N-1] : the n-th iterate along the stream is nonzero and
-    has multiplicative order <= t}.  Zero iterates are skipped."""
+    has multiplicative order <= t}.  Every order <= t divides L, the largest
+    divisor of q - 1 whose prime powers are all <= t, so only an iterate v
+    with v^L = 1 (never 0) is passed to ``mul_order``."""
     if N < 1:
         raise OutOfRange("m_count requires N >= 1")
     if t < 1:
         raise OutOfRange("m_count requires t >= 1")
+    L = math.prod(l ** max(e for e in range(a + 1) if l**e <= t)
+                  for l, a in x.ctx.group_order_factorization().pairs)
     red = F.reduced(x.ctx)
     v, count = x, 0
     for n in range(N):
         if n > 0:
             v = red[letter_index(stream.letter(n), F.k)].eval(v)
-        count += not v.is_zero and mul_order(v) <= t
+        count += (v**L).is_one and mul_order(v) <= t
     return count
 
 

@@ -29,6 +29,7 @@ import numpy as np
 from .combinatorics import FunctionalGraph, b_tree_size, build_graph, find_witness_words
 from .errors import ConfigError, EmptyReport, SpecialGenerator, TooLarge
 from .ff import (
+    EVAL_BLOCK,
     FieldContext,
     _divisors,
     euler_phi,
@@ -409,7 +410,7 @@ def _qual(ctx: FieldContext, t: int, points: np.ndarray) -> np.ndarray:
     With at least q points a q-entry mask is indexed by them; q may reach 2^48,
     so fewer points are matched with ``np.isin``."""
     points = np.asarray(points, dtype=np.int64)
-    listed = sum(l for l in _divisors(ctx.group_order_factorization()) if l <= t)
+    listed = sum(_divisors(ctx.group_order_factorization(), t))
     if listed <= points.size * ctx.q.bit_length():
         members = [u.index for u in small_order_set(ctx, t)]
     else:
@@ -558,16 +559,10 @@ def _walk_points(F: GeneratorSet, t: int, letters, run) -> List[tuple]:
 
 def _walk_tables(F: GeneratorSet, t: int, letters, run) -> List[tuple]:
     """_walk_points on whole prime fields with at most MAX_GRAPH_SIZE points
-    in all, walked as one graph: the disjoint union of their tables and Γ(t)
-    masks, each field's rows after those of the fields before it, and one
-    gather per letter for every start of every field."""
+    in all, walked as one graph: ``_run_tables``, and one gather per letter
+    for every start of every field."""
+    cols, mask = _run_tables(F, t, [ctx for _, ctx, _ in run])
     at = np.cumsum([0] + [ctx.q for _, ctx, _ in run])
-    cols = np.empty((F.k, at[-1]), dtype=np.int64)  # one successor column per letter
-    mask = np.empty(at[-1], dtype=bool)
-    for (_, ctx, ws), lo, hi in zip(run, at, at[1:]):
-        table, points, _ = _tables(F, ctx, ws)  # a whole field: a row per point
-        np.add(table.T, lo, out=cols[:, lo:hi])
-        mask[lo:hi] = _qual(ctx, t, points)
     pos = np.concatenate([np.add(ws, lo) for (_, _, ws), lo in zip(run, at)])
     counts = mask.take(pos).astype(np.int64)
     for a in letters:
@@ -575,6 +570,67 @@ def _walk_tables(F: GeneratorSet, t: int, letters, run) -> List[tuple]:
         counts += mask.take(pos)
     ends = np.cumsum([len(ws) for _, _, ws in run])
     return [_maxima(c, ws) for (_, _, ws), c in zip(run, np.split(counts, ends[:-1]))]
+
+
+def _run_tables(F: GeneratorSet, t: int, ctxs: Sequence[FieldContext]):
+    """Successor columns (one per generator) and Γ(t) mask of the disjoint
+    union of the prime fields ``ctxs``, each field's rows after those of the
+    fields before it, row x of a field standing for x.  Built in blocks of at
+    most EVAL_BLOCK rows, each row's prime its modulus; every prime is below
+    2^20, so int64 products stay below 2^40.  Column j is Horner on each
+    field's reduced generator j, padded with leading zeros to the longest,
+    plus the field's first row.  A nonzero x is in Γ(t) iff x^d = 1 for one
+    of the maximal divisors d <= t of p - 1 (every order <= t divides one),
+    and 0^d = 0, so each block powers its rows grouped by d."""
+    red = [F.reduced(ctx) for ctx in ctxs]  # raises at the first field whose degree drops
+    coeffs = []  # per generator, a (width, fields) array, highest degree first
+    for j in range(F.k):
+        width = max(len(r[j].coeffs) for r in red)
+        coeffs.append(np.array([(0,) * (width - len(r[j].coeffs)) + r[j].coeffs[::-1]
+                                for r in red], dtype=np.int64).T)
+    tops = [_maximal_divisors(ctx, t) for ctx in ctxs]
+    fields_of = {}  # d -> which fields have it among their maximal divisors
+    for g, top in enumerate(tops):
+        for d in top:
+            fields_of.setdefault(d, np.zeros(len(ctxs), dtype=bool))[g] = True
+    primes = np.array([ctx.p for ctx in ctxs], dtype=np.int64)
+    at = np.concatenate([[0], np.cumsum(primes)])
+    cols = np.empty((F.k, at[-1]), dtype=np.int64)
+    mask = np.zeros(at[-1], dtype=bool)
+    for lo in range(0, at[-1], EVAL_BLOCK):
+        hi = min(lo + EVAL_BLOCK, at[-1])
+        rows = np.arange(lo, hi)
+        f = np.searchsorted(at, rows, side="right") - 1  # each row's field
+        first, mod = at[f], primes[f]
+        x = rows - first
+        for j, c in enumerate(coeffs):
+            acc = c[0][f]
+            for cj in c[1:]:
+                acc *= x
+                acc += cj[f]
+                acc %= mod
+            np.add(acc, first, out=cols[j, lo:hi])
+        for d in {d for g in range(f[0], f[-1] + 1) for d in tops[g]}:
+            sel = np.flatnonzero(fields_of[d][f])
+            xs, ms = x[sel], mod[sel]
+            acc = xs.copy()
+            for bit in bin(d)[3:]:  # left to right, after the top bit
+                acc *= acc
+                acc %= ms
+                if bit == "1":
+                    acc *= xs
+                    acc %= ms
+            mask[lo + sel] |= acc == 1
+    return cols, mask
+
+
+def _maximal_divisors(ctx: FieldContext, t: int) -> List[int]:
+    """The divisors d <= t of q - 1 that divide no other such divisor."""
+    top: List[int] = []
+    for d in reversed(_divisors(ctx.group_order_factorization(), t)):
+        if all(m % d for m in top):
+            top.append(d)
+    return top
 
 
 def run_cor45(cfg: ExperimentConfig) -> ExperimentReport:

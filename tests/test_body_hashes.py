@@ -71,6 +71,13 @@ CASES = {
     "thm44ii-t-exponent": dict(experiment="thm44ii", generators=TWO, prime_min=50,
                                prime_max=120, sample=4, seed=1, t_exponent=0.3, N=8, C=0.5,
                                stream=RANDOM),
+    # every start and t = 10^12: Γ(t) is every nonzero point
+    "thm44ii-huge-t": dict(experiment="thm44ii", generators=TWO, prime_max=60, t=10**12, N=12,
+                           stream={"kind": "random", "k": 2, "seed": 4}),
+    # 7X^3 + X^2 + 2 is X^2 + 2 mod 7, in the middle of a table run
+    "thm44ii-degree-drop": dict(experiment="thm44ii", generators=["7X^3 + X^2 + 2", "X^2 + 1"],
+                                prime_max=40, t=3, N=10,
+                                stream={"kind": "periodic", "period": [1, 2, 2]}),
     # cor45: level sets of the N-ball
     "cor45-whole": dict(experiment="cor45", generators=TWO, primes=[31, 37], starts=[0, 1, 2],
                         t=3, N=4),

@@ -523,6 +523,19 @@ def test_verify_special_precondition_exit_3(tmp_path, capsys):
     assert code == 0, err
 
 
+def test_verify_thm44ii_degree_drop_in_a_table_run_exit_3(tmp_path, capsys):
+    # every field up to 30 walks in one table run; 5X^2 + 1 is 1 mod 5, and
+    # the run's build stops at that field before any walk or write
+    out = tmp_path / "x.csv"
+    code, _, err = _run(capsys, "verify", "thm44ii", "--generators", "5X^2 + 1, X^3 + 2",
+                        "--prime-max", "30", "--t", "2", "--N", "5",
+                        "--stream", '{"kind": "periodic", "period": [1, 2]}',
+                        "--out", str(out))
+    assert code == 3, err
+    assert "degenerate generator: degree < 2 after reduction mod 5" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_unmet_c1_exit_3(tmp_path, capsys):
     # the witness search checks L_N >= c1 * target where the lemma's
     # hypothesis holds; a c1 this instance does not meet stops the run

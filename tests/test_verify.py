@@ -443,16 +443,19 @@ def test_thm44ii_prime_fields_walk_all_starts_at_once(monkeypatch):
     rep = run_experiment(cfg)
     assert len(rep.rows) == 17
     assert len(calls) == (N - 1) * len(rep.rows)
-    # 50 sampled starts * 40 steps cover the 1009 rows of F_1009: one table ...
-    graphs = []
-    real_graph = verify.build_graph
+    # 50 sampled starts * 40 steps cover the 1009 rows of F_1009: one table,
+    # which the run builds itself, with neither build_graph nor a Γ(t) listing ...
+    graphs, listed = [], []
+    real_graph, real_listing = verify.build_graph, verify.small_order_set
     monkeypatch.setattr(verify, "build_graph", lambda *a: graphs.append(a) or real_graph(*a))
+    monkeypatch.setattr(verify, "small_order_set",
+                        lambda *a: listed.append(a) or real_listing(*a))
     stream = {"kind": "random", "k": 2, "seed": 3}
     small = dict(experiment="thm44ii", generators=["X^2 + 1", "X^3 + 2"], primes=[1009],
                  prime_max=1009, sample=50, t=4, N=40, stream=stream)
     calls.clear()
     rep = run_experiment(_cfg(**small))
-    assert (len(graphs), len(calls)) == (1, 39)
+    assert (len(graphs), len(listed), len(calls)) == (0, 0, 39)
     _per_start_thm44ii(_cfg(**small), rep)
     # ... but on F_65537 they take 2000 < q steps: an array walk, again with
     # no point-by-point evaluation but the certificate's
@@ -460,7 +463,7 @@ def test_thm44ii_prime_fields_walk_all_starts_at_once(monkeypatch):
     big = dict(experiment="thm44ii", generators=["X^2 + 1", "X^3 + 2"], primes=[65537],
                prime_max=65537, sample=50, N=40, stream=stream)
     run_experiment(_cfg(t=4, **big))
-    assert (len(graphs), len(calls)) == (1, 39)
+    assert (len(graphs), len(calls)) == (0, 39)
     monkeypatch.undo()
 
     def refuse(*args):
@@ -503,10 +506,14 @@ THM44II_FIELDS = [(5, 1), (7, 1), (11, 1), (13, 1), (31, 1), (2, 3), (2, 4), (3,
 def test_thm44ii_rows_match_m_count(monkeypatch):
     # a prime field walks its whole table once the starts take at least q steps
     # in all, and every other field evaluates the walked points; both give
-    # per-start m_count's maximum and its first maximizing start
-    graphs = []
-    real_graph = verify.build_graph
+    # per-start m_count's maximum and its first maximizing start; a table run
+    # builds its table and Γ(t) mask itself, with neither build_graph nor a
+    # Γ(t) listing
+    graphs, listed = [], []
+    real_graph, real_listing = verify.build_graph, verify.small_order_set
     monkeypatch.setattr(verify, "build_graph", lambda *a: graphs.append(a) or real_graph(*a))
+    monkeypatch.setattr(verify, "small_order_set",
+                        lambda *a: listed.append(a) or real_listing(*a))
     walks = set()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -527,14 +534,45 @@ def test_thm44ii_rows_match_m_count(monkeypatch):
         cfg = _cfg(experiment="thm44ii", generators=gens, primes=[p], prime_max=p, s=s,
                    starts=starts, t=data.draw(st.integers(1, q - 1)), N=N, stream=stream)
         graphs.clear()
+        listed.clear()
         rep = run_experiment(cfg)
         table_walk = bool(starts) and s == 1 and len(starts) * N >= q
-        assert len(graphs) == table_walk
+        assert graphs == [] and not (table_walk and listed)
         walks.add(table_walk)
         _per_start_thm44ii(cfg, rep)
 
     check()
     assert walks == {False, True}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_m_count_orders_only_the_points_of_mu_L(data):
+    # the certificate counts by literal powering's orders, and mul_order sees
+    # exactly the walked nonzero points with x^L = 1, L the lcm of the
+    # divisors <= t of q - 1
+    p, s = data.draw(st.sampled_from(THM44II_FIELDS))
+    ctx = make_prime_field(p) if s == 1 else make_extension_field(p, s)
+    q = ctx.q
+    gens = data.draw(st.lists(st.sampled_from(THM44II_POOL), min_size=1, max_size=2,
+                              unique=True))
+    F = GeneratorSet([parse_poly(g) for g in gens])
+    stream = stream_from_config(data.draw(st.one_of(
+        st.builds(lambda seed: {"kind": "random", "k": len(gens), "seed": seed},
+                  st.integers(0, 99)),
+        st.builds(lambda period: {"kind": "periodic", "period": period},
+                  st.lists(st.integers(1, len(gens)), min_size=1, max_size=3)))))
+    t = data.draw(st.one_of(st.integers(1, q), st.just(10**12)))
+    N = data.draw(st.integers(1, 30))
+    walked = [ctx.from_index(data.draw(st.integers(0, q - 1)))]
+    for n in range(1, N):
+        walked.append(F.reduced(ctx)[stream.letter(n) - 1].eval(walked[-1]))
+    L = math.lcm(*(d for d in range(1, q) if (q - 1) % d == 0 and d <= t))
+    ordered = []
+    with mock.patch.object(orbits, "mul_order", lambda u: ordered.append(u) or mul_order(u)):
+        count = m_count(F, stream, walked[0], t, N)
+    assert count == sum(not v.is_zero and order_by_powering(v) <= t for v in walked)
+    assert ordered == [v for v in walked if not v.is_zero and (v**L).is_one]
 
 
 @example(limit=MAX_GRAPH_SIZE, prime_min=2, prime_max=60, s=1, starts=[0, 5, 3, 5, 0],
@@ -563,18 +601,20 @@ def test_thm44ii_one_walk_over_a_grid_matches_per_field_walks(limit, prime_min, 
                                                                starts, N, t, stream):
     # the whole prime fields of a grid walk as one table of at most ``limit``
     # rows, in batches; fields on the evaluated walk and fields without starts
-    # sit between them; every row is the per-field oracle's, and each whole
-    # field's graph is still built once
+    # sit between them; every row is the per-field oracle's, and the table
+    # runs call neither build_graph nor a Γ(t) listing
     cfg = _cfg(experiment="thm44ii", generators=["X^2 + 1", "X^3 + 2"], prime_min=prime_min,
                prime_max=prime_max, s=s, starts=starts, N=N, t=t, stream=stream)
-    graphs = []
-    real_graph = verify.build_graph
+    graphs, listed = [], []
+    real_graph, real_listing = verify.build_graph, verify.small_order_set
     with mock.patch.object(verify, "MAX_GRAPH_SIZE", limit), \
-            mock.patch.object(verify, "build_graph", lambda *a: graphs.append(a) or real_graph(*a)):
+            mock.patch.object(verify, "build_graph", lambda *a: graphs.append(a) or real_graph(*a)), \
+            mock.patch.object(verify, "small_order_set",
+                              lambda ctx, t: listed.append(ctx.q) or real_listing(ctx, t)):
         rep = run_experiment(cfg)
         table = [ctx.q for _, ctx, ws in verify._grid(cfg)
                  if ws and verify._whole_field(ctx) and len(ws) * N >= ctx.q]
-        assert len(graphs) == len(table)
+        assert graphs == [] and not set(listed) & set(table)
         assert rep.rows == thm44ii_rows_by_field(cfg)
 
 
@@ -592,6 +632,48 @@ def test_thm44ii_batches_split_at_the_row_limit(monkeypatch):
     assert batches == [[2, 3, 5, 7, 11, 13, 17, 19, 23], [29, 31, 37], [41, 43], [47, 53], [59]]
     assert rep.rows == thm44ii_rows_by_field(cfg)
     _per_start_thm44ii(cfg, rep)
+
+
+PRIMES_TO_300 = [p for p in range(2, 300) if is_prime(p)]
+# negative and above-p coefficients; 7X^3 + X^2 + 2 is X^2 + 2 mod 7
+RUN_POOL = ["X^2 + 1", "-X^2 + 400*X - 7", "X^3 - 5*X + 1000", "7X^3 + X^2 + 2",
+            "-X^4 + 3X^3 - 301"]
+
+
+@functools.cache
+def _orders_by_powering(p):
+    ctx = make_prime_field(p)
+    return [None] + [order_by_powering(ctx.from_index(x)) for x in range(1, p)]
+
+
+@example(primes=[7, 5, 2], gens=["7X^3 + X^2 + 2", "X^2 + 1"], t="p-1", block=3)
+@example(primes=[3, 2, 11], gens=RUN_POOL, t=1, block=4)
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    primes=st.lists(st.sampled_from(PRIMES_TO_300), min_size=1, max_size=5, unique=True),
+    gens=st.lists(st.sampled_from(RUN_POOL), min_size=1, max_size=3, unique=True),
+    t=st.one_of(st.sampled_from([1, 2, 3, "p-2", "p-1", 10**12]), st.integers(1, 300)),
+    block=st.integers(1, 64),
+)
+def test_thm44ii_run_tables_match_per_field_graphs(primes, gens, t, block):
+    # a table run's successor columns are each field's build_graph table
+    # plus the field's first row, and its Γ(t) mask marks the nonzero points
+    # whose order by literal powering is <= t; the blocks are small, so block
+    # boundaries fall inside fields
+    if isinstance(t, str):
+        t = max(1, primes[0] - int(t[2:]))
+    F = GeneratorSet([parse_poly(g) for g in gens])
+    ctxs = [make_prime_field(p) for p in primes]
+    with mock.patch.object(verify, "EVAL_BLOCK", block):
+        cols, mask = verify._run_tables(F, t, ctxs)
+    lo = 0
+    for ctx in ctxs:
+        hi = lo + ctx.q
+        assert np.array_equal(cols[:, lo:hi], build_graph(F, ctx).table.T + lo)
+        orders = _orders_by_powering(ctx.p)
+        assert mask[lo:hi].tolist() == [x > 0 and orders[x] <= t for x in range(ctx.q)]
+        lo = hi
+    assert cols.shape == (F.k, lo) and mask.shape == (lo,)
 
 
 # -- cor45 -------------------------------------------------------------------
