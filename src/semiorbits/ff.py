@@ -44,6 +44,7 @@ def _sieve(limit: int) -> Tuple[int, ...]:
 
 
 _SMALL_PRIMES = _sieve(10000)
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 
 # Proven deterministic Miller-Rabin base sets.
 _MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -75,9 +76,10 @@ def _miller_rabin(n: int, bases: Iterable[int]) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (proven base sets up to ~2^81)."""
-    if n < 2:
-        return False
+    """Deterministic primality test: the sieve up to 10^4, then proven
+    Miller-Rabin base sets up to ~2^81."""
+    if n <= _SMALL_PRIMES[-1]:
+        return n in _SMALL_PRIME_SET
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
@@ -175,12 +177,38 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def _divisors(fact: Factorization, bound: int) -> List[int]:
-    """The divisors of fact.value that are at most ``bound``, ascending."""
+def _maximal_divisors(fact: Factorization, bound: int) -> List[int]:
+    """The divisors d <= bound of fact.value that divide no other such divisor,
+    ascending: d * p > bound or d * p does not divide the value, for every
+    prime p.  Every divisor <= bound divides one of them."""
     divs = [1]
     for p, e in fact.pairs:
         divs = [d * p**i for d in divs for i in range(e + 1) if d * p**i <= bound]
-    return sorted(divs)
+    n = fact.value
+    return sorted(d for d in divs if all(d * p > bound or n % (d * p) for p in fact.primes()))
+
+
+def _power(mul, a, e: int):
+    """a^e for e >= 1 under the product ``mul``: binary powering, left to
+    right, squaring per bit after the top one and multiplying by a per set bit."""
+    result = a
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, a)
+    return result
+
+
+def _order(ctx: FieldContext, power, a, one) -> int:
+    """Multiplicative order of the nonzero a, with x^e = ``power(x, e)``: per
+    l^e exactly dividing q - 1, l is stripped from a^((q-1)/l^e) until ``one``."""
+    n, order = ctx.q - 1, 1
+    for ell, e in ctx.group_order_factorization().pairs:
+        x = power(a, n // ell**e)
+        while x != one:
+            x = power(x, ell)
+            order *= ell
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +393,7 @@ class FieldContext:
     def _pow(self, a, e: int):
         if self.s == 1:
             return (pow(a[0], e, self.p),)
-        result = a if e else self.element(1).coeffs
-        for bit in bin(e)[3:]:  # left to right, after the top bit
-            result = self._mul(result, result)
-            if bit == "1":
-                result = self._mul(result, a)
-        return result
+        return _power(self._mul, a, e) if e else self.element(1).coeffs
 
     def _inv(self, a):
         if not any(a):
@@ -630,27 +653,14 @@ def mul_order(u: FieldElement) -> int:
     ctx = u.ctx
     if ctx.s == 1:
         return _prime_order(ctx, u.coeffs[0])
-    n = ctx.q - 1
-    order = 1
-    one = ctx.one().coeffs
-    for p, e in ctx.group_order_factorization().pairs:
-        x = ctx._pow(u.coeffs, n // p**e)
-        while x != one:
-            x = ctx._pow(x, p)
-            order *= p
-    return order
+    return _order(ctx, ctx._pow, u.coeffs, ctx.one().coeffs)
 
 
 def _prime_order(ctx: FieldContext, a: int) -> int:
     """mul_order of the nonzero a in the prime field ctx, by ``pow``: exact
     for every p, where an int64 product would overflow above about 2^31.5."""
-    n, q, order = ctx.q - 1, ctx.p, 1
-    for p, e in ctx.group_order_factorization().pairs:
-        x = pow(a, n // p**e, q)
-        while x != 1:
-            x = pow(x, p, q)
-            order *= p
-    return order
+    p = ctx.p
+    return _order(ctx, lambda x, e: pow(x, e, p), a, 1)
 
 
 def mul_orders(ctx: FieldContext, idx) -> np.ndarray:
@@ -679,37 +689,28 @@ def mul_orders(ctx: FieldContext, idx) -> np.ndarray:
         _mul_fold(a, b, xred, p, pr)
         return pr[:s] % p
 
-    def power(a, e: int):
-        result = a
-        for bit in bin(e)[3:]:  # left to right, after the top bit
-            result = mul(result, result)
-            if bit == "1":
-                result = mul(result, a)
-        return result
-
     orders = np.ones(len(uniq), dtype=np.int64)
     for ell, e in ctx.group_order_factorization().pairs:
-        y = power(x, n // ell**e)
+        y = _power(mul, x, n // ell**e)
         while (live := (y[0] != 1) | y[1:].any(axis=0)).any():
             orders[live] *= ell
-            y = power(y, ell)
+            y = _power(mul, y, ell)
     return orders[inv]
 
 
 def small_order_set(ctx: FieldContext, t: int) -> Set[FieldElement]:
     """The set of elements of F_q* with multiplicative order at most t.
 
-    Built from a generator g: for each divisor l of q - 1 with l <= t, the
-    l-th roots of unity are g^(j(q-1)/l), and their union is the set.
+    Built from a generator g: for each maximal divisor l <= t of q - 1
+    (``_maximal_divisors``), the l-th roots of unity are g^(j(q-1)/l); every
+    order <= t divides such an l, so their union is the set.
     """
     if t < 1:
         raise OutOfRange("t must be at least 1")
     g = ctx.multiplicative_generator()
     n = ctx.q - 1
-    out = {ctx.one()}
-    for l in _divisors(ctx.group_order_factorization(), t):
-        if l == 1:
-            continue
+    out = set()
+    for l in _maximal_divisors(ctx.group_order_factorization(), t):
         h = g ** (n // l)
         x = ctx.one()
         for _ in range(l):

@@ -31,7 +31,8 @@ from .errors import ConfigError, EmptyReport, SpecialGenerator, TooLarge
 from .ff import (
     EVAL_BLOCK,
     FieldContext,
-    _divisors,
+    _maximal_divisors,
+    _power,
     euler_phi,
     is_prime,
     make_extension_field,
@@ -405,12 +406,13 @@ def _tables(F: GeneratorSet, ctx: FieldContext, starts: Sequence[int], depth=Non
 def _qual(ctx: FieldContext, t: int, points: np.ndarray) -> np.ndarray:
     """Γ(t) mask over an array of field indices, of any shape and with repeats:
     the nonzero points of order <= t.  Γ(t) is listed, one multiplication per
-    power, unless that costs more than testing every point, each a powering of
-    about log2 q multiplications; a whole field always lists (σ(q-1) < q log2 q).
+    power of its maximal divisors (``small_order_set``), unless that costs more
+    than testing every point, each a powering of about log2 q multiplications;
+    a whole field always lists (σ(q-1) < q log2 q).
     With at least q points a q-entry mask is indexed by them; q may reach 2^48,
     so fewer points are matched with ``np.isin``."""
     points = np.asarray(points, dtype=np.int64)
-    listed = sum(_divisors(ctx.group_order_factorization(), t))
+    listed = sum(_maximal_divisors(ctx.group_order_factorization(), t))
     if listed <= points.size * ctx.q.bit_length():
         members = [u.index for u in small_order_set(ctx, t)]
     else:
@@ -588,7 +590,7 @@ def _run_tables(F: GeneratorSet, t: int, ctxs: Sequence[FieldContext]):
         width = max(len(r[j].coeffs) for r in red)
         coeffs.append(np.array([(0,) * (width - len(r[j].coeffs)) + r[j].coeffs[::-1]
                                 for r in red], dtype=np.int64).T)
-    tops = [_maximal_divisors(ctx, t) for ctx in ctxs]
+    tops = [_maximal_divisors(ctx.group_order_factorization(), t) for ctx in ctxs]
     fields_of = {}  # d -> which fields have it among their maximal divisors
     for g, top in enumerate(tops):
         for d in top:
@@ -612,25 +614,9 @@ def _run_tables(F: GeneratorSet, t: int, ctxs: Sequence[FieldContext]):
             np.add(acc, first, out=cols[j, lo:hi])
         for d in {d for g in range(f[0], f[-1] + 1) for d in tops[g]}:
             sel = np.flatnonzero(fields_of[d][f])
-            xs, ms = x[sel], mod[sel]
-            acc = xs.copy()
-            for bit in bin(d)[3:]:  # left to right, after the top bit
-                acc *= acc
-                acc %= ms
-                if bit == "1":
-                    acc *= xs
-                    acc %= ms
-            mask[lo + sel] |= acc == 1
+            ms = mod[sel]
+            mask[lo + sel] |= _power(lambda a, b: a * b % ms, x[sel], d) == 1
     return cols, mask
-
-
-def _maximal_divisors(ctx: FieldContext, t: int) -> List[int]:
-    """The divisors d <= t of q - 1 that divide no other such divisor."""
-    top: List[int] = []
-    for d in reversed(_divisors(ctx.group_order_factorization(), t)):
-        if all(m % d for m in top):
-            top.append(d)
-    return top
 
 
 def run_cor45(cfg: ExperimentConfig) -> ExperimentReport:

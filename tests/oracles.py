@@ -16,9 +16,10 @@ of f(ζ_r), von Sterneck's closed form for Ramanujan's sums instead of
 the divisor sum over the Möbius list, Horner's rule in Fractions for
 L^(-1)∘f∘L instead of the integer Taylor shift, ``level_union``'s sorted
 breadth-first search per start instead of the library's one level-set
-kernel, the bit-parallel walk, and one
+kernel, the bit-parallel walk, one
 ``thm44ii`` walk per field instead of one over the disjoint union of a
-grid's tables.  They are deliberately slow and simple.
+grid's tables, and maximal divisors by trial division and pairwise tests
+instead of from the factorization.  They are deliberately slow and simple.
 
 ``level_images`` is the exception: it reads the library's own reach table
 (``reach_table``), marks its level sets one whole-table mask at a time with
@@ -160,6 +161,14 @@ def order_at_most(u, t):
             return True
         acc = acc * u
     return False
+
+
+def maximal_divisors_by_search(n, bound):
+    """The divisors d <= bound of n that divide no other such divisor, by
+    trial division up to sqrt(n) and a test of every pair, ascending."""
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    divs = sorted(d for d in set(low + [n // d for d in low]) if d <= bound)
+    return [d for d in divs if not any(m != d and m % d == 0 for m in divs)]
 
 
 def all_orders_prime_field(p):

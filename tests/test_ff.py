@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 from functools import lru_cache
@@ -34,6 +35,7 @@ import semiorbits.ff as ff
 from oracles import (
     all_orders_prime_field,
     irreducible_by_trial_division,
+    maximal_divisors_by_search,
     order_by_powering,
 )
 
@@ -52,6 +54,12 @@ def test_is_prime_carmichael_and_large():
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
     assert is_prime(170141183460469231731687303715884105727)  # 2^127 - 1
+
+
+def test_is_prime_matches_trial_division_across_the_sieve():
+    # is_prime reads the import-time sieve up to 10^4 and Miller-Rabin above
+    for n in range(-3, 10_100):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))), n
 
 
 def test_factorize_roundtrip_seeded():
@@ -248,6 +256,27 @@ def test_pow_makes_one_mul_per_bit(monkeypatch):
         assert got == acc, e
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(a=st.integers(0, 10**6), m=st.integers(1, 10**9))
+@example(a=3, m=1_000_003)
+@example(a=2, m=2**61 - 1)
+def test_power_matches_modular_pow(a, m):
+    for e in range(1, 201):
+        assert ff._power(lambda x, y: x * y % m, a % m, e) == pow(a, e, m), e
+
+
+@pytest.mark.parametrize("p, s", [(2, 12), (3, 6), (7, 3), (101, 2)])
+def test_power_matches_repeated_products(p, s):
+    # on coefficient tuples, a^e is e - 1 literal products of a
+    ctx = make_extension_field(p, s)
+    for i in (1, 2, ctx.q // 3, ctx.q - 1):
+        a = ctx.from_index(i).coeffs
+        acc = a
+        for e in range(1, 201):
+            assert ff._power(ctx._mul, a, e) == acc, (i, e)
+            acc = ctx._mul(acc, a)
+
+
 def test_index_roundtrip():
     ctx = make_extension_field(5, 2)
     for i in range(ctx.q):
@@ -368,6 +397,60 @@ def test_small_order_set_cardinality_identity():
             members = small_order_set(ctx, t)
             assert len(members) == expected
             assert all(mul_order(u) <= t for u in members)
+
+
+@st.composite
+def _divisor_cases(draw):
+    """(n, bound): n is q - 1 of a field with q <= 2^12 (at least 2), or a
+    product of small prime powers; bound lies in [1, n] or is 10^12."""
+    if draw(st.booleans()):
+        p, s = draw(_small_fields().filter(lambda f: f[0] ** f[1] > 2))
+        n = p**s - 1
+    else:
+        powers = draw(st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13]),
+                                      st.integers(1, 3), min_size=1, max_size=4))
+        n = math.prod(p**e for p, e in powers.items())
+    return n, draw(st.one_of(st.integers(1, n), st.just(10**12)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=_divisor_cases())
+@example(case=(720, 45))
+@example(case=(4095, 100))
+def test_maximal_divisors_match_search(case):
+    n, drawn = case
+    fact = factorize(n)
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    divisors = set(low + [n // d for d in low])
+    # n and n over its least prime are divisors: each must be kept at bound
+    for bound in (drawn, 1, n, n // fact.pairs[0][0], 10**12):
+        top = ff._maximal_divisors(fact, bound)
+        assert top == maximal_divisors_by_search(n, bound), bound
+        for d in divisors:
+            if d <= bound:
+                assert any(m % d == 0 for m in top), (bound, d)
+
+
+GAMMA_FIELDS = [(p, s) for s in range(1, 9) for p in SMALL_PRIMES if p**s <= 300]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(field=st.sampled_from(GAMMA_FIELDS),
+       t=st.one_of(st.sampled_from([1, 2, 3, "q-2", "q-1", "q", 10**12]), st.integers(1, 300)))
+@example(field=(2, 8), t="q-2")
+@example(field=(3, 5), t=11)
+@example(field=(7, 2), t="q-1")
+@example(field=(281, 1), t=10)
+def test_small_order_set_matches_order_by_powering(field, t):
+    # the orders come from literal powering, not the factored order of q - 1
+    ctx, orders = _orders_by_powering(*field)
+    t = {"q-2": ctx.q - 2, "q-1": ctx.q - 1, "q": ctx.q}.get(t, t)
+    if t < 1:
+        with pytest.raises(OutOfRange):
+            small_order_set(ctx, t)
+        return
+    got = sorted(u.index for u in small_order_set(ctx, t))
+    assert got == [i for i in range(1, ctx.q) if orders[i - 1] <= t]
 
 
 def test_field_element_hash_consistency():

@@ -63,6 +63,7 @@ from oracles import (
     exhaustive_witness_words,
     greedy_cover_by_bfs,
     lemma41_by_composites,
+    maximal_divisors_by_search,
     naive_l_n_count,
     order_at_most,
     order_by_powering,
@@ -1732,6 +1733,9 @@ def test_qual_matches_order_by_powering(monkeypatch):
         listed.clear()
         got = verify._qual(ctx, t, points)
         branches.add(bool(listed))
+        # it lists the maximal divisors' roots when they cost no more multiplications
+        listing = sum(maximal_divisors_by_search(ctx.q - 1, t))
+        assert bool(listed) == (listing <= points.size * ctx.q.bit_length())
         order = {i: order_by_powering(ctx.from_index(i)) for i in set(cells) if i}
         want = [i != 0 and order[i] <= t for i in cells]
         assert got.dtype == bool and got.shape == shape
@@ -1739,6 +1743,11 @@ def test_qual_matches_order_by_powering(monkeypatch):
 
     check()
     assert branches == {False, True}
+    # F_17, t = 4, one point: listing μ_4 costs 4 <= 5 multiplications, where
+    # listing the roots of every divisor <= 4 (1 + 2 + 4) would cost 7
+    listed.clear()
+    assert verify._qual(make_prime_field(17), 4, np.array([4])).tolist() == [True]
+    assert listed == [4]
 
 
 def test_qual_mask_and_isin_paths_agree_with_isin():
