@@ -1,10 +1,12 @@
 """Exact arithmetic in prime fields F_p and extensions F_{p^s}.
 
 Elements are coefficient vectors over a fixed monic irreducible modulus.
-The module also provides deterministic primality testing, integer
-factorization (trial division plus Brent's cycle method), multiplicative
-orders via the factorization of q - 1, and the set of elements of small
-multiplicative order.
+An extension field with q <= TABLE_CAP also keeps exp/log index tables to
+a generator, which serve the array paths (evaluation, orders and the set of
+elements of small order) by lookup.  The module also provides deterministic
+primality testing, integer factorization (trial division plus Brent's cycle
+method), multiplicative orders via the factorization of q - 1, and the set
+of elements of small multiplicative order.
 
 Desk-scale caps: s <= 16 and q = p^s <= 2^48.  Larger inputs are rejected
 early so that order computations stay feasible.
@@ -32,6 +34,7 @@ MAX_EXTENSION_DEGREE = 16
 MAX_FIELD_SIZE = 1 << 48
 MAX_FACTOR_ARG = 1 << 96
 EVAL_BLOCK = 1 << 12  # points x polynomials per eval_indices_all pass; bounds its memory
+TABLE_CAP = 1 << 12  # largest extension field that builds index tables (about 1 ms each)
 
 
 def _sieve(limit: int) -> Tuple[int, ...]:
@@ -245,7 +248,10 @@ class FieldContext:
 
     Elements are represented by coefficient vectors of length s with entries
     in [0, p); the index of an element is its base-p digit value, which gives
-    a deterministic enumeration order.
+    a deterministic enumeration order.  An extension field with q <= TABLE_CAP
+    builds, on first use, exp/log tables between indices and the exponents of
+    a generator (``index_tables``); the array paths read them, while prime
+    fields, larger fields and the scalar element arithmetic stay on digits.
     """
 
     __slots__ = (
@@ -257,6 +263,7 @@ class FieldContext:
         "_key",
         "_fact_q1",
         "_generator_idx",
+        "_tables",
     )
 
     def __init__(self, p: int, s: int, modulus: Sequence[int]):
@@ -281,6 +288,7 @@ class FieldContext:
         self._key = (p, s, modulus)
         self._fact_q1: Optional[Factorization] = None
         self._generator_idx: Optional[int] = None
+        self._tables: Optional[Tuple[np.ndarray, np.ndarray]] = None
         if s >= 2:
             row0 = tuple((-m) % p for m in modulus[:s])
             rows = [row0]
@@ -420,6 +428,39 @@ class FieldContext:
                 return g
         raise ArithmeticError("no generator found; field construction is broken")
 
+    def index_tables(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """(exp, log) for an extension field with q <= TABLE_CAP, else None.
+
+        exp[i] is the index of g^i for 0 <= i < q - 1, g the
+        ``multiplicative_generator``, and log[exp[i]] = i (log[0] is unused).
+        Built once, by doubling: the digit rows of g^0 .. g^(m-1) times the
+        s x s matrix of multiplication by g^m give g^m .. g^(2m-1).  Raises
+        ArithmeticError unless exp is a permutation of 1 .. q - 1.
+        """
+        if self.s == 1 or self.q > TABLE_CAP:
+            return None
+        if self._tables is None:
+            p, s, n = self.p, self.s, self.q - 1
+            g = self.multiplicative_generator().coeffs
+            unit = [(0,) * i + (1,) + (0,) * (s - 1 - i) for i in range(s)]
+            step = np.array([self._mul(u, g) for u in unit], dtype=np.int64)
+            powers = np.zeros((n, s), dtype=np.int64)
+            powers[0, 0] = 1
+            have = 1
+            while have < n:
+                m = min(have, n - have)
+                block = powers[have : have + m]  # written in place: no temporaries
+                np.remainder(np.matmul(powers[:m], step, out=block), p, out=block)
+                step = step @ step % p
+                have += m
+            exp = powers @ p ** np.arange(s, dtype=np.int64)
+            if not np.array_equal(np.sort(exp), np.arange(1, self.q)):
+                raise ArithmeticError("the powers of %r miss part of F_q*" % (g,))
+            log = np.zeros(self.q, dtype=np.int64)
+            log[exp] = np.arange(n)
+            self._tables = exp, log
+        return self._tables
+
 
 class FieldElement:
     """An element of a :class:`FieldContext`, hashable and immutable."""
@@ -548,19 +589,41 @@ class FieldPolynomial:
 
 def eval_indices_all(polys: Sequence[FieldPolynomial], idx) -> np.ndarray:
     """The (len(idx), k) array whose column j is ``polys[j]`` evaluated on the
-    field indices ``idx``: the Horner steps of ``eval`` on an (s, n) array of
-    base-p digits, reduced by ``_xred``, for all k polynomials of one field in
-    one pass; int64 while 2 s p^2 < 2^63, Python ints beyond (primes above
-    about 2^31).  Runs on EVAL_BLOCK // k points at a time, so memory stays
-    bounded on any field."""
+    field indices ``idx``.  A field with ``index_tables`` takes the Horner
+    steps on indices (``_eval_tables``).  Otherwise they run on an (s, n)
+    array of base-p digits, reduced by ``_xred``, for all k polynomials of one
+    field in one pass; int64 while 2 s p^2 < 2^63, Python ints beyond (primes
+    above about 2^31).  Runs on EVAL_BLOCK // k points at a time, so memory
+    stays bounded on any field."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if polys[0].ctx.index_tables() is not None:
+        return _eval_tables(polys[0].ctx, polys, idx)
     order = sorted(range(len(polys)), key=lambda j: -len(polys[j].coeffs))
     coeffs = [polys[j].coeffs or (0,) for j in order]  # longest first
-    idx = np.asarray(idx, dtype=np.int64)
     out = np.empty((len(idx), len(polys)), dtype=np.int64)
     step = max(1, EVAL_BLOCK // len(polys))
     for lo in range(0, len(idx), step):
         out[lo : lo + step, order] = _eval_block(polys[0].ctx, coeffs, idx[lo : lo + step]).T
     return out
+
+
+def _eval_tables(ctx: FieldContext, polys: Sequence[FieldPolynomial],
+                 idx: np.ndarray) -> np.ndarray:
+    """eval_indices_all by the index tables: each Horner step multiplies by x
+    as exp[(log acc + log x) % (q - 1)], 0 where a factor is 0, and adds the
+    prime-field constant to digit 0.  Shorter polynomials are padded with
+    leading zeros, which keep their accumulator at 0."""
+    exp, log = ctx.index_tables()
+    p, n, d = ctx.p, ctx.q - 1, max(1, *(len(g.coeffs) for g in polys))
+    cols = np.array([(0,) * (d - len(g.coeffs)) + g.coeffs[::-1] for g in polys],
+                    dtype=np.int64).T  # cols[j] = the X^(d-1-j) coefficients
+    logx, nonzero = log[idx][:, None], idx[:, None] != 0
+    acc = np.broadcast_to(cols[0], (len(idx), len(polys))).copy()
+    for c in cols[1:]:
+        acc = np.where((acc != 0) & nonzero, exp[(log[acc] + logx) % n], 0)
+        low = acc % p
+        acc += (low + c) % p - low
+    return acc
 
 
 def _eval_block(ctx: FieldContext, coeffs: List[tuple], idx: np.ndarray) -> np.ndarray:
@@ -666,16 +729,22 @@ def _prime_order(ctx: FieldContext, a: int) -> int:
 def mul_orders(ctx: FieldContext, idx) -> np.ndarray:
     """mul_order of every nonzero field index in ``idx``, as an int64 array.
 
-    Each distinct index is computed once.  A prime field takes the scalar
-    ``pow`` path per element.  An extension field runs the same prime-by-prime
-    stripping on all digit vectors at once: each powering is one
-    square-and-multiply chain of array products, reduced by ``_xred``.
+    A field with ``index_tables`` reads each order as (q - 1) / gcd(log x,
+    q - 1).  Otherwise each distinct index is computed once: a prime field
+    takes the scalar ``pow`` path per element, and an extension field runs
+    the same prime-by-prime stripping on all digit vectors at once, each
+    powering one square-and-multiply chain of array products, reduced by
+    ``_xred``.
     """
     idx = np.asarray(idx, dtype=np.int64).ravel()
     if idx.size and (idx.min() < 0 or idx.max() >= ctx.q):
         raise OutOfRange("index must lie in [0, q)")
     if not np.all(idx):
         raise ZeroElement("zero has no multiplicative order")
+    tables = ctx.index_tables()
+    if tables is not None:
+        n = ctx.q - 1
+        return n // np.gcd(tables[1][idx], n)
     uniq, inv = np.unique(idx, return_inverse=True)
     if ctx.s == 1:
         orders = [_prime_order(ctx, a) for a in uniq.tolist()]
@@ -703,14 +772,20 @@ def small_order_set(ctx: FieldContext, t: int) -> Set[FieldElement]:
 
     Built from a generator g: for each maximal divisor l <= t of q - 1
     (``_maximal_divisors``), the l-th roots of unity are g^(j(q-1)/l); every
-    order <= t divides such an l, so their union is the set.
+    order <= t divides such an l, so their union is the set.  A field with
+    ``index_tables`` reads them from exp.
     """
     if t < 1:
         raise OutOfRange("t must be at least 1")
-    g = ctx.multiplicative_generator()
     n = ctx.q - 1
+    tops = _maximal_divisors(ctx.group_order_factorization(), t)
+    tables = ctx.index_tables()
+    if tables is not None:
+        idx = np.concatenate([tables[0][:: n // l] for l in tops])
+        return {FieldElement(ctx, tuple(d)) for d in _digits(ctx, idx, np.int64).T.tolist()}
+    g = ctx.multiplicative_generator()
     out = set()
-    for l in _maximal_divisors(ctx.group_order_factorization(), t):
+    for l in tops:
         h = g ** (n // l)
         x = ctx.one()
         for _ in range(l):

@@ -19,7 +19,9 @@ breadth-first search per start instead of the library's one level-set
 kernel, the bit-parallel walk, one
 ``thm44ii`` walk per field instead of one over the disjoint union of a
 grid's tables, and maximal divisors by trial division and pairwise tests
-instead of from the factorization.  They are deliberately slow and simple.
+instead of from the factorization, and the elements of small order by a
+scalar walk over a generator's powers instead of the index tables.  They are
+deliberately slow and simple.
 
 ``level_images`` is the exception: it reads the library's own reach table
 (``reach_table``), marks its level sets one whole-table mask at a time with
@@ -161,6 +163,20 @@ def order_at_most(u, t):
             return True
         acc = acc * u
     return False
+
+
+def small_order_by_generator_powers(ctx, t):
+    """The indices of the nonzero elements of order <= t, ascending: g^i, for
+    g the field's generator, is walked by one scalar product per step and has
+    order (q - 1) / gcd(i, q - 1)."""
+    n, g = ctx.q - 1, ctx.multiplicative_generator()
+    x, found = ctx.one(), []
+    for i in range(n):
+        if n // math.gcd(i, n) <= t:
+            found.append(x.index)
+        x = x * g
+    assert x == ctx.one(), "the generator's powers do not close after q - 1 steps"
+    return sorted(found)
 
 
 def maximal_divisors_by_search(n, bound):

@@ -3,9 +3,9 @@
 Each case runs one config and compares the sha256 of its ``body_json()``
 with the one checked in to ``body_hashes.json``.  Between them the cases
 reach every experiment, each table source of the graph runners (a whole
-prime field, an extension field's reach, a prime above the graph cap), both
-``thm44ii`` walks and a batch split, and the config switches that change a
-body.  A hash changed on purpose is regenerated with
+prime field, an extension field's reach, a prime above the graph cap), an
+extension field at the index-table cap, both ``thm44ii`` walks and a batch
+split, and the config switches that change a body.  A hash changed on purpose is regenerated with
 
     PYTHONPATH=src python tests/test_body_hashes.py
 
@@ -109,6 +109,9 @@ CASES = {
     # 1 is fixed, 6 maps to 1, and the orbit of 3 holds both
     "thm46-fixed-point": dict(experiment="thm46", generators=["X^2", "X^3"], primes=[7],
                               starts=[1, 6, 3]),
+    # F_{2^12} sits at ff.TABLE_CAP: reach, orders and Γ(t) read the index tables
+    "thm46-table-cap": dict(experiment="thm46", generators=TWO, s=12, primes=[2], sample=8,
+                            seed=3),
     # thm61: count and witness words
     "thm61-whole": dict(experiment="thm61", generators=TWO, primes=[31, 37], starts=[1, 2, 3],
                         t=4, N=4, h=3, l=1),
@@ -116,6 +119,8 @@ CASES = {
                            t=4, N=8, l=1, h_from_n=True),
     "thm61-extension": dict(experiment="thm61", generators=TWO, s=2, primes=[3],
                             starts=[1, 2, 4], t=2, N=3, h=2, l=1),
+    "thm61-table-cap": dict(experiment="thm61", generators=TWO, s=12, primes=[2],
+                            sample=3, seed=6, t=15, N=4, h=3, l=1),
     "thm61-p31": dict(experiment="thm61", generators=TWO, primes=[P31], starts=[0, 1, 3],
                       t=62, N=6, h=3, l=2),
     "thm61-level-0": dict(experiment="thm61", generators=TWO, primes=[43], starts=[1, 7],

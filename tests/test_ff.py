@@ -37,6 +37,7 @@ from oracles import (
     irreducible_by_trial_division,
     maximal_divisors_by_search,
     order_by_powering,
+    small_order_by_generator_powers,
 )
 
 
@@ -529,7 +530,8 @@ def test_eval_indices_in_blocks_matches_eval():
     assert g.eval_indices(np.arange(ctx.q)).tolist() == want
     rng = random.Random(5)
     # 23 points: 4 full blocks and 3 for one polynomial, 11 of 2 and 1 for two
-    with mock.patch.object(ff, "EVAL_BLOCK", 5):
+    # TABLE_CAP = 1 keeps F_{3^4} and F_{7^2} on the blocked digit path
+    with mock.patch.object(ff, "EVAL_BLOCK", 5), mock.patch.object(ff, "TABLE_CAP", 1):
         for p, s, coeffs in ((3, 4, [[2, 1, 0, 1]]), (BIG_PRIME, 1, [[5, 0, 3]]), (7, 2, [[]]),
                              (3, 4, [[1, 1, 2], [2, 1, 0, 1]]), (BIG_PRIME, 1, [[5, 0, 3], [1, 1]])):
             ctx = _field(p, s)
@@ -550,3 +552,65 @@ def test_eval_indices_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+
+
+# -- index tables -------------------------------------------------------------
+
+TABLE_FIELDS = [(p, s) for s in range(2, 13) for p in SMALL_PRIMES if p**s <= ff.TABLE_CAP]
+
+
+@lru_cache(maxsize=None)
+def _gamma_by_generator_powers(p, s, t):
+    return small_order_by_generator_powers(_field(p, s), t)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(field=st.sampled_from(TABLE_FIELDS + [(3, 8)]), data=st.data())
+@example(field=(2, 12), data=None)
+@example(field=(3, 8), data=None)
+def test_index_tables_match_the_digit_paths(field, data):
+    # every field with q <= TABLE_CAP reads the tables; F_{3^8} lies above the
+    # cap and takes the digit path; both must agree with the scalar arithmetic
+    ctx = _field(*field)
+    assert (ctx.index_tables() is None) == (ctx.q > ff.TABLE_CAP)
+    points = st.integers(0, ctx.q - 1)
+    if data is None:
+        coeffs, idx, t = [[1, 0, 1], [2, 0, 0, 1], [], [1]], [0, 1, ctx.q - 1], 15
+    else:
+        coeffs = data.draw(st.lists(st.lists(st.integers(0, ctx.p - 1), max_size=6),
+                                    min_size=1, max_size=3))
+        idx = data.draw(st.lists(points, max_size=16))
+        t = data.draw(st.one_of(st.integers(1, 40), st.sampled_from([ctx.q - 1, 10**12])))
+    _check_eval_indices(ctx, [FieldPolynomial(ctx, c) for c in coeffs], idx)
+    nonzero = [i for i in idx if i] + [1, ctx.q - 1]
+    got = ff.mul_orders(ctx, nonzero).tolist()
+    assert got == [mul_order(ctx.from_index(i)) for i in nonzero]
+    listed = sorted(u.index for u in small_order_set(ctx, t))
+    assert listed == _gamma_by_generator_powers(*field, min(t, ctx.q))
+
+
+@pytest.mark.parametrize("p, s", [(101, 1), (2, 13), (3, 8)])
+def test_index_tables_only_at_or_below_the_cap(p, s):
+    assert make_extension_field(p, s).index_tables() is None
+
+
+def test_index_tables_are_built_once():
+    ctx = make_extension_field(2, 12)
+    exp, log = ctx.index_tables()
+    again = ctx.index_tables()
+    assert again[0] is exp and again[1] is log
+    g = ctx.multiplicative_generator()
+    assert [int(exp[i]) for i in (0, 1, 2, 4094)] == [(g**i).index for i in (0, 1, 2, 4094)]
+    assert sorted(exp.tolist()) == list(range(1, ctx.q))
+    assert log[exp].tolist() == list(range(ctx.q - 1))
+
+
+def test_index_tables_refuse_a_non_generator(monkeypatch):
+    # g^3 has order 4095 / 3: its powers miss two thirds of F_q*
+    ctx = make_extension_field(2, 12)
+    real = FieldContext.multiplicative_generator
+    monkeypatch.setattr(FieldContext, "multiplicative_generator", lambda self: real(self) ** 3)
+    for _ in range(2):
+        with pytest.raises(ArithmeticError):
+            ctx.index_tables()
+    assert ctx._tables is None
