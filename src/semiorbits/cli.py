@@ -22,10 +22,10 @@ from functools import lru_cache
 from typing import List, Optional
 
 from .combinatorics import b_tree_size, find_common_gap
-from .errors import SemiorbitsError
-from .ff import make_extension_field, mul_order, small_order_set
+from .errors import SemiorbitsError, TooLarge
+from .ff import _maximal_divisors, make_extension_field, mul_order, small_order_set
 from .intpoly import cyclotomic, format_poly, is_special, parse_poly, resultant
-from .orbits import DEFAULT_ORBIT_CAP, GeneratorSet, evaluated_successors, orbit
+from .orbits import DEFAULT_ORBIT_CAP, MAX_GRAPH_SIZE, GeneratorSet, evaluated_successors, orbit
 from .verify import EXPERIMENTS, ExperimentConfig, _canon, run_experiment
 
 OUT_DIR_ENV = "SEMIORBITS_OUT_DIR"
@@ -118,12 +118,10 @@ def cmd_special(args) -> int:
 
 def cmd_gamma(args) -> int:
     ctx = make_extension_field(args.p, args.s)
-    members = sorted(v.index for v in small_order_set(ctx, args.t))
-    out = " ".join(str(m) for m in members)
-    if args.json:
-        print(json.dumps(members))
-    else:
-        print(out)
+    if sum(_maximal_divisors(ctx.group_order_factorization(), args.t)) > MAX_GRAPH_SIZE:
+        raise TooLarge("gamma guard: t = %d lists more than %d roots" % (args.t, MAX_GRAPH_SIZE))
+    members = small_order_set(ctx, args.t).tolist()
+    print(json.dumps(members) if args.json else " ".join(map(str, members)))
     return 0
 
 

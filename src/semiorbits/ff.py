@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -200,6 +200,36 @@ def _power(mul, a, e: int):
         if bit == "1":
             result = mul(result, a)
     return result
+
+
+def _power_indices(ctx: FieldContext, h: Tuple[int, ...], n: int) -> np.ndarray:
+    """The int64 field indices of h^0 .. h^(n-1), h a coefficient tuple, by
+    doubling: the digit rows of h^0 .. h^(m-1) times the s x s matrix of
+    multiplication by h^m give h^m .. h^(2m-1), in int64 while s p^2 < 2^63
+    and in Python ints beyond (primes above about 2^31.5)."""
+    p, s = ctx.p, ctx.s
+    dtype = np.int64 if s * p * p < 1 << 63 else object
+    unit = [(0,) * i + (1,) + (0,) * (s - 1 - i) for i in range(s)]
+    step = np.array([ctx._mul(u, h) for u in unit], dtype=dtype)
+    powers = np.zeros((n, s), dtype=dtype)
+    powers[0, 0] = 1
+    have = 1
+    while have < n:
+        m = min(have, n - have)
+        block = powers[have : have + m]  # written in place: no temporaries
+        np.remainder(np.matmul(powers[:m], step, out=block), p, out=block)
+        step = step @ step % p
+        have += m
+    return (powers @ np.array([p**i for i in range(s)], dtype=dtype)).astype(np.int64)
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of the 1-d array a, ascending, by a sort and a
+    neighbour mask: plain ``np.unique`` is far slower and imports numpy.ma."""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
 
 def _order(ctx: FieldContext, power, a, one) -> int:
@@ -433,31 +463,18 @@ class FieldContext:
 
         exp[i] is the index of g^i for 0 <= i < q - 1, g the
         ``multiplicative_generator``, and log[exp[i]] = i (log[0] is unused).
-        Built once, by doubling: the digit rows of g^0 .. g^(m-1) times the
-        s x s matrix of multiplication by g^m give g^m .. g^(2m-1).  Raises
-        ArithmeticError unless exp is a permutation of 1 .. q - 1.
+        Built once, by ``_power_indices``.  Raises ArithmeticError unless exp
+        is a permutation of 1 .. q - 1.
         """
         if self.s == 1 or self.q > TABLE_CAP:
             return None
         if self._tables is None:
-            p, s, n = self.p, self.s, self.q - 1
             g = self.multiplicative_generator().coeffs
-            unit = [(0,) * i + (1,) + (0,) * (s - 1 - i) for i in range(s)]
-            step = np.array([self._mul(u, g) for u in unit], dtype=np.int64)
-            powers = np.zeros((n, s), dtype=np.int64)
-            powers[0, 0] = 1
-            have = 1
-            while have < n:
-                m = min(have, n - have)
-                block = powers[have : have + m]  # written in place: no temporaries
-                np.remainder(np.matmul(powers[:m], step, out=block), p, out=block)
-                step = step @ step % p
-                have += m
-            exp = powers @ p ** np.arange(s, dtype=np.int64)
+            exp = _power_indices(self, g, self.q - 1)
             if not np.array_equal(np.sort(exp), np.arange(1, self.q)):
                 raise ArithmeticError("the powers of %r miss part of F_q*" % (g,))
             log = np.zeros(self.q, dtype=np.int64)
-            log[exp] = np.arange(n)
+            log[exp] = np.arange(self.q - 1)
             self._tables = exp, log
         return self._tables
 
@@ -767,28 +784,19 @@ def mul_orders(ctx: FieldContext, idx) -> np.ndarray:
     return orders[inv]
 
 
-def small_order_set(ctx: FieldContext, t: int) -> Set[FieldElement]:
-    """The set of elements of F_q* with multiplicative order at most t.
-
-    Built from a generator g: for each maximal divisor l <= t of q - 1
-    (``_maximal_divisors``), the l-th roots of unity are g^(j(q-1)/l); every
-    order <= t divides such an l, so their union is the set.  A field with
-    ``index_tables`` reads them from exp.
-    """
+def small_order_set(ctx: FieldContext, t: int) -> np.ndarray:
+    """The field indices of the elements of F_q* of multiplicative order at
+    most t, as an ascending int64 array.  For each maximal divisor l <= t of
+    q - 1 (``_maximal_divisors``), the l-th roots of unity are the powers of
+    g^((q-1)/l), g a generator; every order <= t divides such an l.  A field
+    with ``index_tables`` reads them from exp, any other lists them with
+    ``_power_indices``."""
     if t < 1:
         raise OutOfRange("t must be at least 1")
     n = ctx.q - 1
     tops = _maximal_divisors(ctx.group_order_factorization(), t)
     tables = ctx.index_tables()
     if tables is not None:
-        idx = np.concatenate([tables[0][:: n // l] for l in tops])
-        return {FieldElement(ctx, tuple(d)) for d in _digits(ctx, idx, np.int64).T.tolist()}
-    g = ctx.multiplicative_generator()
-    out = set()
-    for l in tops:
-        h = g ** (n // l)
-        x = ctx.one()
-        for _ in range(l):
-            x = x * h
-            out.add(x)
-    return out
+        return _distinct(np.concatenate([tables[0][:: n // l] for l in tops]))
+    g = ctx.multiplicative_generator().coeffs
+    return _distinct(np.concatenate([_power_indices(ctx, ctx._pow(g, n // l), l) for l in tops]))

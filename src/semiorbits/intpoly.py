@@ -30,7 +30,7 @@ from .errors import (
     TooLarge,
     ZeroPolynomial,
 )
-from .ff import FieldContext, FieldPolynomial, _sieve, euler_phi, factorize
+from .ff import FieldContext, FieldPolynomial, _power, _sieve, euler_phi, factorize
 
 MAX_CYCLOTOMIC_INDEX = 100000
 MAX_DEGREE = MAX_CYCLOTOMIC_INDEX  # parse_poly's cap; every printed Φ_n parses back
@@ -112,14 +112,7 @@ class IntPolynomial:
     def __pow__(self, e: int) -> "IntPolynomial":
         if e < 0:
             raise OutOfRange("polynomial powers require e >= 0")
-        result = IntPolynomial((1,))
-        acc = self
-        while e:
-            if e & 1:
-                result = result * acc
-            acc = acc * acc
-            e >>= 1
-        return result
+        return _power(operator.mul, self, e) if e else IntPolynomial((1,))
 
     def compose(self, inner: "IntPolynomial") -> "IntPolynomial":
         """self(inner(X)), by Horner evaluation in Z[X]."""

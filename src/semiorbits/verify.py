@@ -31,13 +31,14 @@ from .errors import ConfigError, EmptyReport, SpecialGenerator, TooLarge
 from .ff import (
     EVAL_BLOCK,
     FieldContext,
+    _distinct,
     _maximal_divisors,
     _power,
     euler_phi,
     is_prime,
     make_extension_field,
     make_prime_field,
-    mul_order,
+    mul_order,  # not called here, but bench/tracer.py wraps verify.mul_order and needs it bound
     mul_orders,
     small_order_set,
 )
@@ -407,22 +408,22 @@ def _qual(ctx: FieldContext, t: int, points: np.ndarray) -> np.ndarray:
     """Γ(t) mask over an array of field indices, of any shape and with repeats:
     the nonzero points of order <= t.  Γ(t) is listed, one multiplication per
     power of its maximal divisors (``small_order_set``), unless that costs more
-    than testing every point, each a powering of about log2 q multiplications;
-    a whole field always lists (σ(q-1) < q log2 q).
+    than ``mul_orders`` on the distinct nonzero points, about log2 q
+    multiplications each; a whole field always lists (σ(q-1) < q log2 q).
     With at least q points a q-entry mask is indexed by them; q may reach 2^48,
     so fewer points are matched with ``np.isin``."""
     points = np.asarray(points, dtype=np.int64)
     listed = sum(_maximal_divisors(ctx.group_order_factorization(), t))
     if listed <= points.size * ctx.q.bit_length():
-        members = [u.index for u in small_order_set(ctx, t)]
+        members = small_order_set(ctx, t)
     else:
-        members = [i for i in set(points.ravel().tolist())
-                   if i and mul_order(ctx.from_index(i)) <= t]
+        distinct = _distinct(points[points != 0])
+        members = distinct[mul_orders(ctx, distinct) <= t]
     if ctx.q <= points.size:
         mask = np.zeros(ctx.q, dtype=bool)
         mask[members] = True
         return mask[points]
-    return np.isin(points, np.array(members, dtype=np.int64))
+    return np.isin(points, members)
 
 
 def _fields(cfg: ExperimentConfig, F: GeneratorSet, depth: int):

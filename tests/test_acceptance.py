@@ -237,7 +237,7 @@ def test_criterion_07_sup_m_dp_vs_exhaustive():
             x = ctx.from_index(rng.randrange(ctx.q))
             t = rng.randint(1, ctx.q - 1)
             N = rng.randint(1, 8)
-            gamma = {u.index for u in small_order_set(ctx, t)}
+            gamma = set(small_order_set(ctx, t).tolist())
             qual = np.array([i in gamma for i in range(ctx.q)], dtype=bool)
             table = build_graph(F, ctx).table
             ((val, word),) = sup_m_over_sequences(table, qual, [x.index], N)

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -175,6 +176,21 @@ def test_gamma_golden(capsys):
     assert _run(capsys, "gamma", "7", "1", "3") == (0, "1 2 4 6\n", "")
     code, out, _ = _run(capsys, "gamma", "--json", "7", "1", "3")
     assert json.loads(out) == [1, 2, 4, 6]
+
+
+def test_gamma_guard_refuses_before_listing(capsys, monkeypatch):
+    # all of F_p* for p = 2^48 - 59 would list 2^48 - 60 roots: refused at
+    # once, from the maximal divisors' sum, with nothing printed
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "gamma", "281474976710597", "1", "281474976710596")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert "gamma guard" in err
+    # t = 3 in F_7 lists the roots of 2 and 3, five in all: the bound is inclusive
+    monkeypatch.setattr(cli, "MAX_GRAPH_SIZE", 5)
+    assert _run(capsys, "gamma", "7", "1", "3") == (0, "1 2 4 6\n", "")
+    monkeypatch.setattr(cli, "MAX_GRAPH_SIZE", 4)
+    assert _run(capsys, "gamma", "7", "1", "3")[:2] == (4, "")
 
 
 def test_round_trip_printed_polynomials(capsys):

@@ -381,9 +381,9 @@ def test_mul_orders_zero_index_raises(p, s):
 
 def test_small_order_set_examples():
     ctx = make_prime_field(7)
-    assert sorted(v.index for v in small_order_set(ctx, 3)) == [1, 2, 4, 6]
-    assert sorted(v.index for v in small_order_set(ctx, 1)) == [1]
-    assert sorted(v.index for v in small_order_set(ctx, 6)) == [1, 2, 3, 4, 5, 6]
+    assert small_order_set(ctx, 3).tolist() == [1, 2, 4, 6]
+    assert small_order_set(ctx, 1).tolist() == [1]
+    assert small_order_set(ctx, 6).tolist() == [1, 2, 3, 4, 5, 6]
     with pytest.raises(OutOfRange):
         small_order_set(ctx, 0)
 
@@ -397,7 +397,24 @@ def test_small_order_set_cardinality_identity():
             expected = sum(euler_phi(l) for l in divisors if l <= t)
             members = small_order_set(ctx, t)
             assert len(members) == expected
-            assert all(mul_order(u) <= t for u in members)
+            assert all(mul_order(ctx.from_index(i)) <= t for i in members.tolist())
+
+
+@pytest.mark.parametrize("p", [3037000493, 3037000507])
+def test_small_order_set_on_both_sides_of_the_int64_bound(p):
+    # s p^2 < 2^63 holds for the first prime, which lists its roots in int64,
+    # and fails for the second, which lists them in Python ints
+    ctx = make_prime_field(p)
+    assert (p * p < 1 << 63) == (p == 3037000493)
+    for t in (1, 2, 3, 4, 6, 12):
+        got = small_order_set(ctx, t)
+        assert got.dtype == np.int64 and bool(np.all(got[1:] > got[:-1]))
+        assert len(got) == sum(euler_phi(d) for d in range(1, t + 1) if (p - 1) % d == 0)
+        assert all(mul_order(ctx.from_index(i)) <= t for i in got.tolist())
+    # the doubling itself, against pow: the powers of -2 lie near 0 or near p,
+    # and the squares of those near p pass 2^63 above the bound
+    for h in (p - 2, p - 12345):
+        assert ff._power_indices(ctx, (h,), 40).tolist() == [pow(h, j, p) for j in range(40)]
 
 
 @st.composite
@@ -450,7 +467,7 @@ def test_small_order_set_matches_order_by_powering(field, t):
         with pytest.raises(OutOfRange):
             small_order_set(ctx, t)
         return
-    got = sorted(u.index for u in small_order_set(ctx, t))
+    got = small_order_set(ctx, t).tolist()
     assert got == [i for i in range(1, ctx.q) if orders[i - 1] <= t]
 
 
@@ -585,7 +602,7 @@ def test_index_tables_match_the_digit_paths(field, data):
     nonzero = [i for i in idx if i] + [1, ctx.q - 1]
     got = ff.mul_orders(ctx, nonzero).tolist()
     assert got == [mul_order(ctx.from_index(i)) for i in nonzero]
-    listed = sorted(u.index for u in small_order_set(ctx, t))
+    listed = small_order_set(ctx, t).tolist()
     assert listed == _gamma_by_generator_powers(*field, min(t, ctx.q))
 
 

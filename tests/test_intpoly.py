@@ -61,6 +61,8 @@ def test_arithmetic_basics():
     assert (f * 2).coeffs == (2, 4, 6)
     assert (2 * f).coeffs == (2, 4, 6)
     assert (g**3).coeffs == (0, 0, 0, 1)
+    assert (f**0).coeffs == (1,)
+    assert f**5 == f * f * f * f * f
     assert (-f).coeffs == (-1, -2, -3)
     assert f(2) == 1 + 4 + 12
     assert IntPolynomial(()).degree == -1

@@ -72,7 +72,7 @@ def _tables(F, x, t, depth):
     """(table, Γ(t) mask, [row of x]) from both table builders: the whole
     field's graph, and the compact table over x's reach within depth steps."""
     ctx = x.ctx
-    gamma = [u.index for u in small_order_set(ctx, t)]
+    gamma = small_order_set(ctx, t)
     whole = (build_graph(F, ctx).table, np.arange(ctx.q))
     for table, points in (whole, reach_table(F, ctx, [x.index], depth)):
         yield table, np.isin(points, gamma), [int(np.flatnonzero(points == x.index)[0])]

@@ -1575,7 +1575,7 @@ def test_runners_above_graph_cap_match_oracles():
     ctx = make_prime_field(p)
     assert ctx.q > MAX_GRAPH_SIZE
     t = 58  # orders 1, 2, 29 and 58 divide q - 1
-    roots = sorted(u.index for u in small_order_set(ctx, t))
+    roots = small_order_set(ctx, t).tolist()
     rng = random.Random(1048583)
     systems = [["X^2"], ["X^2", "X^2 + 1"]]
     for _ in range(4):
@@ -1748,6 +1748,11 @@ def test_qual_matches_order_by_powering(monkeypatch):
     listed.clear()
     assert verify._qual(make_prime_field(17), 4, np.array([4])).tolist() == [True]
     assert listed == [4]
+    # all-zero points take the per-point branch (16 > 2 * 5) with nothing to test
+    listed.clear()
+    zeros = np.zeros((2, 1), dtype=np.int64)
+    assert verify._qual(make_prime_field(17), 16, zeros).tolist() == [[False], [False]]
+    assert listed == []
 
 
 def test_qual_mask_and_isin_paths_agree_with_isin():
@@ -1765,7 +1770,7 @@ def test_qual_mask_and_isin_paths_agree_with_isin():
         size = 2 * data.draw(st.integers(1, ctx.q))
         cells = data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
         points = np.array(cells, dtype=np.int64).reshape(2, -1)
-        gamma = np.array([u.index for u in small_order_set(ctx, t)], dtype=np.int64)
+        gamma = small_order_set(ctx, t)
         got = verify._qual(ctx, t, points)
         assert got.shape == points.shape
         assert got.tolist() == np.isin(points, gamma).tolist()
