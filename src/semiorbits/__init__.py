@@ -54,6 +54,7 @@ from .intpoly import (
     conjugate_linear,
     cyclotomic,
     cyclotomic_charpoly,
+    cyclotomic_norms,
     cyclotomic_resultants,
     format_poly,
     height,

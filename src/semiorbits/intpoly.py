@@ -403,13 +403,14 @@ def resultant(f: IntPolynomial, g: IntPolynomial) -> int:
 _LIMB = 24  # coefficients are cut into 24-bit limbs; split primes lie below 2^25
 _BLOCK = 8  # products summed before one reduction (see _reduce)
 _CRT_BLOCK = 32  # primes whose CRT weights are held at once
+_CHUNK = 1 << 14  # entries of a chunk of powers of f(ζ) held at once (see _norm_residues)
 _SIEVE_BASE = _sieve(math.isqrt(1 << (_LIMB + 1)))  # every composite below 2^25 has a factor here
 # the window's bottom, above every prime of _SIEVE_BASE: the sieve strikes
 # out no base prime itself, and every base a of _cyclotomic_roots is a unit
 _FLOOR = 1 << 13
 
 
-def _reduce(x: np.ndarray, ell: np.ndarray, inv: np.ndarray) -> np.ndarray:
+def _reduce(x: np.ndarray, ell: np.ndarray, inv: np.ndarray, out=None) -> np.ndarray:
     """x mod ℓ as a symmetric residue, of magnitude at most (ℓ + 1)/2 <= 2^24,
     for integers |x| < 2^52 held in doubles, odd ℓ < 2^25 and ``inv`` the
     doubles nearest 1/ℓ.
@@ -419,12 +420,12 @@ def _reduce(x: np.ndarray, ell: np.ndarray, inv: np.ndarray) -> np.ndarray:
     so q ℓ and x - q ℓ are exact.  Every operand of the kernel is such a
     residue or a 24-bit limb, so a product is at most 2^48, and a sum of at
     most _BLOCK + 1 products is below 2^52: every integer the kernel forms
-    is exact in a double, in whatever order BLAS sums a matrix product.
-    """
+    is exact in a double, in whatever order BLAS sums a matrix product;
+    ``out``, if given, takes the residues and may be x itself."""
     q = x * inv
     np.rint(q, out=q)
     q *= ell
-    return np.subtract(x, q, out=q)
+    return np.subtract(x, q, out=q if out is None else out)
 
 
 def _held_bits(primes) -> np.ndarray:
@@ -529,137 +530,161 @@ def _crt_blocks(primes: Sequence[int]) -> List[Tuple[List[int], List[int], int]]
     return out
 
 
-def _crt(rows: Sequence[Sequence[int]], primes: Sequence[int], blocks) -> List[int]:
-    """The symmetric integer with a row's residues mod ``primes``, for each
-    row (Collins, JACM 18, 1971); ``blocks`` are the _crt_blocks of primes
-    that ``primes`` begins.  A block's weights give a y with its residues,
-    and x + M ((y - x) M^-1 mod m), M the product of the primes before the
-    block, lifts x from mod M to mod M m.  Held one block at a time, the
-    weights take memory linear in the primes; a block's weights, and its
-    inverse, still serve a prefix of it, mod the prefix's product."""
-    xs, M = [0] * len(rows), 1
-    for lo, (products, weights, inv) in zip(range(0, len(primes), _CRT_BLOCK), blocks):
-        m = products[min(len(primes) - lo, _CRT_BLOCK) - 1]
-        for i, row in enumerate(rows):
-            y = sum(map(operator.mul, row[lo : lo + _CRT_BLOCK], weights))
-            xs[i] += M * ((y - xs[i]) * inv % m)
-        M *= m
-    return [x - M if 2 * x > M else x for x in xs]
+def _crt(rows: Sequence[Sequence[int]], blocks) -> List[int]:
+    """The symmetric integer with a row's residues mod the first len(row)
+    primes, for each row (Collins, JACM 18, 1971), from the _crt_blocks of
+    the primes: a block's weights give a y with its residues, and x + M
+    ((y - x) M^-1 mod m), M the product of the primes before the block,
+    lifts x from mod M to mod M m.  A block's weights, and its inverse,
+    still serve a prefix of it, mod the prefix's product."""
+    out = []
+    for row in rows:
+        x, M = 0, 1
+        for lo, (products, weights, inv) in zip(range(0, len(row), _CRT_BLOCK), blocks):
+            m = products[min(len(row) - lo, _CRT_BLOCK) - 1]
+            x += M * ((sum(map(operator.mul, row[lo : lo + _CRT_BLOCK], weights)) - x) * inv % m)
+            M *= m
+        out.append(x - M if 2 * x > M else x)
+    return out
+
+
+def _powers(x: np.ndarray, count: int, m: np.ndarray, mi: np.ndarray) -> np.ndarray:
+    """x^0 .. x^(count - 1) mod ℓ along a new first axis, by doubling: the
+    powers below w times x^w are those below 2w."""
+    powers, w = np.empty((count,) + x.shape), 2
+    powers[0], powers[1:2] = 1, x
+    while w < count:
+        top, block = _reduce(powers[w - 1] * x, m, mi), powers[w : 2 * w]
+        _reduce(np.multiply(powers[: len(block)], top, out=block), m, mi, out=block)
+        w *= 2
+    return powers
+
+
+def _norm_bits(folded: List[List[int]], n: int, ks: Sequence[int], cg: np.ndarray,
+               rev: np.ndarray, degs: np.ndarray) -> np.ndarray:
+    """Per (f, g), bits above log2 |prod g(f(ζ))| + 1 over ζ = e^(2πik/n),
+    k in ``ks``, for each f mod X^n - 1 of ``folded`` and each g of the
+    columns of ``cg``, whose |g_(deg g - j)| ``rev`` holds.  U >= |f(ζ)| is
+    f(ζ) in doubles, the coefficients scaled by 2^-e to a sum N of
+    magnitudes below 2^512, plus (m + 8) 2^-48 N for m of them (cos, sin,
+    coefficients and sums round within that), capped at N and rounded up
+    by 2^-50.  Then |g(f(ζ))| <= sum |g_j| U^j, summed as it stands if
+    U < 1 and as U^(deg g) sum |g_(deg g - j)| U^-j if not, the powers of
+    min(U, 1/U) being 2^(-j |log2 U|): no term leaves the doubles.  2^-20
+    (|log2 sum| + 1) bits per ζ cover the sums' rounding."""
+    m = len(folded[0])
+    theta = 2 * np.pi / n * (np.outer(ks, np.arange(m)) % n)  # (ζ, j)
+    norms = [sum(map(abs, cs)) for cs in folded]
+    shifts = [max(0, N.bit_length() - 512) for N in norms]
+    c = np.array([[x / (1 << e) for x in cs] for cs, e in zip(folded, shifts)]).T  # (j, f)
+    top = np.array([N / (1 << e) for N, e in zip(norms, shifts)]) * (1 + 2.0**-50)
+    u = np.hypot(np.cos(theta) @ c, np.sin(theta) @ c) + (m + 8) * 2.0**-48 * top
+    with np.errstate(divide="ignore"):  # log2 0 = -inf where f ≡ 0 mod X^n - 1
+        logu = (np.log2(np.minimum(u, top) * (1 + 2.0**-50)) + shifts).T[:, :, None]  # (f, ζ, 1)
+    big = logu >= 0
+    t = np.exp2(-np.minimum(np.abs(logu), 1100) * np.arange(len(cg)))  # 2^-1100 is 0
+    sums = np.where(big, t @ rev, t @ np.abs(cg))
+    per = np.log2(np.maximum(sums, 2.0**-900)) + np.where(big, logu, 0) * degs
+    bound = np.ceil(per.sum(axis=1) + 2.0**-20 * (np.abs(per) + 1).sum(axis=1))
+    return np.maximum(bound, 0).astype(np.int64) + 1
+
+
+def _norm_residues(folded: List[List[int]], ks: Sequence[int], ell: np.ndarray,
+                   zeta: np.ndarray, cg: np.ndarray, take: np.ndarray) -> np.ndarray:
+    """prod g(f(ζ^k)) over k in ``ks`` mod each prime ℓ of ``ell``, ζ its
+    root, as (ℓ, f, g) residues on the first take[f, g] primes of each f and
+    g (see _norm_bits).  f's 24-bit limbs are reduced eight to a matrix
+    product and y = f(ζ^k) taken by Horner; then, in chunks of about _CHUNK
+    entries, the powers of y meet each g that needs the chunk's primes in
+    one matrix product, whose sums of |g|_1 residues stay below 2^51."""
+    inv = 1 / ell
+    roots = _powers(zeta, ks[-1] + 1, ell, inv)[ks, :, None]  # (ζ, ℓ, 1)
+    limbs = -(-max(abs(c) for cs in folded for c in cs).bit_length() // _LIMB) or 1
+    digits = np.array([[[(abs(c) >> (_LIMB * j) & (1 << _LIMB) - 1) * (-1 if c < 0 else 1)
+                         for j in range(limbs)] for c in cs] for cs in folded], dtype=float)
+    radix = _powers(_reduce(np.full_like(ell, 1 << _LIMB), ell, inv), limbs, ell, inv)  # (limb, ℓ)
+    coeffs = digits[:, :, :_BLOCK] @ radix[:_BLOCK]
+    for j in range(_BLOCK, limbs, _BLOCK):
+        coeffs = _reduce(coeffs, ell, inv) + digits[:, :, j : j + _BLOCK] @ radix[j : j + _BLOCK]
+    coeffs = _reduce(coeffs, ell, inv).transpose(1, 2, 0)  # (coefficient, ℓ, f)
+    y = coeffs[-1] * np.ones_like(roots)  # (ζ, ℓ, f)
+    for c in coeffs[-2::-1]:
+        y = _reduce(y * roots + c, ell[:, None], inv[:, None])
+    step = max(1, _CHUNK // y[:, 0].size // len(cg))  # primes per chunk
+    out = np.zeros((len(ell),) + take.shape)
+    for lo in range(0, take.max(), step):
+        rows = np.flatnonzero(take.max(axis=1) > lo)  # the f and g that need these primes
+        cols = np.flatnonzero(take[rows].max(axis=0) > lo)
+        width = int(np.flatnonzero(cg[:, cols].any(axis=1))[-1]) + 1
+        m = np.repeat(ell[lo : lo + step], len(rows))
+        powers = _powers(y[:, lo : lo + step, rows].reshape(len(ks), -1), width, m, 1 / m)
+        values = (powers.reshape(width, -1).T @ cg[:width, cols]).reshape(len(ks), -1, len(cols))
+        m, mi = m[:, None], 1 / m[:, None]
+        z = len(_reduce(values, m, mi, out=values))  # (ζ, ℓ f, g)
+        while z > 1:  # the product over ζ, folding the top half onto the bottom
+            h = values[: z // 2]
+            _reduce(np.multiply(h, values[z - len(h) : z], out=h), m, mi, out=h)
+            z -= len(h)
+        out[lo : lo + step, rows[:, None], cols] = values[0].reshape(-1, len(rows), len(cols))
+    return out
+
+
+def cyclotomic_norms(fs: Sequence[IntPolynomial], gs: Sequence[IntPolynomial],
+                     n_max: int) -> List[List[List[int]]]:
+    """Res(Φ_n, g∘f) = prod g(f(ζ)) over the primitive n-th roots of unity
+    ζ, for every f of ``fs``, n <= n_max and g of ``gs``, as
+    ``out[i][n - 1][k]`` for fs[i] and gs[k]; equal to
+    ``resultant(cyclotomic_charpoly(f, n), g)``.
+
+    These are norms from Q(ζ_n).  Mod a prime ℓ ≡ 1 (mod n) the ζ are the
+    powers ζ^k, gcd(k, n) = 1, of one root, and each (f, n, g) takes the
+    first such primes that hold its _norm_bits, then the CRT, or, past the
+    primes below 2^25, the subresultant PRS of χ_n.  Every g needs
+    |g|_1 2^25 < 2^52, so that the kernel's sums stay exact (see _reduce)."""
+    if any(P.is_zero for P in (*fs, *gs)):
+        raise ZeroPolynomial("resultants require nonzero polynomials")
+    if not 1 <= n_max <= MAX_CYCLOTOMIC_INDEX:
+        raise OutOfRange("cyclotomic index must satisfy 1 <= n <= %d" % MAX_CYCLOTOMIC_INDEX)
+    if any(sum(map(abs, g.coeffs)) << 25 >= 1 << 52 for g in gs):
+        raise OutOfRange("every g needs |g|_1 * 2^25 < 2^52, for exact float64 sums")
+    out = [[[0] * len(gs) for _ in range(n_max)] for _ in fs]
+    if not fs or not gs:
+        return out
+    degs = np.array([g.degree for g in gs])
+    cg, rev = np.zeros((2, degs.max() + 1, len(gs)))  # g_j and |g_(deg g - j)| in g's column
+    for k, g in enumerate(gs):
+        cg[: g.degree + 1, k], rev[: g.degree + 1, k] = g.coeffs, np.abs(g.coeffs[::-1])
+    ns, most = range(1, n_max + 1), max(len(f.coeffs) for f in fs)
+    ks = {n: [k for k in range(n) if math.gcd(k, n) == 1] for n in ns}
+    folded = {n: [[sum(f.coeffs[i::n]) for i in range(min(n, most))] for f in fs] for n in ns}
+    bits = {n: _norm_bits(folded[n], n, ks[n], cg, rev, degs) for n in ns}
+    primes = _split_primes({n: int(bits[n].max()) for n in ns})
+    ells = np.array([l for n in ns for l in primes[n]], dtype=float)
+    at = np.cumsum([len(primes[n]) for n in ns])  # the end of each n's primes
+    zetas = np.split(_cyclotomic_roots(ns, np.diff(at, prepend=0), ells, 1 / ells), at)
+    for n, ell, zeta in zip(ns, np.split(ells, at), zetas):
+        take = np.searchsorted(_held_bits(primes[n]), bits[n])  # primes per (f, g)
+        past = take > len(primes[n])  # too few primes below 2^25: the PRS
+        for a in np.flatnonzero(past.any(axis=1)).tolist():
+            chi = cyclotomic_charpoly(fs[a], n)
+            out[a][n - 1] = [resultant(chi, g) if p else 0 for g, p in zip(gs, past[a])]
+        if primes[n]:
+            res = _norm_residues(folded[n], ks[n], ell, zeta, cg, np.where(past, 0, take))
+            i, k = np.nonzero(~past)
+            rows = [r[:t] for r, t in zip(res[:, i, k].T.astype(np.int64).tolist(), take[i, k].tolist())]
+            for a, b, x in zip(i.tolist(), k.tolist(), _crt(rows, _crt_blocks(primes[n]))):
+                out[a][n - 1][b] = x
+    return out
 
 
 def cyclotomic_resultants(polys: Sequence[IntPolynomial], s_max: int) -> List[List[int]]:
     """Res(P, Φ_s) for every nonzero P of ``polys`` and every s <= s_max, as
     ``out[i][s - 1]`` for ``polys[i]``; equal to ``resultant(P, cyclotomic(s))``.
-
-    Φ_s is monic, so Res(P, Φ_s) = (-1)^(deg P phi(s)) prod P(β) over its
-    roots β.  Mod a prime ℓ ≡ 1 (mod s) the β are phi(s) residues, and all
-    P of a degree are evaluated at once, for every ℓ and β of every s with
-    the same phi(s), in doubles that hold each integer formed exactly (see
-    _reduce).  |prod P(β)| <= |P|_1^phi(s) < 2^(phi(s) b), b the bit length
-    of the sum of |coefficients|, so primes below 2^25 whose product holds
-    phi(s) b + 1 bits recover it by the CRT as a symmetric residue: about
-    (phi(s) b + 1) / 24 primes above 2^24, and smaller ones after them.
-    An s for which the primes below 2^25 hold too few bits takes the
-    subresultant PRS.
-
-    A coefficient is reduced mod ℓ from its signed 24-bit limbs, and P(β)
-    by Horner over blocks of coefficients: each block's sum of eight
-    products is a matrix product, reduced by the Horner step that takes it.
-    """
-    if any(P.is_zero for P in polys):
-        raise ZeroPolynomial("resultants require nonzero polynomials")
-    if not 1 <= s_max <= MAX_CYCLOTOMIC_INDEX:
-        raise OutOfRange("cyclotomic index must satisfy 1 <= s <= %d" % MAX_CYCLOTOMIC_INDEX)
-    if not polys:
-        return []
-    groups = {}  # degree -> (indices, norm bits, limbs as (P, coefficient, limb))
-    for i, P in enumerate(polys):
-        groups.setdefault(P.degree, []).append(i)
-    width = min(_BLOCK, max(groups) + 1)  # coefficients per Horner block
-    for deg, idx in groups.items():  # zero-padded to whole blocks
-        coeffs = [polys[i].coeffs + (0,) * (-len(polys[i].coeffs) % width) for i in idx]
-        n = -(-max(abs(c) for cs in coeffs for c in cs).bit_length() // _LIMB) or 1
-        limbs = np.array([[[(abs(c) >> (_LIMB * j) & (1 << _LIMB) - 1) * (-1 if c < 0 else 1)
-                            for j in range(n)] for c in cs] for cs in coeffs], dtype=float)
-        groups[deg] = (idx, max(sum(map(abs, cs)).bit_length() for cs in coeffs), limbs)
-    most_limbs = max(g[2].shape[2] for g in groups.values())
-    classes = {}  # phi(s) -> each s <= s_max of it, batched along the prime axis
-    for s in range(1, s_max + 1):
-        classes.setdefault(euler_phi(s), []).append(s)
-    need = {phi: {deg: phi * g[1] + 1 for deg, g in groups.items()} for phi in classes}  # bits
-    primes = _split_primes({s: max(need[phi].values()) for phi, ss in classes.items() for s in ss})
-    held = {s: _held_bits(ls) for s, ls in primes.items()}
-    out = [[0] * s_max for _ in polys]
-    for phi, ss in classes.items():
-        for s in [s for s in ss if held[s][-1] < max(need[phi].values())]:
-            ss.remove(s)  # past the window
-            phi_s = cyclotomic(s)
-            for i, P in enumerate(polys):
-                out[i][s - 1] = resultant(P, phi_s)
-    split = [s for ss in classes.values() for s in ss]  # each class's primes follow the last's
-    ells = np.array([l for s in split for l in primes[s]], dtype=float)
-    zetas = _cyclotomic_roots(split, [len(primes[s]) for s in split], ells, 1 / ells)
-    end = 0
-    for phi, ss in classes.items():
-        at = np.cumsum([0] + [len(primes[s]) for s in ss])  # the rows of each s
-        lo, end = end, end + at[-1]  # the class's rows of ells
-        if not ss:
-            continue
-        ell, zeta = ells[lo:end], zetas[lo:end, None]
-        inv = 1 / ell
-        n, m, mi = max(ss), ell[:, None], inv[:, None]
-        powers, w = np.ones((len(ell), n)), 1  # ζ^0, ..., ζ^(w-1) by doubling w
-        while w < n:
-            top = _reduce(powers[:, w - 1 : w] * zeta, m, mi)
-            powers[:, w : 2 * w] = _reduce(powers[:, : min(w, n - w)] * top, m, mi)
-            w *= 2
-        coprime = [[k for k in range(s) if math.gcd(k, s) == 1] for s in ss]
-        roots = np.concatenate([powers[at[j] : at[j + 1], ks] for j, ks in enumerate(coprime)])
-        roots = roots[:, None]
-        radix = [np.ones_like(ell)]  # 2^(24 j) mod ℓ
-        while len(radix) < most_limbs:
-            radix.append(_reduce(radix[-1] * (1 << _LIMB), ell, inv))
-        radix = np.stack(radix)  # (limb, ℓ)
-        powers = [np.ones_like(roots), roots]  # β^0, ..., β^width
-        while len(powers) <= width:
-            powers.append(_reduce(powers[-1] * roots, ell[:, None, None], inv[:, None, None]))
-        step = powers.pop()
-        table = np.concatenate(powers, axis=1)  # (ℓ, power, β)
-        residues = {}  # degree -> per s, (P, ℓ)
-        for deg, (idx, _, limbs) in groups.items():
-            # the first primes of each s whose product holds this degree's bits
-            ks = [int(np.searchsorted(held[s], need[phi][deg])) for s in ss]
-            rows = np.concatenate([np.arange(a, a + k) for a, k in zip(at, ks)])
-            m, mi = ell[rows], inv[rows]
-            r = radix[: limbs.shape[2], rows]
-            coeffs = limbs[:, :, :_BLOCK] @ r[:_BLOCK]
-            for j in range(_BLOCK, len(r), _BLOCK):  # eight limbs more at a time
-                coeffs = _reduce(coeffs, m, mi) + limbs[:, :, j : j + _BLOCK] @ r[j : j + _BLOCK]
-            coeffs = _reduce(coeffs, m, mi)
-            coeffs = coeffs.transpose(2, 0, 1).reshape(len(rows), -1, width)
-            m, mi = m[:, None, None], mi[:, None, None]  # against (ℓ, P or block, β)
-            # each block's value at every β, a sum of eight products that the
-            # next Horner step by β^width reduces with one product more
-            blocks = (coeffs @ table[rows]).reshape(len(rows), len(idx), -1, phi)
-            values, lift = _reduce(blocks[:, :, -1], m, mi), step[rows]
-            for b in range(blocks.shape[2] - 2, -1, -1):
-                values = values * lift
-                values += blocks[:, :, b]
-                values = _reduce(values, m, mi)
-            while values.shape[2] > 1:  # the product over β, halving the axis
-                half = values.shape[2] // 2
-                pairs = _reduce(values[:, :, :half] * values[:, :, half : 2 * half], m, mi)
-                values = np.concatenate([pairs, values[:, :, 2 * half :]], axis=2)
-            sign = -1 if deg * phi % 2 else 1
-            res = sign * values[:, :, 0].T.astype(np.int64)
-            residues[deg] = np.split(res, np.cumsum(ks)[:-1], axis=1)
-        for j, s in enumerate(ss):  # one s's CRT weights at a time
-            crt = _crt_blocks(primes[s])
-            for deg, (idx, _, _) in groups.items():
-                res = residues[deg][j]
-                for i, x in zip(idx, _crt(res.tolist(), primes[s][: res.shape[1]], crt)):
-                    out[i][s - 1] = x
-    return out
+    Φ_s is monic, so that is (-1)^(deg P phi(s)) times the norm prod P(β)
+    over its roots β, from ``cyclotomic_norms`` with f = P and g = X."""
+    table = cyclotomic_norms(polys, [X], s_max)
+    return [[-x if P.degree * euler_phi(s) % 2 else x for s, (x,) in enumerate(rows, 1)]
+            for P, rows in zip(polys, table)]
 
 
 # ---------------------------------------------------------------------------
@@ -831,18 +856,10 @@ def is_special(f: IntPolynomial) -> SpecialClassification:
 def _scaling_to_monic(ad: int, d: int) -> Optional[Fraction]:
     """alpha with alpha^(d-1) = 1/ad, if one exists in Q (alpha = 1/w with
     w^(d-1) = ad)."""
-    m = d - 1
-    if m % 2 == 1:
-        w = _iroot(abs(ad), m)
-        if w is None:
-            return None
-        if ad < 0:
-            w = -w
-        return Fraction(1, w)
-    if ad < 0:
+    if ad < 0 and d % 2:  # an even root of a negative number
         return None
-    w = _iroot(ad, m)
-    return None if w is None else Fraction(1, w)
+    w = _iroot(abs(ad), d - 1)
+    return None if w is None else Fraction(1, -w if ad < 0 else w)
 
 
 # ---------------------------------------------------------------------------

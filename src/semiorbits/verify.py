@@ -47,7 +47,7 @@ from .intpoly import (
     composition_height_bound,
     cyclotomic,
     cyclotomic_charpoly,
-    cyclotomic_resultants,
+    cyclotomic_norms,
     format_poly,
     height,
     is_special,
@@ -748,12 +748,13 @@ def _lemma41_cost(degrees: Sequence[int], r_max: int, s_max: int) -> int:
 def run_lemma41(cfg: ExperimentConfig) -> ExperimentReport:
     """log|Res(Phi_r, Phi_s(F))| normalized by r s (h(F) + deg F).
 
-    Each value is Res(χ_r, Φ_s), χ_r = ``cyclotomic_charpoly(F, r)`` built once
-    per (F, r), and every Res(χ_r, Φ_s) of the grid comes from one
-    ``cyclotomic_resultants`` pass.  The pair that needs the most primes is
-    checked against the subresultant PRS.  Zero resultants are flagged, not
-    folded into the ratio; they mark the cyclotomic-preimage coincidences the
-    surrounding theory feeds on.
+    Each value is the norm Res(Phi_r, Phi_s(F)) = prod Phi_s(F(ζ)) over the
+    primitive r-th roots of unity ζ, all from one ``cyclotomic_norms`` pass.
+    The largest, whose CRT takes the most primes, is checked against the
+    subresultant PRS of χ_r = ``cyclotomic_charpoly(F, r)``, the one χ_r the
+    run builds.  Zero resultants are flagged, not folded into the ratio;
+    they mark the cyclotomic-preimage coincidences the surrounding theory
+    feeds on.
     """
     gens = [parse_poly(text) for text in cfg.generators]
     if cfg.r_max < 1 or cfg.s_max < 1:
@@ -764,18 +765,19 @@ def run_lemma41(cfg: ExperimentConfig) -> ExperimentReport:
     ):
         raise TooLarge("lemma41 guard: the grid's cost must stay <= %d and phi(r)*r*(deg F + 1)"
                        " <= %d" % (LEMMA41_COST_CAP, CHARPOLY_COST_CAP))
-    chis = [cyclotomic_charpoly(f, r) for f in gens for r in range(1, cfg.r_max + 1)]
-    values = cyclotomic_resultants(chis, cfg.s_max)
-    i = max(range(len(chis)), key=lambda i: sum(map(abs, chis[i].coeffs)))
-    s = max(range(1, cfg.s_max + 1), key=euler_phi)
-    assert values[i][s - 1] == resultant(chis[i], cyclotomic(s)), "split-prime resultant disagrees"
+    phis = [cyclotomic(s) for s in range(1, cfg.s_max + 1)]
+    values = cyclotomic_norms(gens, phis, cfg.r_max)  # values[k][r - 1][s - 1]
+    _, k, r, j = max((abs(v), k, r, j) for k, per_f in enumerate(values)
+                     for r, row in enumerate(per_f) for j, v in enumerate(row))
+    chi = cyclotomic_charpoly(gens[k], r + 1)
+    assert values[k][r][j] == resultant(chi, phis[j]), "split-prime resultant disagrees"
     columns = ("generator", "r", "s", "zero", "log_abs_res", "constant")
     rows = []
     for k, f in enumerate(gens):
         text = format_poly(f)
         denom_base = height(f) + f.degree
         for r in range(1, cfg.r_max + 1):
-            for s, value in enumerate(values[k * cfg.r_max + r - 1], 1):
+            for s, value in enumerate(values[k][r - 1], 1):
                 if value == 0:
                     rows.append((text, r, s, 1, None, None))
                 else:

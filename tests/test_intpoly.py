@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from semiorbits import (
     conjugate_linear,
     cyclotomic,
     cyclotomic_charpoly,
+    cyclotomic_norms,
     cyclotomic_resultants,
     euler_phi,
     factorize,
@@ -349,6 +351,70 @@ def test_cyclotomic_resultants_match_prs_and_determinant(polys, s_max, factor):
         assert [table[len(table) - s_max + s - 1][s - 1] for s in range(1, s_max + 1)] == [0] * s_max
 
 
+_LIMB_EDGES = st.builds(lambda k, d, sign: sign * ((1 << (24 * k)) + d),
+                        st.integers(1, 2), st.integers(-2, 2), st.sampled_from([1, -1]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    f=st.lists(st.one_of(_coefficients(6), _LIMB_EDGES, _coefficients(70)), min_size=2, max_size=5)
+    .filter(lambda cs: cs[-1] != 0).map(IntPolynomial),
+    r_max=st.integers(1, 12),
+    s_max=st.integers(1, 12),
+)
+@example(f=parse_poly("X^2 + 1"), r_max=3, s_max=6)  # ζ_3^2 + 1 = -ζ_3 is a root of Φ_6
+@example(f=parse_poly("X^2 + 3X + 5"), r_max=1, s_max=610)
+@example(f=parse_poly("1073741824X^2 + 1"), r_max=1, s_max=886)
+def test_cyclotomic_norms_match_prs_within_their_bounds(f, r_max, s_max):
+    # each Res(Φ_r, Φ_s∘f) is the PRS value of χ_r against Φ_s, and each
+    # cell's bound holds at least its bit length + 1 bits.  The two r = 1
+    # grids, where the powers of f(1) reach 2^12600, check a seeded sample
+    # of their cells and s = 1, 2 and the largest s against the PRS
+    phis = [cyclotomic(s) for s in range(1, s_max + 1)]
+    bits = []
+    real_bits = intpoly._norm_bits
+
+    def recorded(*args):
+        bits.append(real_bits(*args))
+        return bits[-1]
+
+    with mock.patch.object(intpoly, "_norm_bits", recorded):
+        (table,) = cyclotomic_norms([f], phis, r_max)
+    assert len(table) == len(bits) == r_max and all(len(row) == s_max for row in table)
+    for row, (bound,) in zip(table, bits):
+        assert all(b >= abs(value).bit_length() + 1 for value, b in zip(row, bound.tolist()))
+    cells = [(r, s) for r in range(1, r_max + 1) for s in range(1, s_max + 1)]
+    if len(cells) > 144:
+        cells = random.Random(0).sample(cells, 12) + [(r_max, s) for s in (1, 2, s_max)]
+    chis = {r: cyclotomic_charpoly(f, r) for r, _ in cells}
+    for r, s in cells:
+        assert table[r - 1][s - 1] == resultant(chis[r], phis[s - 1]), (f, r, s)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    fs=st.lists(st.lists(st.one_of(_coefficients(4), _coefficients(40)), min_size=1, max_size=4)
+                .map(IntPolynomial).filter(lambda P: not P.is_zero), min_size=1, max_size=3),
+    gs=st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=6)
+                .map(IntPolynomial).filter(lambda P: not P.is_zero), min_size=1, max_size=4),
+    n_max=st.integers(1, 10),
+)
+@example(fs=[X, parse_poly("X^2 - 1"), parse_poly("3X^3 - 2")],
+         gs=[X, parse_poly("X^3"), IntPolynomial((5,)), parse_poly("-2X^2 + X")], n_max=6)
+def test_cyclotomic_norms_of_several_f_and_any_g_match_prs(fs, gs, n_max):
+    # several f of unequal sizes and g of any shape: constants, g(0) = 0,
+    # negative leading coefficients; X^2 - 1 is 0 mod X^n - 1 at n = 1, 2.
+    # With one prime to a chunk, the later chunks evaluate only the f and g
+    # that still need their primes
+    table = cyclotomic_norms(fs, gs, n_max)
+    with mock.patch.object(intpoly, "_CHUNK", 1):
+        assert cyclotomic_norms(fs, gs, n_max) == table
+    for f, per_f in zip(fs, table):
+        for n, row in enumerate(per_f, 1):
+            chi = cyclotomic_charpoly(f, n)
+            assert row == [resultant(chi, g) for g in gs], (f, n)
+
+
 def test_cyclotomic_resultants_edges():
     assert cyclotomic_resultants([IntPolynomial((3,))], 2) == [[3, 3]]  # c^phi(s)
     assert cyclotomic_resultants([parse_poly("X - 1"), parse_poly("X + 1")], 2) == [[0, 2], [-2, 0]]
@@ -358,11 +424,31 @@ def test_cyclotomic_resultants_edges():
     for s_max in (0, intpoly.MAX_CYCLOTOMIC_INDEX + 1):
         with pytest.raises(OutOfRange):
             cyclotomic_resultants([X], s_max)
+    # the norms: a zero f or g, an index past either end, and a g whose
+    # float64 sums could reach 2^52 are refused
+    with pytest.raises(ZeroPolynomial):
+        cyclotomic_norms([X, IntPolynomial(())], [X], 2)
+    with pytest.raises(ZeroPolynomial):
+        cyclotomic_norms([X], [X, IntPolynomial(())], 2)
+    for n_max in (0, intpoly.MAX_CYCLOTOMIC_INDEX + 1):
+        with pytest.raises(OutOfRange):
+            cyclotomic_norms([X], [X], n_max)
+    edge = (1 << 27) - 1  # |g|_1 2^25 < 2^52
+    with pytest.raises(OutOfRange):
+        cyclotomic_norms([X], [IntPolynomial((edge + 1,))], 2)
+    with pytest.raises(OutOfRange):
+        cyclotomic_norms([X], [IntPolynomial((1, 1 << 26, -(1 << 26)))], 2)
+    assert cyclotomic_norms([X], [IntPolynomial((edge,))], 3) == [[[edge], [edge], [edge**2]]]
+    assert cyclotomic_norms([X], [IntPolynomial((-(1 << 26), 0, (1 << 26) - 1))], 1) == [[[-1]]]
+    assert cyclotomic_norms([], [X], 3) == [] and cyclotomic_norms([X], [], 2) == [[[], []]]
+    # X^2 + 1 sends 1 and -1 to 2, and ζ_3 to -ζ_3, a root of Φ_6
+    assert cyclotomic_norms([parse_poly("X^2 + 1")], [cyclotomic(6)], 3) == [[[3], [3], [0]]]
 
 
 def test_cyclotomic_resultants_at_the_largest_single_r_grid():
     # lemma41's guard takes r_max = 1 with s_max = 610; χ_1 = Y - F(1), and
-    # s = 607 alone needs phi(607) * 4 + 1 bits: 102 primes = 1 mod 607 in (2^24, 2^25)
+    # phi(607) * 4 + 1 bits, from |Res(χ_1, Φ_607)| <= |χ_1|_1^606 with
+    # |χ_1|_1 = 10 < 2^4, take 102 primes = 1 mod 607 in (2^24, 2^25)
     assert verify._lemma41_cost([2], 1, 610) <= verify.LEMMA41_COST_CAP
     chi = cyclotomic_charpoly(parse_poly("X^2 + 3X + 5"), 1)
     (row,) = cyclotomic_resultants([chi], 610)
@@ -375,9 +461,9 @@ def test_cyclotomic_resultants_at_the_largest_single_r_grid():
 
 
 def test_split_primes_go_below_2_to_24():
-    # χ_1 = Y - (2^30 + 1) of 2^30 X^2 + 1 needs 882 * 31 + 1 bits at s = 883,
-    # more than the primes = 1 mod 883 in (2^24, 2^25) hold: the largest
-    # primes below 2^24 follow them
+    # 882 * 31 + 1 bits, from |Res(χ_1, Φ_883)| <= |χ_1|_1^882 with
+    # χ_1 = Y - (2^30 + 1) of 2^30 X^2 + 1, are more than the primes = 1 mod
+    # 883 in (2^24, 2^25) hold: the largest primes below 2^24 follow them
     bits = 882 * 31 + 1
     (primes,) = intpoly._split_primes({883: bits}).values()
     above = [l for l in primes if l > 1 << 24]
@@ -421,8 +507,9 @@ def test_cyclotomic_resultants_on_a_narrow_window(monkeypatch):
 
 
 def test_cyclotomic_resultants_across_crt_blocks(monkeypatch):
-    # with three primes to a CRT block, the degree-2 group's 28 primes at
-    # s = 11 fill ten blocks and the degree-1 group's 13 end inside the fifth
+    # with three primes to a CRT block, the quadratic's 28 primes at s = 11
+    # fill ten blocks and the linear P's 13 end inside the fifth: as many as
+    # phi(11) bit_length(|P|_1) + 1 bits take, and the norm bound needs
     monkeypatch.setattr(intpoly, "_CRT_BLOCK", 3)
     polys = [IntPolynomial((1 << 61, -(1 << 65) - 1, 3 << 62)), IntPolynomial(((1 << 29) + 1, 3))]
     assert [(10 * sum(map(abs, P.coeffs)).bit_length() + 24) // 24 for P in polys] == [28, 13]
@@ -470,8 +557,9 @@ def test_cyclotomic_roots_are_primitive(ss, bits):
 
 
 def test_cyclotomic_resultants_when_every_s_is_past_the_window(monkeypatch):
-    # a window of 64 integers holds too few primes for any s: every s takes
-    # the PRS, and the root search has no prime to run on
+    # a window of 64 integers holds too few primes for the 200-bit
+    # coefficient at any s: each of its cells takes the PRS of χ_s, while
+    # the quadratic's small values come from the window's few primes
     monkeypatch.setattr(intpoly, "_segments", lambda: iter([(1 << 16, (1 << 16) + 64, 1)]))
     polys = [IntPolynomial((3, -(1 << 200) + 5)), parse_poly("X^2 + 3X + 5")]
     assert cyclotomic_resultants(polys, 6) == [[resultant(P, cyclotomic(s)) for s in range(1, 7)]

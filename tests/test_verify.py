@@ -1164,7 +1164,9 @@ def test_lemma41_frozen_values():
     assert rep.summary["zero_resultants"] == 0
 
 
-def test_lemma41_builds_one_charpoly_per_generator_and_r(monkeypatch):
+def test_lemma41_builds_one_charpoly_per_run(monkeypatch):
+    # the grid's values are norms with no χ_r; the one χ_r built checks the
+    # largest value against the PRS
     calls = _count_compose(monkeypatch)
     builds = []
     real_charpoly = verify.cyclotomic_charpoly
@@ -1178,20 +1180,23 @@ def test_lemma41_builds_one_charpoly_per_generator_and_r(monkeypatch):
     rep = run_experiment(_cfg(experiment="lemma41", generators=gens, r_max=4, s_max=5))
     assert len(rep.rows) == 3 * 4 * 5
     assert calls == []
-    assert builds == [(g, r) for g in gens for r in range(1, 5)]
+    largest = max(_by_col(rep, row, "log_abs_res") or 0 for row in rep.rows)
+    assert len(builds) == 1 and builds[0] in [
+        (_by_col(rep, row, "generator"), _by_col(rep, row, "r"))
+        for row in rep.rows if _by_col(rep, row, "log_abs_res") == largest]
 
 
 def _lemma41_values(**grid):
     """The report on a lemma41 grid, and the resultant behind each of its rows."""
     values = []
 
-    def recorded(polys, s_max):
-        table = real_kernel(polys, s_max)
-        values.extend(value for row in table for value in row)
+    def recorded(fs, gs, n_max):
+        table = real_kernel(fs, gs, n_max)
+        values.extend(value for per_f in table for per_n in per_f for value in per_n)
         return table
 
-    real_kernel = verify.cyclotomic_resultants
-    with mock.patch.object(verify, "cyclotomic_resultants", recorded):
+    real_kernel = verify.cyclotomic_norms
+    with mock.patch.object(verify, "cyclotomic_norms", recorded):
         rep = run_experiment(_cfg(**{"experiment": "lemma41", **grid}))
     assert len(values) == len(rep.rows)
     return rep, values
