@@ -18,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -492,8 +492,10 @@ def _cyclotomic_roots(ss: Sequence[int], counts: Sequence[int], ell: np.ndarray,
     gcd(k, s) = 1, are the phi(s) roots of Φ_s mod ℓ.
 
     ζ = a^((ℓ-1)/s) is an s-th root of unity, primitive unless ζ^(s/q) = 1
-    for a prime q | s.  Eight prime a are raised and tested at once, and
-    each prime ℓ still without a root takes the first a that passes."""
+    for a prime q | s.  The prime a are raised and tested a batch at a
+    time, one a, then two, four and eight, so that an ℓ whose first a
+    passes raises no other, and each prime ℓ still without a root takes
+    the first a that passes."""
     primes = [factorize(s).primes() for s in ss]
     width = max(map(len, primes), default=0)
     # s/q for each prime q | s, 0 (no test) past the last q
@@ -501,10 +503,10 @@ def _cyclotomic_roots(ss: Sequence[int], counts: Sequence[int], ell: np.ndarray,
                       counts, axis=0).reshape(len(ell), 1, width)
     order, ell, inv = np.repeat(ss, counts)[:, None], ell[:, None], inv[:, None]
     zeta = np.empty(len(ell))
-    todo, tried = np.arange(len(ell)), 0
+    todo, tried, batch = np.arange(len(ell)), 0, 1
     while todo.size:
-        a = np.array(_SIEVE_BASE[tried : tried + 8], dtype=float)
-        tried += len(a)
+        a = np.array(_SIEVE_BASE[tried : tried + batch], dtype=float)
+        tried, batch = tried + len(a), min(2 * batch, 8)
         m, mi = ell[todo], inv[todo]
         roots = _pow_mod(a, (m.astype(np.int64) - 1) // order[todo], m, mi)  # (ℓ, a)
         e = tests[todo]
@@ -516,33 +518,53 @@ def _cyclotomic_roots(ss: Sequence[int], counts: Sequence[int], ell: np.ndarray,
     return zeta
 
 
-def _crt_blocks(primes: Sequence[int]) -> List[Tuple[List[int], List[int], int]]:
-    """Per block of _CRT_BLOCK primes: the products of its prefixes, the
-    weights that are 1 mod one of its primes and 0 mod the others, and the
-    inverse mod the block's product of the product of the primes before it."""
-    out, before = [], 1
-    for lo in range(0, len(primes), _CRT_BLOCK):
-        block = primes[lo : lo + _CRT_BLOCK]
-        products = list(itertools.accumulate(block, operator.mul))
-        m = products[-1]
-        out.append((products, [m // l * pow(m // l, -1, l) for l in block], pow(before, -1, m)))
-        before *= m
-    return out
+def _crt_blocks(lists: Sequence[Sequence[int]]) -> Iterator[List[Tuple[List[int], List[int], int]]]:
+    """Per list of primes, in turn, per block of _CRT_BLOCK of them: the
+    products of its prefixes, the weights that are 1 mod one of its primes
+    and 0 mod the others, and the inverse mod the block's product m of the
+    product M of the primes before it.  A weight is m/ℓ times the inverse
+    of m/ℓ mod ℓ, and the block's weights, summed against the inverses of M
+    mod its primes, give M^-1 mod m.  Every inverse mod a prime, of every
+    list, is a^(ℓ - 2) mod ℓ, from one vectorized power up front; the
+    products are built again per list, so that one list's are held at once."""
+    units, moduli = [], []
+    for l in lists:
+        M = 1
+        for lo in range(0, len(l), _CRT_BLOCK):
+            block = l[lo : lo + _CRT_BLOCK]
+            m = math.prod(block)
+            units += [m // p % p for p in block] + [M % p for p in block]
+            moduli += block + block
+            M *= m
+    ell = np.array(moduli, dtype=float)
+    inv = _pow_mod(np.array(units, dtype=float), ell.astype(np.int64) - 2, ell, 1 / ell)
+    inv = iter((inv.astype(np.int64) % ell.astype(np.int64)).tolist())
+    for l in lists:
+        per = []
+        for lo in range(0, len(l), _CRT_BLOCK):
+            products = list(itertools.accumulate(l[lo : lo + _CRT_BLOCK], operator.mul))
+            weights = [products[-1] // p * next(inv) for p in l[lo : lo + _CRT_BLOCK]]
+            per.append((products, weights, sum(w * next(inv) for w in weights) % products[-1]))
+        yield per
 
 
 def _crt(rows: Sequence[Sequence[int]], blocks) -> List[int]:
     """The symmetric integer with a row's residues mod the first len(row)
     primes, for each row (Collins, JACM 18, 1971), from the _crt_blocks of
-    the primes: a block's weights give a y with its residues, and x + M
-    ((y - x) M^-1 mod m), M the product of the primes before the block,
-    lifts x from mod M to mod M m.  A block's weights, and its inverse,
-    still serve a prefix of it, mod the prefix's product."""
+    the primes: a block's weights give a y with its residues, and
+    x + M ((y - x) M^-1 mod m), M the product of the primes before the
+    block, lifts x from mod M to mod M m.  A block's weights, and its
+    inverse, still serve a prefix of it, mod the prefix's product.  The
+    first block's y is the value mod its product: a row of at most
+    _CRT_BLOCK primes takes one weighted sum and one reduction."""
     out = []
+    (products, weights, _), rest = blocks[0], blocks[1:]
     for row in rows:
-        x, M = 0, 1
-        for lo, (products, weights, inv) in zip(range(0, len(row), _CRT_BLOCK), blocks):
-            m = products[min(len(row) - lo, _CRT_BLOCK) - 1]
-            x += M * ((sum(map(operator.mul, row[lo : lo + _CRT_BLOCK], weights)) - x) * inv % m)
+        M = products[min(len(row), _CRT_BLOCK) - 1]
+        x = sum(map(operator.mul, row, weights)) % M
+        for lo, (prods, ws, inv) in zip(range(_CRT_BLOCK, len(row), _CRT_BLOCK), rest):
+            m = prods[min(len(row) - lo, _CRT_BLOCK) - 1]
+            x += M * ((sum(map(operator.mul, row[lo : lo + _CRT_BLOCK], ws)) - x) * inv % m)
             M *= m
         out.append(x - M if 2 * x > M else x)
     return out
@@ -560,72 +582,121 @@ def _powers(x: np.ndarray, count: int, m: np.ndarray, mi: np.ndarray) -> np.ndar
     return powers
 
 
-def _norm_bits(folded: List[List[int]], n: int, ks: Sequence[int], cg: np.ndarray,
+def _norm_bits(folded: List[List[List[int]]], ks: Sequence[Sequence[int]], cg: np.ndarray,
                rev: np.ndarray, degs: np.ndarray) -> np.ndarray:
-    """Per (f, g), bits above log2 |prod g(f(ζ))| + 1 over ζ = e^(2πik/n),
-    k in ``ks``, for each f mod X^n - 1 of ``folded`` and each g of the
-    columns of ``cg``, whose |g_(deg g - j)| ``rev`` holds.  U >= |f(ζ)| is
-    f(ζ) in doubles, the coefficients scaled by 2^-e to a sum N of
-    magnitudes below 2^512, plus (m + 8) 2^-48 N for m of them (cos, sin,
-    coefficients and sums round within that), capped at N and rounded up
-    by 2^-50.  Then |g(f(ζ))| <= sum |g_j| U^j, summed as it stands if
-    U < 1 and as U^(deg g) sum |g_(deg g - j)| U^-j if not, the powers of
-    min(U, 1/U) being 2^(-j |log2 U|): no term leaves the doubles.  2^-20
+    """Per (n, f, g), bits above log2 |prod g(f(ζ))| + 1 over ζ = e^(2πik/n),
+    k in ks[n - 1], for each f mod X^n - 1 of folded[min(n, len(folded)) - 1]
+    and each g of the columns of ``cg``, whose |g_(deg g - j)| ``rev``
+    holds; one pass over the roots of every n.  U >= |f(ζ)| is f(ζ) in
+    doubles, the coefficients scaled by 2^-e to a sum N of magnitudes below
+    2^512, plus (m + 8) 2^-48 N for m of them (cos, sin, coefficients and
+    sums round within that), capped at N and rounded up by 2^-50.  Then
+    |g(f(ζ))| <= sum |g_j| U^j, summed as it stands if U < 1 and as
+    U^(deg g) sum |g_(deg g - j)| U^-j if not, the powers of min(U, 1/U)
+    being 2^(-j |log2 U|): no term leaves the doubles.  2^-20
     (|log2 sum| + 1) bits per ζ cover the sums' rounding."""
-    m = len(folded[0])
-    theta = 2 * np.pi / n * (np.outer(ks, np.arange(m)) % n)  # (ζ, j)
-    norms = [sum(map(abs, cs)) for cs in folded]
-    shifts = [max(0, N.bit_length() - 512) for N in norms]
-    c = np.array([[x / (1 << e) for x in cs] for cs, e in zip(folded, shifts)]).T  # (j, f)
-    top = np.array([N / (1 << e) for N, e in zip(norms, shifts)]) * (1 + 2.0**-50)
-    u = np.hypot(np.cos(theta) @ c, np.sin(theta) @ c) + (m + 8) * 2.0**-48 * top
+    phi = [len(k) for k in ks]
+    n = np.repeat(np.arange(1, len(ks) + 1), phi)[:, None]  # each root's n
+    width = len(folded[-1][0])
+    theta = 2 * np.pi / n * (np.concatenate(ks)[:, None] * np.arange(width) % n)  # (ζ, j)
+    norms = [[sum(map(abs, cs)) for cs in per] for per in folded]
+    shifts = [[max(0, N.bit_length() - 512) for N in row] for row in norms]
+    c = np.array([[[x / (1 << e) for x in cs] + [0.0] * (width - len(cs)) for cs, e in zip(per, row)]
+                  for per, row in zip(folded, shifts)])  # (fold, f, j)
+    top = np.array([[N / (1 << e) for N, e in zip(*z)] for z in zip(norms, shifts)]) * (1 + 2.0**-50)
+    slack = (np.arange(1, len(folded) + 1) + 8)[:, None] * 2.0**-48 * top  # m = fold + 1 terms
+    i = np.minimum(n[:, 0], len(folded)) - 1
+    u = np.hypot(*((c[i] * trig(theta)[:, None]).sum(axis=2) for trig in (np.cos, np.sin)))
     with np.errstate(divide="ignore"):  # log2 0 = -inf where f ≡ 0 mod X^n - 1
-        logu = (np.log2(np.minimum(u, top) * (1 + 2.0**-50)) + shifts).T[:, :, None]  # (f, ζ, 1)
-    big = logu >= 0
-    t = np.exp2(-np.minimum(np.abs(logu), 1100) * np.arange(len(cg)))  # 2^-1100 is 0
-    sums = np.where(big, t @ rev, t @ np.abs(cg))
-    per = np.log2(np.maximum(sums, 2.0**-900)) + np.where(big, logu, 0) * degs
-    bound = np.ceil(per.sum(axis=1) + 2.0**-20 * (np.abs(per) + 1).sum(axis=1))
+        logu = np.log2(np.minimum(u + slack[i], top[i]) * (1 + 2.0**-50)) + np.array(shifts)[i]
+    at = np.cumsum(phi) - phi  # each n's first root
+    bound = np.empty((len(ks),) + logu.shape[1:] + (len(degs),))
+    for f, lu in enumerate(logu.T[:, :, None]):  # (ζ, 1) for each f
+        big = lu >= 0
+        t = np.exp2(-np.minimum(np.abs(lu), 1100) * np.arange(len(cg)))  # 2^-1100 is 0
+        sums = np.where(big, t @ rev, t @ np.abs(cg))
+        per = np.log2(np.maximum(sums, 2.0**-900)) + np.where(big, lu, 0) * degs
+        bound[:, f] = np.ceil(np.add.reduceat(per, at) + 2.0**-20 * np.add.reduceat(np.abs(per) + 1, at))
     return np.maximum(bound, 0).astype(np.int64) + 1
 
 
-def _norm_residues(folded: List[List[int]], ks: Sequence[int], ell: np.ndarray,
-                   zeta: np.ndarray, cg: np.ndarray, take: np.ndarray) -> np.ndarray:
-    """prod g(f(ζ^k)) over k in ``ks`` mod each prime ℓ of ``ell``, ζ its
-    root, as (ℓ, f, g) residues on the first take[f, g] primes of each f and
-    g (see _norm_bits).  f's 24-bit limbs are reduced eight to a matrix
-    product and y = f(ζ^k) taken by Horner; then, in chunks of about _CHUNK
-    entries, the powers of y meet each g that needs the chunk's primes in
-    one matrix product, whose sums of |g|_1 residues stay below 2^51."""
+def _root_values(folded: List[List[List[int]]], ks: Sequence[Sequence[int]], ell: np.ndarray,
+                 zeta: np.ndarray, counts: Sequence[int]) -> List[np.ndarray]:
+    """f(ζ^k) mod ℓ for each n, as a (k, ℓ, f) array over k in ks[n - 1],
+    the primes ℓ of n, ζ their roots, and each f mod X^n - 1 of
+    folded[min(n, len(folded)) - 1]: the first counts[0] primes of ``ell``
+    are those of n = 1, the next counts[1] those of n = 2, and so on.  f's
+    24-bit limbs are reduced eight at a time mod every ℓ.  Then the n are
+    taken in pieces, as many as fit in about _CHUNK values, or one, so that
+    no array outgrows a chunk's: a doubling gives the powers of the piece's
+    ζ, and one Horner pass runs over all its (n, k, ℓ) entries, the shorter
+    foldings padded with leading zeros."""
     inv = 1 / ell
-    roots = _powers(zeta, ks[-1] + 1, ell, inv)[ks, :, None]  # (ζ, ℓ, 1)
-    limbs = -(-max(abs(c) for cs in folded for c in cs).bit_length() // _LIMB) or 1
-    digits = np.array([[[(abs(c) >> (_LIMB * j) & (1 << _LIMB) - 1) * (-1 if c < 0 else 1)
-                         for j in range(limbs)] for c in cs] for cs in folded], dtype=float)
-    radix = _powers(_reduce(np.full_like(ell, 1 << _LIMB), ell, inv), limbs, ell, inv)  # (limb, ℓ)
-    coeffs = digits[:, :, :_BLOCK] @ radix[:_BLOCK]
-    for j in range(_BLOCK, limbs, _BLOCK):
-        coeffs = _reduce(coeffs, ell, inv) + digits[:, :, j : j + _BLOCK] @ radix[j : j + _BLOCK]
-    coeffs = _reduce(coeffs, ell, inv).transpose(1, 2, 0)  # (coefficient, ℓ, f)
-    y = coeffs[-1] * np.ones_like(roots)  # (ζ, ℓ, f)
-    for c in coeffs[-2::-1]:
-        y = _reduce(y * roots + c, ell[:, None], inv[:, None])
+    width = len(folded[-1][0])
+    limbs = -(-max(abs(c) for per in folded for cs in per for c in cs).bit_length() // _LIMB) or 1
+    digits = np.array([[[[(abs(c) >> (_LIMB * j) & (1 << _LIMB) - 1) * (-1 if c < 0 else 1)
+                          for j in range(limbs)] for c in cs + [0] * (width - len(cs))]
+                        for cs in per] for per in folded], dtype=float).transpose(2, 0, 1, 3)
+    fold = np.minimum(np.repeat(np.arange(1, len(ks) + 1), counts), len(folded)) - 1  # each prime's
+    digits = digits[:, fold]  # (coefficient, ℓ, f, limb)
+    radix = _powers(_reduce(np.full_like(ell, 1 << _LIMB), ell, inv), limbs, ell, inv).T[:, None]
+    coeffs = 0
+    for j in range(0, limbs, _BLOCK):
+        coeffs = _reduce(coeffs + (digits[..., j : j + _BLOCK] * radix[..., j : j + _BLOCK]).sum(axis=3),
+                         ell[:, None], inv[:, None])  # (coefficient, ℓ, f)
+    phi, counts = np.array([len(k) for k in ks]), np.asarray(counts)
+    size = phi * counts  # entries per n
+    ends, kflat = np.cumsum(size), np.concatenate(ks)
+    kat, lat = np.cumsum(phi) - phi, np.cumsum(counts) - counts  # each n's first k and prime
+    out, a = [], 0
+    while a < len(phi):  # the piece of n = a + 1 .. b
+        start = ends[a] - size[a]
+        b = max(a + 1, int(np.searchsorted(ends, start + _CHUNK // coeffs.shape[2], "right")))
+        e = np.arange(start, ends[b - 1])
+        n = np.searchsorted(ends, e, side="right")  # each entry's n - 1
+        kth, lth = np.divmod(e - (ends - size)[n], counts[n])
+        lane = lat[n] + lth  # its prime
+        lo, hi = lat[a], lat[b - 1] + counts[b - 1]  # the piece's primes
+        powers = _powers(zeta[lo:hi], b, ell[lo:hi], inv[lo:hi])  # ζ^k, k < b
+        root = powers.ravel().take(kflat[kat[n] + kth] * (hi - lo) + lane - lo)[:, None]
+        m, mi, y = ell.take(lane)[:, None], inv.take(lane)[:, None], coeffs[-1].take(lane, axis=0)
+        for c in coeffs[-2::-1]:
+            y *= root
+            y += c.take(lane, axis=0)
+            _reduce(y, m, mi, out=y)
+        pieces = np.split(y, ends[a : b - 1] - start)
+        out += [v.reshape(len(k), p, y.shape[1]) for v, k, p in zip(pieces, ks[a:b], counts[a:b])]
+        a = b
+    return out
+
+
+def _norm_residues(y: np.ndarray, ell: np.ndarray, cg: np.ndarray, degs: np.ndarray,
+                   take: np.ndarray) -> np.ndarray:
+    """prod g(y) over the first axis of y, the (ζ, ℓ, f) residues f(ζ^k)
+    mod each prime ℓ of ``ell``, as (f, g, ℓ) residues on the first
+    take[f, g] primes of each f and g (see _norm_bits), 0 past them.  In
+    chunks of about _CHUNK entries, the powers of y meet each g that needs
+    the chunk's primes in one matrix product, whose sums of |g|_1 residues
+    stay below 2^51; a chunk takes only the f that need its primes."""
     step = max(1, _CHUNK // y[:, 0].size // len(cg))  # primes per chunk
-    out = np.zeros((len(ell),) + take.shape)
-    for lo in range(0, take.max(), step):
-        rows = np.flatnonzero(take.max(axis=1) > lo)  # the f and g that need these primes
-        cols = np.flatnonzero(take[rows].max(axis=0) > lo)
-        width = int(np.flatnonzero(cg[:, cols].any(axis=1))[-1]) + 1
+    los = range(0, int(take.max()), step)
+    need = take > np.array(los)[:, None, None]  # (chunk, f, g)
+    fs, gs = need.any(axis=2), need.any(axis=1)
+    widths = (np.where(gs, degs, -1).max(axis=1) + 1).tolist()
+    out = np.zeros(take.shape + (len(ell),))
+    for lo, rows, cols, width in zip(los, map(np.flatnonzero, fs), map(np.flatnonzero, gs), widths):
         m = np.repeat(ell[lo : lo + step], len(rows))
-        powers = _powers(y[:, lo : lo + step, rows].reshape(len(ks), -1), width, m, 1 / m)
-        values = (powers.reshape(width, -1).T @ cg[:width, cols]).reshape(len(ks), -1, len(cols))
-        m, mi = m[:, None], 1 / m[:, None]
+        mi = 1 / m
+        powers = _powers(y[:, lo : lo + step, rows].reshape(len(y), -1), width, m, mi)
+        values = (powers.reshape(width, -1).T @ cg[:width, cols]).reshape(len(y), -1, len(cols))
+        m, mi = m[:, None], mi[:, None]
         z = len(_reduce(values, m, mi, out=values))  # (ζ, ℓ f, g)
         while z > 1:  # the product over ζ, folding the top half onto the bottom
             h = values[: z // 2]
             _reduce(np.multiply(h, values[z - len(h) : z], out=h), m, mi, out=h)
             z -= len(h)
-        out[lo : lo + step, rows[:, None], cols] = values[0].reshape(-1, len(rows), len(cols))
+        value = values[0].reshape(-1, len(rows), len(cols))  # (ℓ, f, g)
+        out[rows[:, None], cols, lo : lo + step] = value.transpose(1, 2, 0)
     return out
 
 
@@ -639,8 +710,11 @@ def cyclotomic_norms(fs: Sequence[IntPolynomial], gs: Sequence[IntPolynomial],
     These are norms from Q(ζ_n).  Mod a prime ℓ ≡ 1 (mod n) the ζ are the
     powers ζ^k, gcd(k, n) = 1, of one root, and each (f, n, g) takes the
     first such primes that hold its _norm_bits, then the CRT, or, past the
-    primes below 2^25, the subresultant PRS of χ_n.  Every g needs
-    |g|_1 2^25 < 2^52, so that the kernel's sums stay exact (see _reduce)."""
+    primes below 2^25, the subresultant PRS of χ_n.  The bounds, the primes,
+    their roots, the values f(ζ^k) and the CRT weights each come from one
+    pass over every n; the chunks of the norms and the CRT run per n.  Every
+    g needs |g|_1 2^25 < 2^52, so that the kernel's sums stay exact (see
+    _reduce)."""
     if any(P.is_zero for P in (*fs, *gs)):
         raise ZeroPolynomial("resultants require nonzero polynomials")
     if not 1 <= n_max <= MAX_CYCLOTOMIC_INDEX:
@@ -655,24 +729,32 @@ def cyclotomic_norms(fs: Sequence[IntPolynomial], gs: Sequence[IntPolynomial],
     for k, g in enumerate(gs):
         cg[: g.degree + 1, k], rev[: g.degree + 1, k] = g.coeffs, np.abs(g.coeffs[::-1])
     ns, most = range(1, n_max + 1), max(len(f.coeffs) for f in fs)
-    ks = {n: [k for k in range(n) if math.gcd(k, n) == 1] for n in ns}
-    folded = {n: [[sum(f.coeffs[i::n]) for i in range(min(n, most))] for f in fs] for n in ns}
-    bits = {n: _norm_bits(folded[n], n, ks[n], cg, rev, degs) for n in ns}
-    primes = _split_primes({n: int(bits[n].max()) for n in ns})
-    ells = np.array([l for n in ns for l in primes[n]], dtype=float)
-    at = np.cumsum([len(primes[n]) for n in ns])  # the end of each n's primes
-    zetas = np.split(_cyclotomic_roots(ns, np.diff(at, prepend=0), ells, 1 / ells), at)
-    for n, ell, zeta in zip(ns, np.split(ells, at), zetas):
-        take = np.searchsorted(_held_bits(primes[n]), bits[n])  # primes per (f, g)
-        past = take > len(primes[n])  # too few primes below 2^25: the PRS
-        for a in np.flatnonzero(past.any(axis=1)).tolist():
-            chi = cyclotomic_charpoly(fs[a], n)
-            out[a][n - 1] = [resultant(chi, g) if p else 0 for g, p in zip(gs, past[a])]
-        if primes[n]:
-            res = _norm_residues(folded[n], ks[n], ell, zeta, cg, np.where(past, 0, take))
-            i, k = np.nonzero(~past)
-            rows = [r[:t] for r, t in zip(res[:, i, k].T.astype(np.int64).tolist(), take[i, k].tolist())]
-            for a, b, x in zip(i.tolist(), k.tolist(), _crt(rows, _crt_blocks(primes[n]))):
+    ks = [[k for k in range(n) if math.gcd(k, n) == 1] for n in ns]
+    # f mod X^n - 1, up to the longest f: past it, f mod X^n - 1 is f, padded with zeros
+    folded = [[[sum(f.coeffs[i::n]) for i in range(n)] for f in fs] for n in ns[:most]]
+    bits = _norm_bits(folded, ks, cg, rev, degs)  # (n, f, g)
+    primes = _split_primes(dict(zip(ns, bits.max(axis=(1, 2)).tolist())))
+    lists = [primes[n] for n in ns]
+    counts = np.array([len(l) for l in lists])
+    ells = np.array([l for ls in lists for l in ls], dtype=float)
+    held, first = _held_bits(ells), np.cumsum(counts) - counts
+    take = np.searchsorted(held, held[first][:, None, None] + bits) - first[:, None, None]
+    past = take > counts[:, None, None]  # too few primes below 2^25: the PRS
+    for n, a in np.argwhere(past.any(axis=2)).tolist():
+        chi = cyclotomic_charpoly(fs[a], n + 1)
+        out[a][n] = [resultant(chi, g) if p else 0 for g, p in zip(gs, past[n, a])]
+    take[past] = 0
+    zeta = _cyclotomic_roots(ns, counts, ells, 1 / ells)
+    values = _root_values(folded, ks, ells, zeta, counts)
+    blocks = _crt_blocks(lists)
+    for n, ell, y, t, per in zip(ns, np.split(ells, np.cumsum(counts)), values, take, blocks):
+        if len(ell):
+            res = _norm_residues(y, ell, cg, degs, t)
+            i, k = np.nonzero(t)  # the cells of the CRT, and their primes
+            need = t[i, k].tolist()
+            flat = res[i, k][np.arange(len(ell)) < t[i, k, None]].astype(np.int64).tolist()
+            rows = [flat[e - c : e] for e, c in zip(itertools.accumulate(need), need)]
+            for a, b, x in zip(i.tolist(), k.tolist(), _crt(rows, per)):
                 out[a][n - 1][b] = x
     return out
 

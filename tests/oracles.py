@@ -19,9 +19,10 @@ breadth-first search per start instead of the library's one level-set
 kernel, the bit-parallel walk, one
 ``thm44ii`` walk per field instead of one over the disjoint union of a
 grid's tables, and maximal divisors by trial division and pairwise tests
-instead of from the factorization, and the elements of small order by a
-scalar walk over a generator's powers instead of the index tables.  They are
-deliberately slow and simple.
+instead of from the factorization, the elements of small order by a
+scalar walk over a generator's powers instead of the index tables, and
+Garner's mixed-radix digits instead of the blocked weighted sums of the CRT.
+They are deliberately slow and simple.
 
 ``level_images`` is the exception: it reads the library's own reach table
 (``reach_table``), marks its level sets one whole-table mask at a time with
@@ -139,6 +140,19 @@ def resultant_by_determinant(f, g):
     if g.degree == 0:
         return g.coeffs[0] ** f.degree
     return _det_bareiss(sylvester_matrix(f, g))
+
+
+def crt_by_garner(residues, primes):
+    """The integer x with x ≡ residues[i] (mod primes[i]) and
+    |x| <= (M - 1)/2, M the product of the distinct odd primes, from
+    Garner's mixed-radix digits: x = v_0 + v_1 p_0 + v_2 p_0 p_1 + ...,
+    each v_i = (r_i - x_i) (p_0 ... p_(i-1))^-1 mod p_i for the x_i of the
+    digits before it."""
+    x, M = 0, 1
+    for r, p in zip(residues, primes):
+        x += (r - x) * pow(M, -1, p) % p * M
+        M *= p
+    return x - M if 2 * x > M else x
 
 
 def order_by_powering(u):

@@ -44,7 +44,12 @@ from semiorbits import (
     resultant,
     system_height,
 )
-from oracles import conjugate_by_horner, ramanujan_sums_by_von_sterneck, resultant_by_determinant
+from oracles import (
+    conjugate_by_horner,
+    crt_by_garner,
+    ramanujan_sums_by_von_sterneck,
+    resultant_by_determinant,
+)
 
 
 def _random_poly(rng, max_deg=6, bound=9):
@@ -380,6 +385,7 @@ def test_cyclotomic_norms_match_prs_within_their_bounds(f, r_max, s_max):
 
     with mock.patch.object(intpoly, "_norm_bits", recorded):
         (table,) = cyclotomic_norms([f], phis, r_max)
+    (bits,) = bits  # one pass over every r, per (r, f, s)
     assert len(table) == len(bits) == r_max and all(len(row) == s_max for row in table)
     for row, (bound,) in zip(table, bits):
         assert all(b >= abs(value).bit_length() + 1 for value, b in zip(row, bound.tolist()))
@@ -413,6 +419,24 @@ def test_cyclotomic_norms_of_several_f_and_any_g_match_prs(fs, gs, n_max):
         for n, row in enumerate(per_f, 1):
             chi = cyclotomic_charpoly(f, n)
             assert row == [resultant(chi, g) for g in gs], (f, n)
+
+
+def test_cyclotomic_norms_run_each_pass_once(monkeypatch):
+    # the bounds, the split primes, their roots, the values f(ζ^k) and the
+    # CRT weights come from one call each for the whole grid, not per n
+    passes = ("_norm_bits", "_split_primes", "_cyclotomic_roots", "_root_values", "_crt_blocks")
+    calls = []
+    for name in passes:
+        real = getattr(intpoly, name)
+        counted = lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
+        monkeypatch.setattr(intpoly, name, counted)
+    fs = [parse_poly("X^2 + 1"), parse_poly("X^3 + 2"), parse_poly("X^2 + 3X + 5")]
+    gs = [cyclotomic(s) for s in range(1, 13)]
+    table = cyclotomic_norms(fs, gs, 12)
+    assert sorted(calls) == sorted(passes)
+    monkeypatch.undo()
+    assert table == [[[resultant(cyclotomic_charpoly(f, n), g) for g in gs] for n in range(1, 13)]
+                     for f in fs]
 
 
 def test_cyclotomic_resultants_edges():
@@ -535,6 +559,34 @@ def test_cyclotomic_resultants_do_not_depend_on_the_crt_block(monkeypatch):
             assert row[s - 1] == resultant(P, cyclotomic(s)), (P, s)
 
 
+_CRT_PRIMES = intpoly._split_primes({7: 100 * 24})[7]  # 100 primes = 1 mod 7 above 2^24
+_CRT_LENGTHS = [1, 31, 32, 33, 64, 65]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lengths=st.lists(st.one_of(st.sampled_from(_CRT_LENGTHS), st.integers(1, 100)), min_size=1,
+                        max_size=6),
+       block=st.sampled_from([32, 3]), data=st.data())
+@example(lengths=_CRT_LENGTHS, block=32, data=None)
+@example(lengths=_CRT_LENGTHS, block=3, data=None)
+def test_crt_matches_garner(lengths, block, data):
+    # rows of symmetric residues of an x in [-(M - 1)/2, (M - 1)/2], M the
+    # product of the row's primes: one block, a block's prefix, a row that
+    # ends on a block's last prime or one past it, and several blocks.
+    # Without drawn values each row takes (M - 1)/2 and -(M - 1)/2
+    xs = []
+    for t in lengths:
+        half = (math.prod(_CRT_PRIMES[:t]) - 1) // 2
+        pick = st.one_of(st.sampled_from([half, -half, 0, 1, -1]), st.integers(-half, half))
+        xs += [data.draw(pick)] if data else [half, -half]
+    rows = [[(x + l // 2) % l - l // 2 for l in _CRT_PRIMES[:t]]
+            for x, t in zip(xs, [t for t in lengths for _ in range(1 if data else 2)])]
+    with mock.patch.object(intpoly, "_CRT_BLOCK", block):
+        (blocks,) = intpoly._crt_blocks([_CRT_PRIMES])
+        assert intpoly._crt(rows, blocks) == xs
+    assert [crt_by_garner(row, _CRT_PRIMES) for row in rows] == xs
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(ss=st.lists(st.integers(1, 400), min_size=1, max_size=5, unique=True),
        bits=st.integers(1, 120))
@@ -556,14 +608,30 @@ def test_cyclotomic_roots_are_primitive(ss, bits):
             assert z == first
 
 
+def test_cyclotomic_roots_past_the_first_rounds():
+    # the first eight bases, 2 .. 19, are squares mod the two ℓ of s = 2 and
+    # cubes mod the two of s = 3, so a^((ℓ-1)/s) = 1 for each of them: only
+    # a later round finds ζ, from the first base that passes, 23 or 31
+    ss, ell = [2, 3], np.array([16779361, 16794649, 16889101, 17143153], dtype=float)
+    zeta = intpoly._cyclotomic_roots(ss, [2, 2], ell, 1 / ell).tolist()
+    for s, l, z in zip([2, 2, 3, 3], ell.astype(int).tolist(), zeta):
+        qs = [q for q in range(2, s + 1) if s % q == 0 and is_prime(q)]
+        assert all(pow(a, (l - 1) // s, l) == 1 for a in intpoly._SIEVE_BASE[:8])
+        first = next(y for a in intpoly._SIEVE_BASE for y in [pow(a, (l - 1) // s, l)]
+                     if all(pow(y, s // q, l) != 1 for q in qs))
+        assert int(z) % l == first and first in (pow(23, (l - 1) // s, l), pow(31, (l - 1) // s, l))
+
+
 def test_cyclotomic_resultants_when_every_s_is_past_the_window(monkeypatch):
     # a window of 64 integers holds too few primes for the 200-bit
     # coefficient at any s: each of its cells takes the PRS of χ_s, while
-    # the quadratic's small values come from the window's few primes
+    # the quadratic's small values come from the window's few primes.  It
+    # holds no prime = 1 (mod 24) at all: s = 24 takes the PRS throughout
     monkeypatch.setattr(intpoly, "_segments", lambda: iter([(1 << 16, (1 << 16) + 64, 1)]))
+    assert intpoly._split_primes({24: 1, 23: 1}) == {24: [], 23: [65551]}
     polys = [IntPolynomial((3, -(1 << 200) + 5)), parse_poly("X^2 + 3X + 5")]
-    assert cyclotomic_resultants(polys, 6) == [[resultant(P, cyclotomic(s)) for s in range(1, 7)]
-                                               for P in polys]
+    assert cyclotomic_resultants(polys, 24) == [[resultant(P, cyclotomic(s)) for s in range(1, 25)]
+                                                for P in polys]
 
 
 _LARGEST = max(p for p in range((1 << 25) - 64, 1 << 25) if is_prime(p))  # largest ℓ below 2^25
